@@ -10,8 +10,10 @@ instead of silently skewing experiment results.
 Invariants checked (see docs/AUDITING.md for the full catalogue):
 
 * **Dirty ledger** — redirected payload minus written-back minus
-  superseded payload equals ``MappingTable.dirty_bytes`` at every
-  synchronous point.
+  superseded payload equals the mapping table's dirty bytes, recounted
+  over its entries, at every synchronous point.
+* **Dirty counter** — the table's running ``dirty_bytes`` count equals
+  that recount.
 * **Read conservation** — every read serves exactly the requested
   payload bytes: SSD piece bytes + disk gap payload == request size,
   measured from the manager's *reported stats* (so stats inflation,
@@ -123,14 +125,15 @@ class ManagerAuditor:
         """Run the continuous invariants (called after every mutation)."""
         self.checks += 1
         if self._conservation:
-            self._check_dirty_ledger(event)
+            dirty = self.manager.mapping.recount_dirty_bytes()
+            self._check_dirty_ledger(event, dirty)
+            self._check_dirty_counter(event, dirty)
         if self._coherence:
             self._check_coherence(event)
 
-    def _check_dirty_ledger(self, event: str) -> None:
+    def _check_dirty_ledger(self, event: str, actual: int) -> None:
         ledger = (self.ssd_redirect_bytes - self.writeback_bytes
                   - self.superseded_bytes - self.forfeited_bytes)
-        actual = self.manager.mapping.dirty_bytes
         if ledger != actual:
             self._fail(
                 "dirty-ledger",
@@ -140,6 +143,15 @@ class ManagerAuditor:
                 f" - superseded {self.superseded_bytes}"
                 f" - forfeited {self.forfeited_bytes}), mapping table "
                 f"holds {actual}", event=event, ledger=ledger, actual=actual)
+
+    def _check_dirty_counter(self, event: str, recount: int) -> None:
+        counter = self.manager.mapping.dirty_bytes
+        if counter != recount:
+            self._fail(
+                "dirty-counter",
+                f"after {event or 'mutation'}: mapping table counts "
+                f"{counter} dirty bytes, its entries hold {recount}",
+                event=event, counter=counter, recount=recount)
 
     def _check_coherence(self, event: str) -> None:
         mgr = self.manager
@@ -300,7 +312,7 @@ class ManagerAuditor:
         self.check("final")
         if not self._conservation:
             return
-        dirty = self.manager.mapping.dirty_bytes
+        dirty = self.manager.mapping.recount_dirty_bytes()
         if dirty != 0:
             self._fail(
                 "final-dirty",

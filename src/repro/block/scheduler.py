@@ -10,10 +10,13 @@ dispatch order, merging contiguous requests up to the configured limit.
 from __future__ import annotations
 
 import abc
+from bisect import insort
 from collections import deque
-from typing import Deque, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
 
 from ..config import SchedulerConfig
+from ..devices.base import Op
 from ..errors import StorageError
 from .request import BlockRequest, Dispatch
 
@@ -44,6 +47,63 @@ class Scheduler(abc.ABC):
         """Pick the next dispatch (see module docstring)."""
 
 
+class _MergeIndex:
+    """Queued requests counted by ``(op, lbn)`` and by ``(op, end)``.
+
+    Mirrors its scheduler's queue exactly (updated on every add and
+    removal), so a merge pass that cannot merge is skipped in O(1).
+    """
+
+    __slots__ = ("starts", "ends")
+
+    def __init__(self) -> None:
+        self.starts: Dict[Tuple[Op, int], int] = {}
+        self.ends: Dict[Tuple[Op, int], int] = {}
+
+    def add(self, req: BlockRequest) -> None:
+        op, lbn = req.op, req.lbn
+        for counts, key in ((self.starts, (op, lbn)),
+                            (self.ends, (op, lbn + req.nbytes))):
+            counts[key] = counts.get(key, 0) + 1
+
+    def discard(self, req: BlockRequest) -> None:
+        op, lbn = req.op, req.lbn
+        for counts, key in ((self.starts, (op, lbn)),
+                            (self.ends, (op, lbn + req.nbytes))):
+            n = counts.pop(key) - 1
+            if n:
+                counts[key] = n
+
+
+def _merge_contiguous(dispatch: Dispatch, candidates: Iterable[BlockRequest],
+                      take: Callable[[BlockRequest], None],
+                      index: _MergeIndex, config: SchedulerConfig) -> None:
+    """Greedily absorb queued requests contiguous with ``dispatch``.
+
+    Each pass scans a snapshot of ``candidates`` in order and removes
+    what it merges through ``take``; passes repeat until one merges
+    nothing.  A pass is skipped when no queued request starts where the
+    dispatch ends or ends where it starts, as it could not merge.
+    """
+    limit = config.max_merge_bytes
+    window = config.merge_window
+    merged = True
+    while merged and ((dispatch.op, dispatch.end) in index.starts
+                      or (dispatch.op, dispatch.lbn) in index.ends):
+        merged = False
+        for req in list(candidates):
+            if not dispatch.within_merge_window(req, window):
+                continue
+            if dispatch.can_back_merge(req, limit):
+                take(req)
+                dispatch.back_merge(req)
+                merged = True
+            elif dispatch.can_front_merge(req, limit):
+                take(req)
+                dispatch.front_merge(req)
+                merged = True
+
+
 class NoopScheduler(Scheduler):
     """FIFO with back/front merging at dispatch build time.
 
@@ -56,32 +116,25 @@ class NoopScheduler(Scheduler):
     def __init__(self, config: SchedulerConfig) -> None:
         super().__init__(config)
         self._queue: Deque[BlockRequest] = deque()
+        self._index = _MergeIndex()
 
     def add(self, req: BlockRequest) -> None:
         self._queue.append(req)
+        self._index.add(req)
         self._pending += 1
+
+    def _take(self, req: BlockRequest) -> None:
+        self._queue.remove(req)
+        self._index.discard(req)
 
     def select(self, now: float) -> SelectResult:
         if not self._queue:
             return None, None
-        dispatch = Dispatch(self._queue.popleft())
-        # Greedily absorb queued requests contiguous with the dispatch.
-        merged = True
-        limit = self.config.max_merge_bytes
-        window = self.config.merge_window
-        while merged and self._queue:
-            merged = False
-            for req in list(self._queue):
-                if not dispatch.within_merge_window(req, window):
-                    continue
-                if dispatch.can_back_merge(req, limit):
-                    self._queue.remove(req)
-                    dispatch.back_merge(req)
-                    merged = True
-                elif dispatch.can_front_merge(req, limit):
-                    self._queue.remove(req)
-                    dispatch.front_merge(req)
-                    merged = True
+        first = self._queue.popleft()
+        self._index.discard(first)
+        dispatch = Dispatch(first)
+        _merge_contiguous(dispatch, self._queue, self._take, self._index,
+                          self.config)
         self._pending -= len(dispatch.members)
         return dispatch, None
 
@@ -103,22 +156,20 @@ class DeadlineScheduler(Scheduler):
         self.max_age = max_age
         self._sorted: list[BlockRequest] = []
         self._fifo: Deque[BlockRequest] = deque()
+        self._index = _MergeIndex()
         self._position = 0
 
     def add(self, req: BlockRequest) -> None:
-        # Insertion sort keyed by LBN; queues are short in practice.
-        idx = len(self._sorted)
-        for i, other in enumerate(self._sorted):
-            if req.lbn < other.lbn:
-                idx = i
-                break
-        self._sorted.insert(idx, req)
+        # Kept sorted by LBN; equal LBNs stay in arrival order.
+        insort(self._sorted, req, key=attrgetter("lbn"))
         self._fifo.append(req)
+        self._index.add(req)
         self._pending += 1
 
     def _take(self, req: BlockRequest) -> None:
         self._sorted.remove(req)
         self._fifo.remove(req)
+        self._index.discard(req)
 
     def select(self, now: float) -> SelectResult:
         if not self._sorted:
@@ -126,31 +177,13 @@ class DeadlineScheduler(Scheduler):
         if self._fifo and now - self._fifo[0].submit_time > self.max_age:
             first = self._fifo[0]
         else:
-            first = None
-            for req in self._sorted:
-                if req.lbn >= self._position:
-                    first = req
-                    break
-            if first is None:  # wrap (C-LOOK)
-                first = self._sorted[0]
+            # Next request at or past the sweep position; wrap (C-LOOK).
+            first = next((r for r in self._sorted if r.lbn >= self._position),
+                         self._sorted[0])
         self._take(first)
         dispatch = Dispatch(first)
-        limit = self.config.max_merge_bytes
-        window = self.config.merge_window
-        merged = True
-        while merged:
-            merged = False
-            for req in list(self._sorted):
-                if not dispatch.within_merge_window(req, window):
-                    continue
-                if dispatch.can_back_merge(req, limit):
-                    self._take(req)
-                    dispatch.back_merge(req)
-                    merged = True
-                elif dispatch.can_front_merge(req, limit):
-                    self._take(req)
-                    dispatch.front_merge(req)
-                    merged = True
+        _merge_contiguous(dispatch, self._sorted, self._take, self._index,
+                          self.config)
         self._position = dispatch.end
         self._pending -= len(dispatch.members)
         return dispatch, None

@@ -138,6 +138,10 @@ class LogStore:
             return None
         return max(candidates, key=lambda s: s.garbage)
 
+    def is_live(self, lbn: int) -> bool:
+        """Does a live extent start at ``lbn``?"""
+        return lbn in self._extents
+
     def live_extents_in(self, segment: Segment) -> List[Tuple[int, int]]:
         """(lbn, nbytes) of live extents inside ``segment``."""
         return [(lbn, nbytes) for lbn, (idx, nbytes) in self._extents.items()

@@ -471,7 +471,7 @@ class IBridgeManager:
         entry.busy = False
         if entry.forfeited:
             return
-        entry.dirty = False
+        self.mapping.mark_clean(entry)
         self.stats.writeback_bytes += entry.nbytes
         if self.audit:
             self.audit.note_writeback(entry.nbytes)
@@ -525,19 +525,23 @@ class IBridgeManager:
                 # nothing — pure churn that can livelock the loop.
                 return
             for lbn, size in log.live_extents_in(victim):
-                entry = self._by_lbn.get(lbn)
                 read = self.ssd_queue.submit(Op.READ, lbn, size,
                                              stream=BACKGROUND_STREAM)
                 yield read.done
+                if not log.is_live(lbn):
+                    continue  # dropped by an overwrite during the read
                 new_lbn = log.relocate(lbn)
                 self._ssd_trim(lbn, size)
+                # Repoint before the copy is written, so an overwrite
+                # that drops the entry meanwhile invalidates the new
+                # extent rather than the relocated-away old one.
+                entry = self._by_lbn.pop(lbn, None)
+                if entry is not None:
+                    entry.ssd_lbn = new_lbn
+                    self._by_lbn[new_lbn] = entry
                 write = self.ssd_queue.submit(Op.WRITE, new_lbn, size,
                                               stream=BACKGROUND_STREAM)
                 yield write.done
-                if entry is not None:
-                    del self._by_lbn[lbn]
-                    entry.ssd_lbn = new_lbn
-                    self._by_lbn[new_lbn] = entry
                 if self.audit:
                     self.audit.check("clean")
             log.release_victim(victim)
@@ -626,7 +630,7 @@ class IBridgeManager:
                 # Forfeited mid-flight by an SSD fail-stop: the bytes
                 # were already accounted as lost, not written back.
                 continue
-            entry.dirty = False
+            self.mapping.mark_clean(entry)
             self.stats.writeback_bytes += entry.nbytes
             if self.audit:
                 self.audit.note_writeback(entry.nbytes)
@@ -730,7 +734,7 @@ class IBridgeManager:
             entry.forfeited = True
             if entry.dirty:
                 forfeited += entry.nbytes
-                entry.dirty = False
+                self.mapping.mark_clean(entry)
             self.mapping.remove(entry)
             self.partition.drop(entry)
             self._log.invalidate(entry.ssd_lbn)

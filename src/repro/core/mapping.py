@@ -62,6 +62,9 @@ class MappingTable:
     def __init__(self) -> None:
         self._maps: Dict[int, IntervalMap] = {}
         self._entries: Dict[int, CacheEntry] = {}
+        #: Payload bytes of the dirty entries in the table, kept as a
+        #: running count (the writeback daemon polls it every tick).
+        self._dirty_bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -84,6 +87,8 @@ class MappingTable:
             raise StorageError("insert over existing cached range")
         m.set(entry.start, entry.end, entry)
         self._entries[entry.id] = entry
+        if entry.dirty:
+            self._dirty_bytes += entry.nbytes
 
     def remove(self, entry: CacheEntry) -> None:
         """Drop ``entry`` from the table."""
@@ -91,6 +96,19 @@ class MappingTable:
             raise StorageError(f"remove of unknown entry {entry.id}")
         self._map(entry.handle).delete(entry.start, entry.end)
         del self._entries[entry.id]
+        if entry.dirty:
+            self._dirty_bytes -= entry.nbytes
+
+    def mark_clean(self, entry: CacheEntry) -> None:
+        """Turn ``entry`` clean: the only way a dirty entry becomes clean.
+
+        An entry no longer in the table (dropped as superseded while its
+        writeback was in flight) left the dirty count when it was removed.
+        """
+        if entry.dirty:
+            entry.dirty = False
+            if entry.id in self._entries:
+                self._dirty_bytes -= entry.nbytes
 
     def overlapping(self, handle: int, start: int, end: int) -> List[CacheEntry]:
         """Distinct entries overlapping ``[start, end)``."""
@@ -129,4 +147,8 @@ class MappingTable:
 
     @property
     def dirty_bytes(self) -> int:
+        return self._dirty_bytes
+
+    def recount_dirty_bytes(self) -> int:
+        """``dirty_bytes`` summed afresh over every entry (for audits)."""
         return sum(e.nbytes for e in self._entries.values() if e.dirty)

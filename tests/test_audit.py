@@ -95,6 +95,13 @@ def test_dirty_ledger_drift_detected():
         auditor.check("test")
 
 
+def test_dirty_counter_drift_detected():
+    env, server, mgr, auditor = cached_server()
+    mgr.mapping._dirty_bytes += 1  # running count drifts from the table
+    with pytest.raises(AuditError, match="dirty-counter"):
+        auditor.check("test")
+
+
 def test_read_conservation_violation_detected():
     env, server, mgr, auditor = cached_server()
     with pytest.raises(AuditError, match="read-conservation"):

@@ -9,9 +9,12 @@ Each test pins one fixed behaviour:
   exactly like redirected writes (occupancy parity),
 * readahead extension bytes are not counted as request payload in
   ``bytes_from_disk`` (they are ``readahead_bytes``),
-* concurrent admissions never over-commit a static class share.
+* concurrent admissions never over-commit a static class share,
+* the log cleaner skips an extent an overwrite dropped while it was
+  being read, and repoints the entry before writing the relocated copy.
 """
 
+import dataclasses
 import signal
 
 import pytest
@@ -171,3 +174,39 @@ def test_concurrent_admissions_respect_static_share():
         mgr.partition.class_capacity(CacheKind.FRAGMENT)
     assert mgr.partition.used() <= mgr.partition.capacity
     assert share >= 0  # static shares stay fixed through the run
+
+
+# ------------------------------------------------------- log-cleaner race
+def gc_stagger_cell(seed):
+    """The GC study's stagger cell (96 KiB unaligned writes, small FTL
+    drive) with a 1 MiB partition, so short a log that the segment
+    cleaner runs while overwrites invalidate the extents it moves."""
+    from repro.experiments.common import base_config, file_bytes
+    from repro.workloads.mpi_io_test import MpiIoTest
+
+    partition, size = 1 * MiB, 96 * KiB
+    wl = MpiIoTest(nprocs=16, request_size=size,
+                   file_size=file_bytes(0.0025, 16, size), op=Op.WRITE)
+    cfg = base_config().with_ibridge(ssd_partition=partition,
+                                     fragment_threshold=48 * KiB)
+    ssd = dataclasses.replace(
+        cfg.ssd, capacity=2 * partition + 2 * MiB, ftl_enabled=True,
+        ftl_over_provision=0.25, gc_low_watermark=0.30,
+        gc_high_watermark=0.55, gc_mode="pause", gc_policy="stagger")
+    return cfg.replace(ssd=ssd, seed=seed).with_audit(strict=True), wl
+
+
+@pytest.mark.parametrize("seed", [5, 11, 15])
+def test_log_cleaner_survives_concurrent_overwrites(seed):
+    """An overwrite that drops an extent while the cleaner reads it, or
+    drops the entry while its relocated copy is written, used to raise
+    "relocate/invalidate of unknown log extent"."""
+    from repro.pfs.cluster import Cluster
+    from repro.workloads.base import run_workload
+
+    cfg, wl = gc_stagger_cell(seed)
+    cluster = Cluster(cfg)
+    result = run_workload(cluster, wl, warm_runs=2)
+    assert sum(s.ibridge._log.cleanings for s in cluster.servers) > 0
+    assert cluster.audit.ok
+    assert result.requests

@@ -76,6 +76,34 @@ def test_dirty_tracking():
     assert table.dirty_entries() == []
 
 
+def test_dirty_counter_matches_recount():
+    table = MappingTable()
+
+    def consistent():
+        return table.dirty_bytes == table.recount_dirty_bytes()
+
+    d = entry(start=0, end=10 * KiB, dirty=True)
+    c = entry(start=20 * KiB, end=24 * KiB, dirty=False)
+    gone = entry(start=40 * KiB, end=46 * KiB, dirty=True)
+    for e in (d, c, gone):
+        table.insert(e)
+    assert table.dirty_bytes == 16 * KiB and consistent()
+    table.mark_clean(d)
+    assert not d.dirty
+    assert table.dirty_bytes == 6 * KiB and consistent()
+    table.mark_clean(d)  # already clean: no second subtraction
+    assert table.dirty_bytes == 6 * KiB and consistent()
+    table.remove(gone)  # removed while dirty
+    assert table.dirty_bytes == 0 and consistent()
+    table.mark_clean(gone)  # writeback landing after the drop
+    assert not gone.dirty
+    assert table.dirty_bytes == 0 and consistent()
+    table.remove(c)
+    assert table.dirty_bytes == 0 and consistent()
+    table.insert(entry(start=40 * KiB, end=50 * KiB, dirty=True))
+    assert table.dirty_bytes == 10 * KiB and consistent()
+
+
 def test_handles_are_independent():
     table = MappingTable()
     table.insert(entry(handle=1))
