@@ -1,13 +1,13 @@
-"""CI smoke for the partitioned-horizon parallel engine.
+"""CI smoke for the partitioned-horizon sharded engine.
 
 One fig2-style unaligned cell, four ways:
 
 1. serial (the classic engine),
 2. ``shards=1`` through ``run_sharded_workload`` — digest must equal
    serial **exactly** (the bit-identity contract),
-3. two 2-shard process-mode runs under the strict auditor — digests
-   must equal each other (self-determinism), verdict must be clean,
-   and the cross-shard conservation ledger must balance,
+3. two 2-shard runs under the strict auditor — digests must equal
+   each other (self-determinism), verdict must be clean, and the
+   cross-shard conservation ledger must balance,
 4. a request-population cross-check: the sharded run completes the
    same requests and moves the same bytes as the serial run.
 
@@ -19,9 +19,9 @@ repro.obs.report --shard-profile`` renders.
 ``--fault-plan`` switches to the faulted variant of the same contract:
 the cell runs under a two-window device fail-slow plan (one window per
 shard's territory), still under the strict auditor — serial vs
-``shards=1`` must stay bit-identical, two 2-shard process-mode runs
-must agree, and the merged injector records must equal the serial
-record stream modulo shard tags.
+``shards=1`` must stay bit-identical, two 2-shard runs must agree, and
+the merged injector records must equal the serial record stream modulo
+shard tags.
 
 Exits nonzero on the first broken expectation.
 
@@ -83,7 +83,7 @@ def fault_mode(args) -> int:
     check(run_digest(one) == serial_digest,
           "faulted shards=1 is bit-identical to the serial engine")
 
-    sharded_cfg = base.with_shards(2, shard_mode="process").with_audit()
+    sharded_cfg = base.with_shards(2).with_audit()
     first = run_sharded_workload(sharded_cfg, make(), fault_plan=plan)
     second = run_sharded_workload(sharded_cfg, make(), fault_plan=plan)
     d1, d2 = run_digest(first), run_digest(second)
@@ -144,7 +144,7 @@ def main() -> int:
     check(run_digest(one) == serial_digest,
           "shards=1 is bit-identical to the serial engine")
 
-    sharded_cfg = base.with_shards(2, shard_mode="process").with_audit()
+    sharded_cfg = base.with_shards(2).with_audit()
     first = run_sharded_workload(sharded_cfg, make())
     second = run_sharded_workload(sharded_cfg, make())
     d1, d2 = run_digest(first), run_digest(second)

@@ -77,10 +77,7 @@ def build_config(spec: Dict) -> ClusterConfig:
         config = config.with_ftl(
             capacity=max(8 * c["ssd_partition"], 64 * MiB))
     if int(c.get("shards", 1) or 1) > 1:
-        # Inline driver only: episodes already fan out across processes
-        # at the campaign level, and pickled exceptions across worker
-        # pipes would blur the failure classification.
-        config = config.with_shards(int(c["shards"]), shard_mode="inline")
+        config = config.with_shards(int(c["shards"]))
     config.validate()
     return config
 

@@ -538,16 +538,18 @@ class ClusterConfig:
     seed: int = 20130520
 
     # ---- partitioned-horizon parallel execution (repro.sim.parallel) --
-    #: Worker shards the cluster is partitioned over.  ``1`` (default)
-    #: is the serial engine, bit-identical to every run before this knob
+    #: Shards the cluster is partitioned over.  ``1`` (default) is the
+    #: serial engine, bit-identical to every run before this knob
     #: existed.  ``> 1`` round-robins servers and client nodes across
-    #: shards, one :class:`~repro.sim.core.Environment` per shard,
-    #: synchronized with a conservative time-window protocol on the
-    #: network boundary (see DESIGN.md §14).  Sharded runs are
-    #: deterministic for a fixed ``(seed, shards)`` pair but are a
-    #: *different* (coarser) network model than serial: cross-shard
-    #: messages pay sender-side overhead + wire time locally and the
-    #: propagation latency as the inter-shard lookahead.
+    #: shards, one :class:`~repro.sim.core.Environment` per shard, all
+    #: stepped in this process by a conservative time-window protocol
+    #: on the network boundary (see DESIGN.md §14).  Sharding is a
+    #: determinism and differential harness, never a speedup.  Sharded
+    #: runs are deterministic for a fixed ``(seed, shards)`` pair but
+    #: are a *different* (coarser) network model than serial:
+    #: cross-shard messages pay sender-side overhead + wire time
+    #: locally and the propagation latency as the inter-shard
+    #: lookahead.
     shards: int = 1
     #: Synchronization lookahead in simulated seconds.  ``None`` uses
     #: the safe value — the minimum configured link latency
@@ -556,10 +558,6 @@ class ClusterConfig:
     #: window boundaries (bounded, deterministic skew) in exchange for
     #: fewer barriers; see docs/PERFORMANCE.md for the trade-off.
     shard_lookahead: Optional[float] = None
-    #: "process" runs one worker process per shard (the point of the
-    #: exercise); "inline" steps every shard in this process — same
-    #: schedules, no parallelism — for tests and debugging.
-    shard_mode: str = "process"
 
     def validate(self) -> None:
         if self.num_servers < 1:
@@ -576,8 +574,6 @@ class ClusterConfig:
             raise ConfigError("client_jitter must be non-negative")
         if self.shards < 1:
             raise ConfigError("shards must be >= 1")
-        if self.shard_mode not in ("process", "inline"):
-            raise ConfigError(f"unknown shard_mode {self.shard_mode!r}")
         if self.shard_lookahead is not None and self.shard_lookahead <= 0:
             raise ConfigError("shard_lookahead must be positive (or None)")
         if self.shards > 1 and self.network.latency <= 0 \
@@ -623,8 +619,8 @@ class ClusterConfig:
         return dataclasses.replace(self, obs=obs)
 
     def with_shards(self, shards: int, **overrides) -> "ClusterConfig":
-        """Copy of this config partitioned over ``shards`` workers
-        (plus ``shard_lookahead``/``shard_mode`` overrides)."""
+        """Copy of this config partitioned over ``shards`` shards
+        (plus a ``shard_lookahead`` override)."""
         cfg = dataclasses.replace(self, shards=shards, **overrides)
         cfg.validate()
         return cfg

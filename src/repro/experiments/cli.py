@@ -113,11 +113,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default 1 = in-process; results are "
                              "bit-identical at any N)")
     parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="partition every cluster into N shards run "
-                             "by the parallel DES engine (default 1 = "
-                             "serial, bit-identical to the classic "
-                             "engine; composes with --fault-plan: the "
-                             "plan is partitioned across shard "
+                        help="partition every cluster into N shards "
+                             "stepped in this process by the "
+                             "partitioned-horizon engine, a determinism "
+                             "harness that never speeds a run up "
+                             "(default 1 = serial, bit-identical to the "
+                             "classic engine; composes with --fault-plan: "
+                             "the plan is partitioned across shard "
                              "injectors)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk result "
@@ -182,9 +184,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.shards < 1:
         parser.error("--shards must be >= 1")
     set_default_shards(args.shards)
-    # One warning, not one per cell: oversubscribing jobs x shards past
-    # the machine's cores only adds context-switch overhead.
-    warn_if_oversubscribed(jobs=args.jobs, shards=args.shards)
+    # One warning, not one per cell: more pool workers than cores only
+    # adds context-switch overhead.
+    warn_if_oversubscribed(jobs=args.jobs)
 
     if args.fault_plan:
         from ..faults import FaultPlan

@@ -125,22 +125,21 @@ def default_shards() -> int:
 _oversubscribed_warned = False
 
 
-def warn_if_oversubscribed(jobs: int = 1, shards: int = 1) -> bool:
-    """Warn (once per process) when the requested parallelism exceeds
-    the machine: ``jobs * shards`` worker processes beyond
-    ``os.cpu_count()`` only add context-switch overhead.  Returns True
-    if the warning fired."""
+def warn_if_oversubscribed(jobs: int = 1) -> bool:
+    """Warn (once per process) when ``jobs`` worker processes exceed
+    ``os.cpu_count()``: the extra ones only add context-switch
+    overhead.  Shards run in the calling process, so they never count.
+    Returns True if the warning fired."""
     global _oversubscribed_warned
     import os
     import warnings
     cpus = os.cpu_count() or 1
-    want = max(1, jobs) * max(1, shards)
-    if want <= cpus or _oversubscribed_warned:
+    if jobs <= cpus or _oversubscribed_warned:
         return False
     _oversubscribed_warned = True
     warnings.warn(
-        f"requested {want} workers (jobs={jobs} x shards={shards}) on a "
-        f"{cpus}-CPU host; runs will timeshare rather than speed up",
+        f"requested {jobs} worker processes on a {cpus}-CPU host; "
+        f"runs will timeshare rather than speed up",
         RuntimeWarning, stacklevel=2)
     return True
 

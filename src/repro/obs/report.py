@@ -16,7 +16,7 @@ evolve) — plus the sharded engine's barrier profile, into one report:
   CDF (the paper's striping-magnification effect as percentiles);
 * one sparkline + min/mean/p99/last line per timeline series;
 * the shard barrier-profile table (bottleneck shard, parallel
-  efficiency) when a profile JSON is given;
+  efficiency, projected speedup) when a profile JSON is given;
 * fault-window and GC-storm annotations pulled from timeline marks.
 
 Every section is optional: the report renders whatever artifacts it is

@@ -1,12 +1,14 @@
-"""Partitioned-horizon parallel DES: shard one cluster across workers.
+"""Partitioned-horizon DES: one cluster as shards stepped in lock-step.
 
 One big simulated cluster is partitioned round-robin into ``shards``
 pieces — server ``i`` lives on shard ``i % nshards``, client node ``c``
 on shard ``c % nshards`` — and each shard runs its own
 :class:`~repro.sim.core.Environment` (its own event heap, clock, RNG
-streams and telemetry).  The shards advance in lock-step through
-*conservative time windows* (Chandy–Misra style, window-barrier
-variant):
+streams and telemetry).  Every shard runs in this one process: the
+engine is a determinism and differential harness for the serial engine,
+not a way to make a run faster (DESIGN.md §14 records why).  The shards
+advance in lock-step through *conservative time windows* (Chandy–Misra
+style, window-barrier variant):
 
 1. every shard reports the time of its next pending event;
 2. the coordinator sets the window end ``T = min(next events, pending
@@ -61,7 +63,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import multiprocessing
 import pickle
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -198,7 +199,7 @@ def _shard_run_cls():
 # --------------------------------------------------------------------------
 def _shard_config(cfg, shard_id: int):
     """Give per-shard suffixes to every configured telemetry path so
-    concurrent shard workers never interleave writes in one file."""
+    shards never interleave writes in one file."""
     changes = {}
     obs_changes = {}
     for name in ("trace_path", "metrics_path", "metrics_text_path",
@@ -217,11 +218,11 @@ def _shard_config(cfg, shard_id: int):
 class ShardWorker:
     """Owns one shard: its cluster, its clock, its mailbox endpoint.
 
-    Driven by the coordinator through a small RPC surface (`setup`,
-    `launch`, `window`, `drain`, `sync`, `reset`, `mark_start`,
-    `finalize`) that works identically in-process (``shard_mode=
-    "inline"``) and across a pipe to a forked worker (``"process"``).
-    Every return value is a plain picklable object.
+    Driven by the coordinator through a small call surface (`setup`,
+    `launch`, `window`, `peek`, `drain`, `sync`, `reset`, `health`,
+    `mark_start`, `finalize`).  The shard shares no objects with its
+    siblings: it builds its cluster from its own unpickled copy of the
+    workload, and cross-shard requests reach it as pickled records.
     """
 
     def __init__(self, cfg, workload_pickle: bytes, shard_id: int,
@@ -444,122 +445,6 @@ class ShardWorker:
 
 
 # --------------------------------------------------------------------------
-# Drivers: inline (same process) and forked worker processes
-# --------------------------------------------------------------------------
-class _InlineDriver:
-    """All shards in this process; request-id counter swapped per call.
-
-    The id partition that a forked worker installs once must be
-    emulated here: every worker call runs with its shard's private
-    ``itertools.count`` installed as ``repro.pfs.messages._request_ids``
-    and the caller's counter restored afterwards, so interleaved serial
-    runs in the same process stay bit-identical.
-    """
-
-    def __init__(self, specs: List[Dict]) -> None:
-        self._counters = [itertools.count(s["shard_id"] * ID_STRIDE + 1)
-                          for s in specs]
-        self.workers = [ShardWorker(**s) for s in specs]
-
-    def _call(self, i: int, method: str, args: tuple):
-        from ..pfs import messages
-        saved = messages._request_ids
-        messages._request_ids = self._counters[i]
-        try:
-            return getattr(self.workers[i], method)(*args)
-        finally:
-            messages._request_ids = saved
-
-    def call_all(self, method: str,
-                 args_list: Optional[List[tuple]] = None) -> List:
-        return [self._call(i, method,
-                           args_list[i] if args_list is not None else ())
-                for i in range(len(self.workers))]
-
-    def close(self) -> None:
-        pass
-
-
-def _worker_main(conn, spec: Dict) -> None:
-    """Forked worker body: install the shard id block, serve RPCs."""
-    from ..pfs import messages
-    messages._request_ids = itertools.count(
-        spec["shard_id"] * ID_STRIDE + 1)
-    worker = ShardWorker(**spec)
-    while True:
-        try:
-            method, args = conn.recv()
-        except EOFError:
-            break
-        if method == "_stop":
-            break
-        try:
-            result = getattr(worker, method)(*args)
-        except BaseException as exc:  # noqa: BLE001 - forwarded verbatim
-            try:
-                conn.send(("err", exc))
-            except Exception:
-                conn.send(("err", SimulationError(
-                    f"shard {spec['shard_id']}: {type(exc).__name__}: {exc}")))
-        else:
-            conn.send(("ok", result))
-    conn.close()
-
-
-class _ProcessDriver:
-    """One OS process per shard, command/response over a pipe."""
-
-    def __init__(self, specs: List[Dict]) -> None:
-        self._procs = []
-        self._conns = []
-        for spec in specs:
-            parent_conn, child_conn = multiprocessing.Pipe()
-            proc = multiprocessing.Process(
-                target=_worker_main, args=(child_conn, spec), daemon=True)
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-
-    def call_all(self, method: str,
-                 args_list: Optional[List[tuple]] = None) -> List:
-        for i, conn in enumerate(self._conns):
-            conn.send((method,
-                       args_list[i] if args_list is not None else ()))
-        results = []
-        error: Optional[BaseException] = None
-        for i, conn in enumerate(self._conns):
-            try:
-                status, value = conn.recv()
-            except EOFError:
-                status, value = "err", SimulationError(
-                    f"shard worker {i} died (pipe closed) during {method!r}")
-            if status == "err" and error is None:
-                error = (value if isinstance(value, BaseException)
-                         else SimulationError(str(value)))
-            results.append(value if status == "ok" else None)
-        if error is not None:
-            raise error
-        return results
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("_stop", ()))
-            except Exception:
-                pass
-            try:
-                conn.close()
-            except Exception:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=10)
-
-
-# --------------------------------------------------------------------------
 # Coordinator
 # --------------------------------------------------------------------------
 def _route(outboxes: List[List[tuple]], nshards: int) -> List[List[tuple]]:
@@ -573,116 +458,6 @@ def _route(outboxes: List[List[tuple]], nshards: int) -> List[List[tuple]]:
         # order independent of outbox collection order.
         bucket.sort(key=lambda r: (r[2], r[3], r[4]))
     return buckets
-
-
-def _run_pass(driver, nshards: int, lookahead: float, drain: bool,
-              profile: Optional[List[Dict[str, Any]]] = None,
-              guard=None) -> int:
-    """One full workload pass under the window protocol; returns the
-    number of window barriers executed.
-
-    When ``profile`` is a list, every window appends one telemetry
-    record to it (the barrier profiler).  Per shard the record carries
-    busy/idle nanoseconds from the worker's own clock; the coordinator
-    derives the barrier semantics: a window's wall time is the slowest
-    shard's work time (``wall = max(busy + idle)`` — pure barrier
-    arithmetic, immune to cross-process clock skew), every other shard
-    waited out the difference (``wait = wall - work``), and the shard
-    with the maximal work *gated* the window.  All integers, so
-    ``busy + idle + wait == wall`` holds exactly for every shard.
-
-    ``guard`` (the chaos budget hook) is called after every window as
-    ``guard(t_end, events)`` with the window's end time and the total
-    engine events the shards scheduled in it; it raises
-    :class:`~repro.errors.EpisodeBudgetError` to abort a runaway
-    episode.  It runs at the coordinator — never inside a shard's heap
-    — so it cannot perturb event order.
-    """
-    launches = driver.call_all("launch")
-    next_times = [l[0] for l in launches]
-    dones = [l[1] for l in launches]
-    pending: List[List[tuple]] = [[] for _ in range(nshards)]
-    windows = 0
-    t_prev: Optional[float] = None
-    while not (all(dones) and not any(pending)):
-        candidates = [t for t in next_times if t != _INF]
-        for bucket in pending:
-            candidates.extend(rec[2] + lookahead for rec in bucket)
-        if not candidates:
-            raise SimulationError(
-                "sharded run cannot progress: every shard is out of "
-                "events but some ranks never finished (lost cross-shard "
-                "completion?)")
-        if t_prev is None:
-            t_prev = min(candidates)
-        t_next = min(candidates) + lookahead
-        results = driver.call_all(
-            "window", [(t_next, pending[i]) for i in range(nshards)])
-        windows += 1
-        if profile is not None:
-            stats = [r[3] for r in results]
-            busy = [s[0] for s in stats]
-            idle = [s[1] for s in stats]
-            work = [b + i for b, i in zip(busy, idle)]
-            wall = max(work)
-            profile.append({
-                "t_end": t_next,
-                "width": t_next - t_prev,
-                "wall_ns": wall,
-                "gating": work.index(wall),
-                "busy_ns": busy,
-                "idle_ns": idle,
-                "wait_ns": [wall - w for w in work],
-                "events": [s[2] for s in stats],
-                "sent": [s[3] for s in stats],
-                "recv": [s[4] for s in stats],
-            })
-        t_prev = t_next
-        if guard is not None:
-            guard(t_next, sum(r[3][2] for r in results))
-        next_times = [r[1] for r in results]
-        dones = [r[2] for r in results]
-        pending = _route([r[0] for r in results], nshards)
-    if drain:
-        nows = driver.call_all("drain")
-        t_sync = max(nows)
-        driver.call_all("sync", [(t_sync,) for _ in range(nshards)])
-    return windows
-
-
-def _run_settle(driver, nshards: int, lookahead: float, until: float,
-                guard=None) -> int:
-    """Advance every shard past ``until`` (the plan's fault horizon).
-
-    The rank bodies are done; what is still live is the injector's
-    cleanup transitions, recovery writeback, and any straggling
-    cross-shard serves from retried sub-requests.  The same window
-    protocol as :func:`_run_pass` runs them out — candidates are local
-    events *before* ``until`` plus every pending cross-shard arrival —
-    and a final ``sync`` aligns all clocks at the horizon (dropping
-    late replies; see :meth:`ShardWorker.sync`).  Returns the number of
-    windows executed.
-    """
-    next_times = driver.call_all("peek")
-    pending: List[List[tuple]] = [[] for _ in range(nshards)]
-    windows = 0
-    while True:
-        candidates = [t for t in next_times if t < until]
-        for bucket in pending:
-            # Pending mail must be delivered regardless of the horizon.
-            candidates.extend(rec[2] + lookahead for rec in bucket)
-        if not candidates:
-            break
-        t_next = min(candidates) + lookahead
-        results = driver.call_all(
-            "window", [(t_next, pending[i]) for i in range(nshards)])
-        windows += 1
-        if guard is not None:
-            guard(t_next, sum(r[3][2] for r in results))
-        next_times = [r[1] for r in results]
-        pending = _route([r[0] for r in results], nshards)
-    driver.call_all("sync", [(until,) for _ in range(nshards)])
-    return windows
 
 
 def _merge_audit(cfg, summaries: List[Dict]) -> Optional[Dict]:
@@ -701,18 +476,170 @@ def _merge_audit(cfg, summaries: List[Dict]) -> Optional[Dict]:
     }
 
 
-def _shard_specs(cfg, workload, nshards: int, lookahead: float,
-                 fault_plan=None) -> List[Dict]:
-    wire = pickle.dumps(workload)
-    return [{"cfg": cfg, "workload_pickle": wire, "shard_id": k,
-             "nshards": nshards, "lookahead": lookahead,
-             "fault_plan": fault_plan}
-            for k in range(nshards)]
+class _Coordinator:
+    """Every shard of one run, stepped in this process by the window
+    protocol.
+
+    Each worker owns a pickled copy of the workload and its own
+    request-id block: every call into shard ``k`` runs with shard
+    ``k``'s private ``itertools.count`` installed as
+    ``repro.pfs.messages._request_ids`` and the caller's counter
+    restored afterwards, so interleaved serial runs in the same process
+    stay bit-identical.  The workers are built and set up on
+    construction; :attr:`windows` counts every barrier of every
+    completed pass.
+    """
+
+    def __init__(self, cfg, workload, fault_plan=None) -> None:
+        self.nshards = cfg.shards
+        self.lookahead = (cfg.shard_lookahead
+                          if cfg.shard_lookahead is not None
+                          else cfg.network.latency)
+        wire = pickle.dumps(workload)
+        self._counters = [itertools.count(k * ID_STRIDE + 1)
+                          for k in range(self.nshards)]
+        self.workers = [ShardWorker(cfg, wire, k, self.nshards,
+                                    self.lookahead, fault_plan)
+                        for k in range(self.nshards)]
+        self.windows = 0
+        self.call_all("setup")
+
+    def _call(self, i: int, method: str, args: tuple):
+        from ..pfs import messages
+        saved = messages._request_ids
+        messages._request_ids = self._counters[i]
+        try:
+            return getattr(self.workers[i], method)(*args)
+        finally:
+            messages._request_ids = saved
+
+    def call_all(self, method: str, *args) -> List:
+        """Call ``method(*args)`` on every shard, in shard order."""
+        return [self._call(i, method, args) for i in range(self.nshards)]
+
+    def drain(self) -> None:
+        """Drain every shard, then align all clocks at the latest one."""
+        self.call_all("sync", max(self.call_all("drain")))
+
+    # ------------------------------------------------------ window loop
+    def run_pass(self, drain: bool, until: Optional[float] = None,
+                 profile: Optional[List[Dict[str, Any]]] = None,
+                 guard=None) -> None:
+        """Run windows until the pass is over.
+
+        With ``until=None`` this is one workload pass: launch every
+        shard's ranks and run until all of them finished and no
+        cross-shard record is in flight.  With a horizon ``until`` it
+        is the settle pass: the ranks are done, and what is still live
+        is the injector's cleanup transitions, recovery writeback, and
+        straggling cross-shard serves from retried sub-requests.  Local
+        events *before* ``until`` plus every pending cross-shard
+        arrival are run out, and a final ``sync`` aligns all clocks at
+        the horizon (dropping late replies; see
+        :meth:`ShardWorker.sync`).  ``drain`` then drains every shard
+        and aligns the clocks again.
+
+        When ``profile`` is a list, every window appends one telemetry
+        record to it (the barrier profiler).  Per shard the record
+        carries busy/idle nanoseconds from the worker's own clock; the
+        coordinator derives the barrier semantics: a window's wall time
+        is the slowest shard's work time (``wall = max(busy + idle)``),
+        every other shard waited out the difference (``wait = wall -
+        work``), and the shard with the maximal work *gated* the
+        window.  All integers, so ``busy + idle + wait == wall`` holds
+        exactly for every shard.
+
+        ``guard`` (the chaos budget hook) is called after every window
+        as ``guard(t_end, events)`` with the window's end time and the
+        total engine events the shards scheduled in it; it raises
+        :class:`~repro.errors.EpisodeBudgetError` to abort a runaway
+        episode.  It runs at the coordinator — never inside a shard's
+        heap — so it cannot perturb event order.
+        """
+        nshards, lookahead = self.nshards, self.lookahead
+        settle = until is not None
+        horizon = until if settle else _INF
+        if settle:
+            next_times = self.call_all("peek")
+            dones = [True] * nshards
+        else:
+            launches = self.call_all("launch")
+            next_times = [l[0] for l in launches]
+            dones = [l[1] for l in launches]
+        pending: List[List[tuple]] = [[] for _ in range(nshards)]
+        windows = 0
+        t_prev: Optional[float] = None
+        while True:
+            candidates = [t for t in next_times if t < horizon]
+            for bucket in pending:
+                # Pending mail must be delivered regardless of the horizon.
+                candidates.extend(rec[2] + lookahead for rec in bucket)
+            if settle:
+                if not candidates:
+                    break
+            elif all(dones) and not any(pending):
+                break
+            elif not candidates:
+                raise SimulationError(
+                    "sharded run cannot progress: every shard is out of "
+                    "events but some ranks never finished (lost "
+                    "cross-shard completion?)")
+            if t_prev is None:
+                t_prev = min(candidates)
+            t_next = min(candidates) + lookahead
+            results = [self._call(i, "window", (t_next, pending[i]))
+                       for i in range(nshards)]
+            windows += 1
+            if profile is not None:
+                profile.append(_window_record(results, t_prev, t_next))
+            t_prev = t_next
+            if guard is not None:
+                guard(t_next, sum(r[3][2] for r in results))
+            next_times = [r[1] for r in results]
+            dones = [r[2] for r in results]
+            pending = _route([r[0] for r in results], nshards)
+        if settle:
+            self.call_all("sync", until)
+        if drain:
+            self.drain()
+        self.windows += windows
+
+    # ---------------------------------------------------- pass sequence
+    def run_measured(self, warm_runs: int, drain: bool = True,
+                     reset_after_warm: bool = True,
+                     profile: Optional[List[Dict[str, Any]]] = None,
+                     guard=None) -> None:
+        """Warm passes → measurement reset → ``mark_start`` → timed
+        pass.  ``guard`` watches every pass, ``profile`` only the timed
+        one."""
+        for _ in range(max(0, warm_runs)):
+            self.run_pass(drain, guard=guard)
+        if warm_runs and reset_after_warm:
+            self.call_all("reset")
+        self.call_all("mark_start")
+        self.run_pass(drain, profile=profile, guard=guard)
 
 
-def _lookahead(cfg) -> float:
-    return (cfg.shard_lookahead if cfg.shard_lookahead is not None
-            else cfg.network.latency)
+def _window_record(results: List[tuple], t_prev: float,
+                   t_next: float) -> Dict[str, Any]:
+    """One barrier-profiler record from a window's worker results."""
+    stats = [r[3] for r in results]
+    busy = [s[0] for s in stats]
+    idle = [s[1] for s in stats]
+    work = [b + i for b, i in zip(busy, idle)]
+    wall = max(work)
+    return {
+        "t_end": t_next,
+        "width": t_next - t_prev,
+        "wall_ns": wall,
+        "gating": work.index(wall),
+        "busy_ns": busy,
+        "idle_ns": idle,
+        "wait_ns": [wall - w for w in work],
+        "events": [s[2] for s in stats],
+        "sent": [s[3] for s in stats],
+        "recv": [s[4] for s in stats],
+    }
 
 
 def run_sharded_workload(cfg, workload, warm_runs: int = 0,
@@ -746,29 +673,14 @@ def run_sharded_workload(cfg, workload, warm_runs: int = 0,
                             warm_runs=warm_runs,
                             reset_after_warm=reset_after_warm)
 
-    nshards = cfg.shards
-    lookahead = _lookahead(cfg)
-    specs = _shard_specs(cfg, workload, nshards, lookahead,
-                         fault_plan=fault_plan)
-    driver_cls = (_InlineDriver if cfg.shard_mode == "inline"
-                  else _ProcessDriver)
-    driver = driver_cls(specs)
-    try:
-        driver.call_all("setup")
-        for _ in range(max(0, warm_runs)):
-            _run_pass(driver, nshards, lookahead, drain)
-        if warm_runs and reset_after_warm:
-            driver.call_all("reset")
-        driver.call_all("mark_start")
-        profile_windows: List[Dict[str, Any]] = []
-        windows = _run_pass(driver, nshards, lookahead, drain,
-                            profile=profile_windows)
-        summaries = driver.call_all("finalize")
-    finally:
-        driver.close()
-    profile = {"nshards": nshards, "lookahead": lookahead,
+    coord = _Coordinator(cfg, workload, fault_plan)
+    profile_windows: List[Dict[str, Any]] = []
+    coord.run_measured(warm_runs, drain, reset_after_warm,
+                       profile=profile_windows)
+    summaries = coord.call_all("finalize")
+    profile = {"nshards": coord.nshards, "lookahead": coord.lookahead,
                "windows": profile_windows}
-    return _merge_results(cfg, workload, summaries, windows, profile)
+    return _merge_results(cfg, workload, summaries, profile)
 
 
 def run_sharded_episode(cfg, workload, fault_plan=None,
@@ -779,62 +691,42 @@ def run_sharded_episode(cfg, workload, fault_plan=None,
     The sharded analog of the chaos episode body: never raises for
     in-simulation failures — the first :class:`~repro.errors.ReproError`
     out of the window protocol is caught and returned, the workers are
-    *always* finalized (they survive per-RPC exceptions), and the
-    restoration oracle is read only when the settle completed.  Mirrors
-    the serial runner's budget semantics: a budget abort skips the
-    settle (the run is torn anyway).
+    *always* finalized, and the restoration oracle is read only when
+    the settle completed.  Mirrors the serial runner's budget
+    semantics: a budget abort skips the settle (the run is torn
+    anyway).
 
     Returns a dict with ``summaries`` (per-shard finalize payloads),
     ``error`` (the caught exception or ``None``), ``settled``,
     ``restoration`` (concatenated per-shard oracle findings), and
-    ``windows``.
+    ``windows`` (summed over warm, timed and settle passes).
     """
     from ..errors import EpisodeBudgetError, ReproError
     cfg.validate()
-    nshards = cfg.shards
-    lookahead = _lookahead(cfg)
-    specs = _shard_specs(cfg, workload, nshards, lookahead,
-                         fault_plan=fault_plan)
-    driver_cls = (_InlineDriver if cfg.shard_mode == "inline"
-                  else _ProcessDriver)
-    driver = driver_cls(specs)
+    coord = _Coordinator(cfg, workload, fault_plan)
     error: Optional[BaseException] = None
     settled = False
-    windows = 0
     restoration: List[str] = []
     try:
-        driver.call_all("setup")
+        coord.run_measured(warm_runs, guard=guard)
+    except ReproError as exc:
+        error = exc
+    if not isinstance(error, EpisodeBudgetError):
         try:
-            for _ in range(max(0, warm_runs)):
-                windows += _run_pass(driver, nshards, lookahead,
-                                     drain=True, guard=guard)
-            if warm_runs:
-                driver.call_all("reset")
-            driver.call_all("mark_start")
-            windows += _run_pass(driver, nshards, lookahead, drain=True,
-                                 guard=guard)
+            if settle_until is not None:
+                coord.run_pass(drain=False, until=settle_until,
+                               guard=guard)
+            coord.drain()
+            settled = True
         except ReproError as exc:
-            error = exc
-        if not isinstance(error, EpisodeBudgetError):
-            try:
-                if settle_until is not None:
-                    windows += _run_settle(driver, nshards, lookahead,
-                                           settle_until, guard=guard)
-                nows = driver.call_all("drain")
-                driver.call_all("sync",
-                                [(max(nows),) for _ in range(nshards)])
-                settled = True
-            except ReproError as exc:
-                if error is None:
-                    error = exc
-        if settled:
-            for failures in driver.call_all("health"):
-                restoration.extend(failures)
-        summaries = driver.call_all("finalize")
-    finally:
-        driver.close()
+            if error is None:
+                error = exc
+    if settled:
+        for failures in coord.call_all("health"):
+            restoration.extend(failures)
+    summaries = coord.call_all("finalize")
     return {"summaries": summaries, "error": error, "settled": settled,
-            "restoration": restoration, "windows": windows}
+            "restoration": restoration, "windows": coord.windows}
 
 
 def merge_fault_records(summaries: List[Dict]) -> List[Dict]:
@@ -872,8 +764,8 @@ def merge_recovery(summaries: List[Dict]) -> Dict[str, float]:
     return merged
 
 
-def _merge_results(cfg, workload, summaries: List[Dict], windows: int,
-                   profile: Optional[Dict[str, Any]] = None):
+def _merge_results(cfg, workload, summaries: List[Dict],
+                   profile: Dict[str, Any]):
     from ..analysis.metrics import RunResult
 
     requests = []
@@ -909,18 +801,18 @@ def _merge_results(cfg, workload, summaries: List[Dict], windows: int,
             sum(o["mean_magnification"] * o["traces"] for o in obs_parts)
             / traces if traces else 0.0)
     result.extra["shards"] = float(len(summaries))
-    result.extra["shard_windows"] = float(windows)
+    # One profile record per window of the timed pass.
+    result.extra["shard_windows"] = float(len(profile["windows"]))
     if any(s.get("fault_records") is not None for s in summaries):
         result.fault_events = merge_fault_records(summaries)
         result.recovery = merge_recovery(summaries)
     timeline_rows = sum(s.get("timeline_rows") or 0 for s in summaries)
     if timeline_rows:
         result.extra["timeline_rows"] = float(timeline_rows)
-    if profile is not None:
-        # Wall-clock telemetry, deliberately excluded from run_digest
-        # (the digest hashes only numeric extras): the same simulated
-        # run profiles differently on every host.
-        result.extra["shard_profile"] = profile
+    # Wall-clock telemetry, deliberately excluded from run_digest (the
+    # digest hashes only numeric extras): the same simulated run
+    # profiles differently on every host.
+    result.extra["shard_profile"] = profile
 
     merged = _merge_audit(cfg, summaries)
 
@@ -1010,7 +902,10 @@ def analyze_shard_profile(profile: Dict[str, Any]) -> Dict[str, Any]:
     time over aggregate wall time across all workers,
     ``sum(busy) / (nshards * sum(wall))``: 1.0 means every worker
     simulated for the whole run, lower means barrier waits and mailbox
-    plumbing ate the difference.
+    plumbing ate the difference.  *Projected speedup* is the most that
+    running the shards in parallel could buy with free barriers: the
+    summed busy time of all shards over the summed busy time of each
+    window's slowest shard, ``sum(busy) / sum_windows(max(busy))``.
     """
     nshards = profile["nshards"]
     windows = profile["windows"]
@@ -1022,8 +917,10 @@ def analyze_shard_profile(profile: Dict[str, Any]) -> Dict[str, Any]:
     recv = [0] * nshards
     gated = [0] * nshards
     wall_total = 0
+    critical_busy = 0
     for w in windows:
         wall_total += w["wall_ns"]
+        critical_busy += max(w["busy_ns"])
         gated[w["gating"]] += 1
         for k in range(nshards):
             busy[k] += w["busy_ns"][k]
@@ -1036,6 +933,7 @@ def analyze_shard_profile(profile: Dict[str, Any]) -> Dict[str, Any]:
     bottleneck = work.index(max(work)) if nshards else 0
     efficiency = (sum(busy) / (nshards * wall_total)
                   if wall_total > 0 else 0.0)
+    projected = sum(busy) / critical_busy if critical_busy > 0 else 0.0
     widths = [w["width"] for w in windows]
     return {
         "nshards": nshards,
@@ -1052,6 +950,7 @@ def analyze_shard_profile(profile: Dict[str, Any]) -> Dict[str, Any]:
         "gated_windows": gated,
         "bottleneck": bottleneck,
         "efficiency": efficiency,
+        "projected_speedup": projected,
     }
 
 
@@ -1064,8 +963,8 @@ def format_shard_profile(profile: Dict[str, Any]) -> str:
         f"shard barrier profile: {a['windows']} windows, "
         f"lookahead {a['lookahead']:g}s, "
         f"mean width {a['mean_width']:.6g}s",
-        f"parallel efficiency {a['efficiency']:.1%} "
-        f"(bottleneck: shard {a['bottleneck']})",
+        f"parallel efficiency {a['efficiency']:.1%}, projected speedup "
+        f"{a['projected_speedup']:.2f}x (bottleneck: shard {a['bottleneck']})",
         f"{'shard':>5} {'busy ms':>10} {'idle ms':>10} {'wait ms':>10} "
         f"{'events':>9} {'sent':>7} {'recv':>7} {'gated':>6}",
     ]

@@ -268,8 +268,7 @@ def test_report_cli_renders_shard_profile(tmp_path, capsys):
     from repro.obs import report
     from repro.sim.parallel import run_sharded_workload
 
-    cfg = ClusterConfig(num_servers=4, client_jitter=0.0, shards=2,
-                        shard_mode="inline")
+    cfg = ClusterConfig(num_servers=4, client_jitter=0.0, shards=2)
     result = run_sharded_workload(
         cfg, MpiIoTest(nprocs=4, request_size=65 * KiB,
                        file_size=1 * MiB))
@@ -279,6 +278,7 @@ def test_report_cli_renders_shard_profile(tmp_path, capsys):
     assert report.main(["--shard-profile", str(path)]) == 0
     out = capsys.readouterr().out
     assert "parallel efficiency" in out
+    assert "projected speedup" in out
 
 
 # ------------------------------------------------------------ end to end
