@@ -68,8 +68,8 @@ class BlockQueue:
     # -- public API ---------------------------------------------------
     def submit(self, op: Op, lbn: int, nbytes: int, stream: int = 0,
                meta: Any = None, obs_parent=None) -> BlockRequest:
-        """Queue an I/O; the returned request's ``done`` event fires on
-        completion with the request itself as value.
+        """Queue an I/O; the returned request's ``done`` event fires
+        (with value ``None``) on completion.
 
         ``obs_parent`` (a :class:`repro.obs.span.Span`) requests span
         tracing for this I/O: a queue-wait span opens now, flips to a
@@ -169,9 +169,15 @@ class BlockQueue:
                     continue
                 # CFQ anticipation: wait for either the idle deadline or
                 # a new arrival, whichever comes first.
-                self._arrival = env.event()
+                arrival = self._arrival = env.event()
                 deadline = env.timeout(max(0.0, idle_until - env.now))
-                yield env.any_of([self._arrival, deadline])
+                anticipation = env.any_of([arrival, deadline])
+                yield anticipation
+                if arrival.callbacks is not None:
+                    # Timed out with the arrival still pending: unhook
+                    # the condition, or the two keep each other alive
+                    # in a cycle once ``_arrival`` is replaced.
+                    arrival.callbacks.remove(anticipation._check)
                 continue
             yield from self._serve(dispatch)
 
@@ -224,7 +230,9 @@ class BlockQueue:
             member.complete_time = env.now
             if member.span is not None and obs is not None:
                 obs.finish(member.span, env.now)
-            member.done.succeed(member)
+            # Value None: a request -> done -> request value would be
+            # a reference cycle per I/O.
+            member.done.succeed()
         if self._inflight == 0 and self._drain_waiters:
             waiters, self._drain_waiters = self._drain_waiters, []
             for ev in waiters:

@@ -124,8 +124,8 @@ class Network:
             span = obs.start("net.msg", "network", obs_parent.trace_id,
                              self.env.now, parent=obs_parent, src=src,
                              dst=dst, nbytes=int(nbytes))
-        self.env.process(self._transfer(src, dst, int(nbytes), done, span),
-                         name=f"net:{src}->{dst}")
+        self.env.spawn(self._transfer(src, dst, int(nbytes), done, span),
+                       name=f"net:{src}->{dst}")
         return done
 
     def send_local_leg(self, src: str, dst: str, nbytes: int = 0) -> Event:
@@ -142,8 +142,8 @@ class Network:
         the sharded network boundary (DESIGN.md §14).
         """
         done = self.env.event()
-        self.env.process(self._local_leg(src, dst, int(nbytes), done),
-                         name=f"net:{src}=>{dst}")
+        self.env.spawn(self._local_leg(src, dst, int(nbytes), done),
+                       name=f"net:{src}=>{dst}")
         return done
 
     def _local_leg(self, src: str, dst: str, nbytes: int, done: Event):

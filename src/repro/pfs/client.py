@@ -93,8 +93,8 @@ class PFSClient:
         parent = ParentRequest(op=op, handle=handle, offset=offset,
                                nbytes=nbytes, rank=rank)
         done = self.env.event()
-        self.env.process(self._request(parent, done),
-                         name=f"{self.name}-r{parent.id}")
+        self.env.spawn(self._request(parent, done),
+                       name=f"{self.name}-r{parent.id}")
         return done
 
     def read(self, handle: int, offset: int, nbytes: int, rank: int) -> Event:
@@ -214,7 +214,7 @@ class PFSClient:
             self.outstanding += 1
             if not retry.enabled:
                 one = env.event()
-                env.process(attempt(one), name=f"{self.name}-s{sub.id}a0")
+                env.spawn(attempt(one), name=f"{self.name}-s{sub.id}a0")
                 yield one
                 finish_span()
                 self.outstanding -= 1
@@ -251,11 +251,12 @@ class PFSClient:
                         f"budget ({budget}s) after {i} attempts"),
                         wallclock=True)
                     return
-                env.process(attempt(completed),
-                            name=f"{self.name}-s{sub.id}a{i}")
+                env.spawn(attempt(completed),
+                          name=f"{self.name}-s{sub.id}a{i}")
                 deadline = env.timeout(retry.timeout)
                 fired = yield env.any_of([completed, deadline])
                 if completed in fired:
+                    env.cancel(deadline)
                     finish_span()
                     self.outstanding -= 1
                     finished.succeed(sub)
@@ -273,5 +274,5 @@ class PFSClient:
                 f"got no reply after {attempts} attempts "
                 f"(timeout {retry.timeout}s each)"), wallclock=False)
 
-        env.process(run(), name=f"{self.name}-s{sub.id}")
+        env.spawn(run(), name=f"{self.name}-s{sub.id}")
         return finished

@@ -190,8 +190,8 @@ class DataServer:
         if obs is not None and sub.span is not None:
             span = obs.start(f"{self.name}.job", "server", sub.span.trace_id,
                              self.env.now, parent=sub.span, server=self.id)
-        self.env.process(self._job(sub, done, self.epoch, span),
-                         name=f"{self.name}-job")
+        self.env.spawn(self._job(sub, done, self.epoch, span),
+                       name=f"{self.name}-job")
         return done
 
     def _job(self, sub: SubRequest, done: Event, epoch: int, span=None):

@@ -5,11 +5,25 @@ monotone sequence number, so two runs with the same seed produce
 identical schedules.  This is essential for reproducible experiments
 and for hypothesis-based property tests.
 
+Determinism contract: every scheduling consumes exactly one ``seq``
+number, and events dispatch in ``(time, priority, seq)`` order.  Two
+kinds of scheduling are never dispatched but still consume their seq:
+the completion of a :meth:`~Environment.spawn`-ed process that finishes
+successfully with no waiters, and a timeout withdrawn with
+:meth:`~Environment.cancel`.  Neither could be observed (no callback
+would run), so every other event keeps its seq, its order and its time,
+and ``_seq`` deltas (event budgets, per-window event counts) read as if
+both had been dispatched.  A cancelled timeout stays in the heap (so
+:meth:`~Environment.peek` reads as before) and is skipped without
+advancing the clock.
+
 Hot-path notes (see docs/PERFORMANCE.md): :meth:`Environment.run`
 inlines the dispatch loop (``step()`` remains for single-stepping), the
 :class:`Process` bootstrap builds a bare pre-triggered event without
-the ``Event.__init__`` trampoline, and resumes go through cached bound
-``send``/``throw`` methods.  Every fast path preserves the heap-entry
+the ``Event.__init__`` trampoline, and resumes go through a cached bound
+``send`` method.  A finished process drops its cached resume callback,
+so neither it nor anything it waited on is left in a reference cycle
+for the cycle collector.  Every fast path preserves the heap-entry
 layout and seq consumption exactly, so schedules are bit-identical to
 the straightforward implementation — the determinism regression tests
 in ``tests/test_sim_core.py`` pin this.
@@ -25,6 +39,20 @@ from ..errors import SimulationError
 from .events import PRIORITY_NORMAL, PRIORITY_URGENT, AllOf, AnyOf, Event, Timeout
 
 ProcessGenerator = Generator[Event, Any, Any]
+
+
+class _Cancelled(tuple):
+    """Callback list of a cancelled timeout: empty, and refuses waiters."""
+
+    __slots__ = ()
+
+    def append(self, callback: Any) -> None:
+        raise SimulationError("cannot wait on a cancelled timeout")
+
+
+#: Shared marker for cancelled timeouts; the dispatch loops test for it
+#: by identity.
+_CANCELLED = _Cancelled()
 
 
 class Interrupt(Exception):
@@ -43,7 +71,8 @@ class Process(Event):
     the exception is thrown into the generator (which may catch it).
     """
 
-    __slots__ = ("_generator", "_send", "_resume_cb", "_target", "name")
+    __slots__ = ("_generator", "_send", "_resume_cb", "_target", "_detached",
+                 "name")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator,
                  name: Optional[str] = None) -> None:
@@ -65,6 +94,7 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self._target: Optional[Event] = None
+        self._detached = False
         self.name = name or getattr(generator, "__name__", "process")
         # Bootstrap: resume on the next scheduler pass at the current
         # time.  The init event is a bare slot-filled Event — it exists
@@ -75,7 +105,9 @@ class Process(Event):
         # (push-free) starts would reorder schedules.
         # ``self._resume`` builds a fresh bound method on every access;
         # waiting on an event appends it to the event's callback list,
-        # so without this cache every yield allocates one.
+        # so without this cache every yield allocates one.  The cache
+        # is a process <-> bound-method cycle; :meth:`_finish` breaks
+        # it, so a finished process is freed by reference counting.
         self._resume_cb = resume = self._resume
         init = Event.__new__(Event)
         init.env = env
@@ -116,36 +148,42 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         env = self.env
-        env._active_process = self
-        self._target = None
-        try:
-            if event._ok:
-                target = self._send(event._value)
-            else:
-                event._defused = True
-                target = self._generator.throw(event._value)
-        except StopIteration as stop:
-            env._active_process = None
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            env._active_process = None
-            self.fail(exc)
-            return
-        env._active_process = None
-
-        if isinstance(target, Event):
-            if target.env is not env:
-                self.fail(SimulationError("yielded event belongs to another environment"))
+        # A loop, not recursion: yielding an already-processed event
+        # resumes on the spot, and a process may do that any number of
+        # times in a row.
+        while True:
+            env._active_process = self
+            self._target = None
+            try:
+                if event._ok:
+                    target = self._send(event._value)
+                else:
+                    event._defused = True
+                    target = self._generator.throw(event._value)
+            except StopIteration as stop:
+                env._active_process = None
+                self._finish(True, stop.value)
                 return
-            self._target = target
+            except BaseException as exc:
+                env._active_process = None
+                self._finish(False, exc)
+                return
+            env._active_process = None
+
+            if not isinstance(target, Event):
+                break
+            if target.env is not env:
+                self._finish(False, SimulationError(
+                    "yielded event belongs to another environment"))
+                return
             callbacks = target.callbacks
             if callbacks is None:
                 # Already processed: resume again on the spot (matches
                 # Event.add_callback semantics without the call).
-                self._resume(target)
-            else:
-                callbacks.append(self._resume_cb)
+                event = target
+                continue
+            callbacks.append(self._resume_cb)
+            self._target = target
             return
 
         exc = SimulationError(
@@ -153,9 +191,25 @@ class Process(Event):
         try:
             self._generator.throw(exc)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._finish(True, stop.value)
         except BaseException as err:
-            self.fail(err)
+            self._finish(False, err)
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """The generator ended: drop the resume cycle, fire the process
+        event (a detached process with no waiters only consumes its seq)."""
+        self._resume_cb = None
+        if not ok:
+            self.fail(value)
+        elif self._detached and not self.callbacks:
+            env = self.env
+            env._seq += 1
+            self._value = value
+            self._triggered = True
+            self._processed = True
+            self.callbacks = None
+        else:
+            self.succeed(value)
 
 
 class Environment:
@@ -221,6 +275,20 @@ class Environment:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
 
+    def spawn(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
+        """Start a fire-and-forget process.
+
+        Like :meth:`process`, except that a successful finish with no
+        waiters does not schedule the completion event: nothing would
+        observe it, so it only consumes its seq number.  A process that
+        fails, or that someone waits on, completes exactly as under
+        :meth:`process` — so an unhandled failure still surfaces from
+        :meth:`run`.
+        """
+        proc = self.process(generator, name)
+        proc._detached = True
+        return proc
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing once all ``events`` fire."""
         return AllOf(self, list(events))
@@ -234,6 +302,23 @@ class Environment:
                   delay: float = 0.0) -> None:
         self._seq = seq = self._seq + 1
         heappush(self._queue, (self._now + delay, priority, seq, event))
+
+    def cancel(self, timeout: Timeout) -> None:
+        """Withdraw a pending timeout: it will never fire (a no-op once
+        it has fired).
+
+        Its callbacks are dropped, so whatever waited on it is no longer
+        kept alive by it; waiting on it afterwards raises
+        :class:`SimulationError`.  The heap entry stays where it is and
+        the dispatch loops skip it without advancing the clock.  It is
+        deliberately not removed early: :meth:`peek` keeps reporting it
+        until it is skipped, because the sharded engine's window
+        schedule is built from ``peek`` and must not change.
+        """
+        if not isinstance(timeout, Timeout):
+            raise SimulationError(f"cannot cancel {timeout!r}: not a timeout")
+        if timeout.callbacks is not None:
+            timeout.callbacks = _CANCELLED
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -249,10 +334,12 @@ class Environment:
         ``heapq.nsmallest``, so a stall dump on a deep queue costs
         O(n log limit) rather than sorting the whole pending set.
         """
+        live = [entry for entry in self._queue
+                if entry[3].callbacks is not _CANCELLED]
         if limit is not None:
-            items = heapq.nsmallest(limit, self._queue)
+            items = heapq.nsmallest(limit, live)
         else:
-            items = sorted(self._queue)
+            items = sorted(live)
         out = []
         for when, prio, seq, event in items:
             label = getattr(event, "name", None) or type(event).__name__
@@ -260,12 +347,19 @@ class Environment:
         return out
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _prio, _seq, event = heappop(self._queue)
+        """Process exactly one event (advancing the clock to it).
+
+        Cancelled timeouts on the way are skipped, not counted.
+        """
+        queue = self._queue
+        while True:
+            if not queue:
+                raise SimulationError("step() on an empty event queue")
+            when, _prio, _seq, event = heappop(queue)
+            callbacks = event.callbacks
+            if callbacks is not _CANCELLED:
+                break
         self._now = when
-        callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
         for callback in callbacks:
@@ -297,12 +391,15 @@ class Environment:
         # and heappop bound to locals.  Semantics match step() exactly.
         queue = self._queue
         pop = heappop
+        cancelled = _CANCELLED
         if stop_event is None and stop_time == float("inf"):
             # Run-to-exhaustion fast path: no stop checks per event.
             while queue:
                 when, _prio, _seq, event = pop(queue)
-                self._now = when
                 callbacks = event.callbacks
+                if callbacks is cancelled:
+                    continue
+                self._now = when
                 event.callbacks = None
                 event._processed = True
                 if len(callbacks) == 1:
@@ -321,8 +418,10 @@ class Environment:
                 self._now = stop_time
                 return None
             when, _prio, _seq, event = pop(queue)
-            self._now = when
             callbacks = event.callbacks
+            if callbacks is cancelled:
+                continue
+            self._now = when
             event.callbacks = None
             event._processed = True
             if len(callbacks) == 1:

@@ -286,13 +286,13 @@ class ShardWorker:
             if rec[0] == "req":
                 token, server_id, client_name, wire = rec[5:9]
                 sub = pickle.loads(wire)
-                env.process(
+                env.spawn(
                     self._serve_remote(arrival, rec[3], token,
                                        server_id, client_name, sub),
                     name=f"xshard-req:{rec[3]}:{token}")
             else:
-                env.process(self._deliver_reply(arrival, rec[5]),
-                            name=f"xshard-rep:{rec[3]}:{rec[5]}")
+                env.spawn(self._deliver_reply(arrival, rec[5]),
+                          name=f"xshard-rep:{rec[3]}:{rec[5]}")
         seq0 = env._seq
         t1 = time.perf_counter_ns()
         env.run(until=t_end)

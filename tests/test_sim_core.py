@@ -331,3 +331,205 @@ def test_seq_numbers_are_consumed_per_scheduling():
     after = env.queue_snapshot()
     assert [s for (_, _, s, _) in after] == [2, 3, 1]  # urgent first at t=0
     env.run()
+
+
+def test_yielding_a_processed_event_many_times_does_not_recurse():
+    """Each re-yield of a processed event resumes on the spot; that is
+    a loop, so the count is not bounded by the recursion limit."""
+    env = Environment()
+    ev = env.event()
+    ev.succeed(1)
+
+    def again(env):
+        total = 0
+        for _ in range(5000):
+            total += yield ev
+        return total
+
+    p = env.process(again(env))
+    assert env.run(until=p) == 5000
+
+
+# -- spawned processes and cancelled timeouts ---------------------------
+# Both elisions drop heap work nobody observes, and both still consume
+# the seq number the straightforward scheduling would have used.
+
+def _finish_at_one(env, start):
+    def body(env):
+        yield env.timeout(1.0)
+        return "x"
+
+    p = start(body(env))
+    env.timeout(5.0)  # seq 2: something to keep after the process ends
+    env.step()  # bootstrap: the body schedules its timeout (seq 3)
+    env.step()  # t=1: the body returns
+    return p
+
+
+def test_spawned_completion_is_not_pushed_but_consumes_seq():
+    env_p = Environment()
+    proc = _finish_at_one(env_p, env_p.process)
+    env_s = Environment()
+    spawned = _finish_at_one(env_s, env_s.spawn)
+    assert env_p.queue_snapshot() == [(1.0, 1, 4, "body"),
+                                      (5.0, 1, 2, "Timeout")]
+    assert env_s.queue_snapshot() == [(5.0, 1, 2, "Timeout")]
+    assert env_s._seq == env_p._seq == 4
+    assert spawned.processed and spawned.value == "x"
+    env_p.run()
+    env_s.run()
+    assert proc.value == spawned.value == "x"
+    assert env_p.now == env_s.now == 5.0
+
+
+def test_spawned_process_with_a_waiter_completes_normally():
+    env = Environment()
+
+    def child(env):
+        yield env.timeout(1.0)
+        return 7
+
+    p = env.spawn(child(env))
+
+    def parent(env):
+        value = yield p
+        return (env.now, value)
+
+    assert env.run(until=env.process(parent(env))) == (1.0, 7)
+
+
+def test_spawn_starts_through_process(monkeypatch):
+    """Tools that wrap ``Environment.process(env, generator, name)``
+    (perfbench's layer tracer) must see spawned processes too."""
+    seen = []
+    orig = Environment.process
+
+    def shim(env, generator, name=None):
+        seen.append(name)
+        return orig(env, generator, name)
+
+    monkeypatch.setattr(Environment, "process", shim)
+    env = Environment()
+
+    def body(env):
+        yield env.timeout(1.0)
+
+    env.spawn(body(env), "job")
+    env.run()
+    assert seen == ["job"]
+
+
+def test_failing_spawned_process_raises_from_run():
+    env = Environment()
+
+    def bad(env):
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    env.spawn(bad(env))
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
+
+
+def test_interrupt_finished_spawned_process_is_error():
+    env = Environment()
+
+    def quick(env):
+        yield env.timeout(0.1)
+
+    p = env.spawn(quick(env))
+    env.run()
+    assert not p.is_alive
+    with pytest.raises(SimulationError):
+        p.interrupt()
+
+
+def test_cancelled_timeout_never_fires_and_keeps_its_seq():
+    env = Environment()
+    fired = []
+    t = env.timeout(2.0)
+    t.callbacks.append(lambda ev: fired.append(env.now))
+    env.timeout(1.0)
+    env.cancel(t)
+    # Still visible to peek (the sharded window schedule reads it) ...
+    assert env.peek() == 1.0
+    env.step()
+    assert env.peek() == 2.0
+    # ... but never dispatched, never snapshotted, and skipped without
+    # moving the clock.
+    assert env.queue_snapshot() == []
+    env.run()
+    assert fired == [] and env.now == 1.0
+    assert env._seq == 2
+    with pytest.raises(SimulationError):
+        env.step()
+
+
+def test_cancel_after_fire_is_a_no_op_and_waiting_on_cancelled_is_error():
+    env = Environment()
+    t = env.timeout(1.0)
+    env.run()
+    env.cancel(t)
+    assert t.processed
+    u = env.timeout(1.0)
+    env.cancel(u)
+    env.cancel(u)  # idempotent
+
+    def waiter(env):
+        yield u
+
+    env.process(waiter(env))
+    with pytest.raises(SimulationError, match="cancelled"):
+        env.run()
+    with pytest.raises(SimulationError):
+        env.cancel(env.event())
+
+
+def _cancel_program(env, rng, log, cancel):
+    """Processes racing timeouts with ties; half the losers are
+    withdrawn with ``cancel`` (or left to fire as no-ops)."""
+
+    def racer(env, ident):
+        for step in range(6):
+            a = env.timeout(rng.choice((0.5, 1.0, 1.5)))
+            b = env.timeout(rng.choice((0.5, 1.0, 2.0, 3.0)))
+            fired = yield env.any_of([a, b])
+            log.append((env.now, ident, step, a in fired))
+            loser = b if a in fired else a
+            if rng.random() < 0.5 and not loser.processed:
+                cancel(loser)
+
+    for i in range(5):
+        env.process(racer(env, i))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cancel_keeps_the_schedule_of_every_other_event(seed):
+    """Differential: cancelling dead timeouts changes nothing else.
+
+    The same seeded program runs with the losers cancelled (driven by
+    ``run()`` and by ``step()``) and with them left in the heap to pop
+    as no-ops.  All three must log the same resumes at the same times
+    and consume the same seq numbers.
+    """
+    import random
+
+    def go(drive, cancelling):
+        env = Environment()
+        log = []
+        _cancel_program(env, random.Random(seed), log,
+                        env.cancel if cancelling else (lambda ev: None))
+        drive(env)
+        return log, env._seq
+
+    def by_steps(env):
+        while True:
+            try:
+                env.step()
+            except SimulationError:
+                return
+
+    reference = go(lambda env: env.run(), cancelling=False)
+    assert go(lambda env: env.run(), cancelling=True) == reference
+    assert go(by_steps, cancelling=True) == reference
+    assert len(reference[0]) == 30
