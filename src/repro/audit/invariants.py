@@ -7,6 +7,23 @@ accounts, reported stats).  Because the ledgers are independent of the
 audited code, a bookkeeping bug in either place surfaces as a mismatch
 instead of silently skewing experiment results.
 
+Each check site in the manager passes what its mutation touched (an
+admitted or dropped entry, a writeback batch, a relocated extent, a
+released segment).  The auditor keeps *shadow state* — an incremental
+recount of the audited structures: bytes and return sums per cache
+kind, the dirty-byte recount, the LBN → entry map, the live log extents
+and live bytes per segment — and updates it from those deltas, so a
+per-mutation check re-reads only the touched keys and compares totals
+(O(touched), not O(table)).  Any mismatch escalates to a *full
+recount*: the reference check that walks every structure, reports in
+its fixed order and wording, and re-seeds the shadow.  Full recounts
+also run on an explicit :meth:`ManagerAuditor.check` with nothing
+touched (``AuditRuntime.checkpoint``, phase boundaries, the watchdog),
+in :meth:`~ManagerAuditor.final_check`, and once the per-mutation
+checks since the last one reach the number of items a full recount
+visits, which keeps its cost O(1) per mutation.  The FTL journals its
+own touched blocks and pages (``FlashTranslationLayer.verify_journal``).
+
 Invariants checked (see docs/AUDITING.md for the full catalogue):
 
 * **Dirty ledger** — redirected payload minus written-back minus
@@ -27,18 +44,36 @@ Invariants checked (see docs/AUDITING.md for the full catalogue):
 * **End-of-run conservation** — after a drain, no dirty bytes remain
   and accepted write payload equals disk-foreground plus SSD-redirected
   payload.
+
+A mutation that bypasses the check sites (planted state, an
+unhooked code path) is caught no later than the next full recount.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
-from ..core.mapping import CacheKind
+from ..core.manager import TABLE_ENTRY_BYTES
+from ..core.mapping import CacheEntry, CacheKind
+from ..errors import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from ..core.logstore import Segment
     from ..core.manager import IBridgeManager
     from .runtime import AuditRuntime
+
+_KINDS = (CacheKind.RANDOM, CacheKind.FRAGMENT)
+
+#: LBNs quoted from each side of an ``lbn-index`` mismatch.
+_LBN_SAMPLE = 8
+
+
+def _sample(keys: Iterable[int]) -> str:
+    keys = sorted(keys)
+    more = len(keys) - _LBN_SAMPLE
+    return f"{keys[:_LBN_SAMPLE]}" + (f" (+{more} more)" if more > 0 else "")
 
 
 class ManagerAuditor:
@@ -61,6 +96,30 @@ class ManagerAuditor:
         self.read_requested_bytes = 0   # read payload requested
         self.read_served_bytes = 0      # read payload served (ssd + disk)
         self.checks = 0
+        #: Full recounts run (explicit, phase-boundary, amortised, or
+        #: escalated from a per-mutation mismatch).
+        self.recounts = 0
+        # Shadow state: an incremental recount of the audited
+        # structures, seeded by every full recount and updated from the
+        # deltas the check sites pass.
+        self._kind_bytes: Dict[CacheKind, int] = dict.fromkeys(_KINDS, 0)
+        self._kind_ret: Dict[CacheKind, float] = dict.fromkeys(_KINDS, 0.0)
+        self._dirty = 0
+        #: entry id -> (kind, nbytes, ret, dirty, lbn) as last counted.
+        self._counted: Dict[int, tuple] = {}
+        self._lbn_entry: Dict[int, CacheEntry] = {}
+        #: lbn -> (segment index, nbytes) of the log's live extents.
+        self._extents: Dict[int, Tuple[int, int]] = {}
+        self._seg_live: Dict[int, int] = {}
+        self._since_full = 0
+        #: Items the last full recount visited; 0 makes the first check
+        #: a full one.
+        self._full_cost = 0
+        #: The drive's FTL, when it models one (shared by every manager
+        #: on the server; its journal feeds the per-mutation checks).
+        self._ftl = getattr(manager.ssd_queue.device, "ftl", None)
+        if self._ftl is not None:
+            self._ftl.start_journal()
 
     # ------------------------------------------------------------- helpers
     def _fail(self, check: str, message: str, **context) -> None:
@@ -121,15 +180,196 @@ class ManagerAuditor:
                 readahead=readahead_bytes)
 
     # ------------------------------------------------------------- checks
-    def check(self, event: str = "") -> None:
-        """Run the continuous invariants (called after every mutation)."""
+    def check(self, event: str = "", entries: Sequence[CacheEntry] = (),
+              moved: Optional[Tuple[int, int]] = None,
+              segment: Optional["Segment"] = None) -> None:
+        """Run the continuous invariants (called after every mutation).
+
+        ``entries`` are the cache entries the mutation admitted, dropped
+        or cleaned, ``moved`` the ``(old, new)`` LBNs of a relocated
+        log extent, ``segment`` a log segment it released.  With any of
+        them the check screens only what they touched (plus O(1)
+        totals); with none it is a full recount.
+        """
         self.checks += 1
+        if ((not entries and moved is None and segment is None)
+                or self._full_due()
+                or not self._screen(entries, moved, segment)):
+            self._recount(event)
+        else:
+            self._since_full += 1
+
+    def _full_due(self) -> bool:
+        """Is a full recount due?  Once the per-mutation checks since the
+        last one reach the items it visits, so its cost amortises to
+        O(1) per mutation."""
+        return self._since_full >= self._full_cost
+
+    def _recount(self, event: str) -> None:
+        """The full reference check; re-seeds the shadow state."""
+        self.recounts += 1
+        self._since_full = 0
+        mgr = self.manager
+        entries = mgr.mapping.entries
+        by_kind = dict.fromkeys(_KINDS, 0)
+        ret_by_kind = dict.fromkeys(_KINDS, 0.0)
+        dirty = 0
+        counted: Dict[int, tuple] = {}
+        lbns: Dict[int, CacheEntry] = {}
+        for e in entries:
+            by_kind[e.kind] += e.nbytes
+            ret_by_kind[e.kind] += e.ret
+            if e.dirty:
+                dirty += e.nbytes
+            counted[e.id] = (e.kind, e.nbytes, e.ret, e.dirty, e.ssd_lbn)
+            lbns[e.ssd_lbn] = e
+        log = mgr._log
+        extents = dict(log._extents) if log is not None else {}
+        live_by_seg: Dict[int, int] = {}
+        for seg_idx, nbytes in extents.values():
+            live_by_seg[seg_idx] = live_by_seg.get(seg_idx, 0) + nbytes
+        self._kind_bytes, self._kind_ret = by_kind, ret_by_kind
+        self._dirty = dirty
+        self._counted, self._lbn_entry = counted, lbns
+        self._extents, self._seg_live = extents, live_by_seg
+        ftl = self._ftl
+        self._full_cost = len(entries) + len(extents) + (
+            0 if log is None else len(log.segments)
+            + (ftl.audit_size if ftl is not None else 0))
+
         if self._conservation:
-            dirty = self.manager.mapping.recount_dirty_bytes()
             self._check_dirty_ledger(event, dirty)
             self._check_dirty_counter(event, dirty)
         if self._coherence:
-            self._check_coherence(event)
+            self._check_coherence(event, entries, by_kind, ret_by_kind,
+                                  lbns, live_by_seg)
+
+    def _screen(self, entries: Sequence[CacheEntry],
+                moved: Optional[Tuple[int, int]],
+                segment: Optional["Segment"]) -> bool:
+        """Update the shadow from one mutation's deltas and compare.
+
+        Re-reads only the touched keys: each entry's table membership
+        and fields, the ``_by_lbn`` index and log extent at each touched
+        LBN, the touched segments and FTL journal, and the coverage of
+        each touched entry's range.  False means some invariant may be
+        broken: the caller escalates to a full recount, which decides
+        (and words) what is reported.
+        """
+        mgr = self.manager
+        table = mgr.mapping._entries
+        lbns = set(moved) if moved is not None else set()
+        present: List[CacheEntry] = []   # touched entries in the table
+        left: List[CacheEntry] = []      # ... that left it since counted
+        for e in entries:
+            old = self._counted.get(e.id)
+            new = ((e.kind, e.nbytes, e.ret, e.dirty, e.ssd_lbn)
+                   if e.id in table else None)
+            if new is not None:
+                present.append(e)
+                lbns.add(new[4])
+            if old == new:
+                continue
+            if old is not None:
+                lbns.add(old[4])
+                if self._lbn_entry.get(old[4]) is e:
+                    del self._lbn_entry[old[4]]
+                if old[3]:
+                    self._dirty -= old[1]
+            if new is not None:
+                if self._lbn_entry.setdefault(new[4], e) is not e:
+                    return False  # two entries at one LBN
+                if new[3]:
+                    self._dirty += new[1]
+                self._counted[e.id] = new
+            else:
+                del self._counted[e.id]
+                left.append(e)
+            # Kind, size and return only move when the entry joins or
+            # leaves, so a running return sum sees the partition's own
+            # sequence of additions.
+            if old is None or new is None or old[:3] != new[:3]:
+                if old is not None:
+                    self._kind_bytes[old[0]] -= old[1]
+                    self._kind_ret[old[0]] -= old[2]
+                if new is not None:
+                    self._kind_bytes[new[0]] += new[1]
+                    self._kind_ret[new[0]] += new[2]
+
+        if self._conservation:
+            ledger = (self.ssd_redirect_bytes - self.writeback_bytes
+                      - self.superseded_bytes - self.forfeited_bytes)
+            if ledger != self._dirty or mgr.mapping.dirty_bytes != self._dirty:
+                return False
+        if not self._coherence:
+            return True
+
+        part = mgr.partition
+        for kind in _KINDS:
+            if part._bytes[kind] != self._kind_bytes[kind]:
+                return False
+            if not math.isclose(part._ret_sum[kind], self._kind_ret[kind],
+                                rel_tol=1e-9, abs_tol=1e-12):
+                return False
+        if part.used() > part.capacity:
+            return False
+        if not mgr.ib.dynamic_partition and any(
+                part.used(k) > part.class_capacity(k) for k in _KINDS):
+            return False
+        by_lbn = mgr._by_lbn
+        if len(by_lbn) != len(self._lbn_entry):
+            return False
+        for lbn in lbns:
+            if by_lbn.get(lbn) is not self._lbn_entry.get(lbn):
+                return False
+
+        log = mgr._log
+        if log is None:
+            return True
+        live = log._extents
+        segs = {segment.index} if segment is not None else set()
+        for lbn in lbns:
+            new_ext, old_ext = live.get(lbn), self._extents.get(lbn)
+            if new_ext == old_ext:
+                continue
+            if old_ext is not None:
+                self._seg_live[old_ext[0]] -= old_ext[1]
+                segs.add(old_ext[0])
+                del self._extents[lbn]
+            if new_ext is not None:
+                self._seg_live[new_ext[0]] = (
+                    self._seg_live.get(new_ext[0], 0) + new_ext[1])
+                segs.add(new_ext[0])
+                self._extents[lbn] = new_ext
+        for e in present:
+            info = live.get(e.ssd_lbn)
+            if info is None or info[1] != e.nbytes + TABLE_ENTRY_BYTES:
+                return False
+        for idx in segs:
+            seg = log.segments[idx]
+            if seg.live_bytes != self._seg_live.get(idx, 0):
+                return False
+            if not 0 <= seg.live_bytes <= seg.write_cursor <= seg.size:
+                return False
+            if ((seg.live_bytes or seg.write_cursor)
+                    and any(f is seg for f in log._free)):
+                return False
+        ftl = self._ftl
+        if ftl is not None:
+            try:
+                ftl.verify_journal()
+            except StorageError:
+                return False
+        coverage = mgr.mapping.coverage
+        for e in present:
+            if coverage(e.handle, e.start, e.end) != e.nbytes:
+                return False
+        for e in left:
+            # Entries never overlap, so a range that just left the
+            # table must read as uncovered.
+            if coverage(e.handle, e.start, e.end) != 0:
+                return False
+        return True
 
     def _check_dirty_ledger(self, event: str, actual: int) -> None:
         ledger = (self.ssd_redirect_bytes - self.writeback_bytes
@@ -153,19 +393,15 @@ class ManagerAuditor:
                 f"{counter} dirty bytes, its entries hold {recount}",
                 event=event, counter=counter, recount=recount)
 
-    def _check_coherence(self, event: str) -> None:
+    def _check_coherence(self, event: str, entries: Tuple[CacheEntry, ...],
+                         by_kind: Dict[CacheKind, int],
+                         ret_by_kind: Dict[CacheKind, float],
+                         lbns: Dict[int, CacheEntry],
+                         live_by_seg: Dict[int, int]) -> None:
         mgr = self.manager
-        entries = mgr.mapping.entries
 
         # Partition byte and return accounting vs the mapping table.
-        by_kind: Dict[CacheKind, int] = {CacheKind.RANDOM: 0,
-                                         CacheKind.FRAGMENT: 0}
-        ret_by_kind: Dict[CacheKind, float] = {CacheKind.RANDOM: 0.0,
-                                               CacheKind.FRAGMENT: 0.0}
-        for e in entries:
-            by_kind[e.kind] += e.nbytes
-            ret_by_kind[e.kind] += e.ret
-        for kind in (CacheKind.RANDOM, CacheKind.FRAGMENT):
+        for kind in _KINDS:
             used = mgr.partition.used(kind)
             if used != by_kind[kind]:
                 self._fail(
@@ -193,7 +429,7 @@ class ManagerAuditor:
                 event=event, used=total_used, capacity=mgr.partition.capacity)
         if not mgr.ib.dynamic_partition:
             # Static shares are stable, so per-class bounds are hard.
-            for kind in (CacheKind.RANDOM, CacheKind.FRAGMENT):
+            for kind in _KINDS:
                 cap = mgr.partition.class_capacity(kind)
                 if mgr.partition.used(kind) > cap:
                     self._fail(
@@ -203,12 +439,14 @@ class ManagerAuditor:
                         f"{cap}", event=event, kind=kind.value)
 
         # The _by_lbn index mirrors the mapping table exactly.
-        lbns = {e.ssd_lbn: e for e in entries}
-        if set(mgr._by_lbn) != set(lbns):
+        index = set(mgr._by_lbn)
+        if index != set(lbns):
             self._fail(
                 "lbn-index",
-                f"after {event or 'mutation'}: _by_lbn keys "
-                f"{sorted(mgr._by_lbn)} != entry LBNs {sorted(lbns)}",
+                f"after {event or 'mutation'}: _by_lbn holds {len(index)} "
+                f"keys, the mapping table {len(lbns)} entry LBNs; only in "
+                f"_by_lbn: {_sample(index.difference(lbns))}, only in the "
+                f"table: {_sample(set(lbns).difference(index))}",
                 event=event)
         else:
             for lbn, entry in lbns.items():
@@ -227,7 +465,6 @@ class ManagerAuditor:
         # the payload plus the persisted mapping-table entry.  Both
         # admission paths (redirected writes and read-miss fills) must
         # charge identically or log occupancy drifts from reality.
-        from ..core.manager import TABLE_ENTRY_BYTES
         for e in entries:
             info = log._extents.get(e.ssd_lbn)
             if info is None:
@@ -248,9 +485,6 @@ class ManagerAuditor:
                     event=event, entry=e.id, extent=size, payload=e.nbytes)
 
         # Log segment accounting agrees with the live-extent set.
-        live_by_seg: Dict[int, int] = {}
-        for _lbn, (seg_idx, nbytes) in log._extents.items():
-            live_by_seg[seg_idx] = live_by_seg.get(seg_idx, 0) + nbytes
         for seg in log.segments:
             expect = live_by_seg.get(seg.index, 0)
             if seg.live_bytes != expect:
@@ -296,10 +530,9 @@ class ManagerAuditor:
                     f"to {total}", event=event, handle=handle)
 
     def _check_ftl(self, event: str) -> None:
-        ftl = getattr(self.manager.ssd_queue.device, "ftl", None)
+        ftl = self._ftl
         if ftl is None:
             return
-        from ..errors import StorageError
         try:
             ftl.verify()
         except StorageError as exc:

@@ -96,7 +96,7 @@ class AuditRuntime:
             raise AuditError(f"[{check}] t={self.env.now:.6f}: {message}")
 
     def checkpoint(self, event: str = "checkpoint") -> None:
-        """Run every manager's ledger + coherence checks right now."""
+        """Run every manager's full recount (ledgers + coherence) now."""
         for auditor in self._managers:
             auditor.check(event)
 

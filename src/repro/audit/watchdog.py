@@ -10,8 +10,9 @@ points and not a single block request completing anywhere.
 
 On firing it emits a ``watchdog_stall`` trace record carrying the
 per-queue depths, each manager's dirty-entry set, and a snapshot of the
-event heap, then reports a violation (raising ``AuditError`` in strict
-mode, which surfaces out of ``env.run()``).
+event heap, runs every manager's full audit recount, then reports a
+violation (raising ``AuditError`` in strict mode, which surfaces out of
+``env.run()``).
 
 Known limitation: a loop that never yields back to the event loop (pure
 Python spin) freezes the interpreter before any watchdog process can
@@ -94,6 +95,10 @@ class LivelockWatchdog:
                                 window=self.window, completed=completed,
                                 pending=pending, queues=queues,
                                 managers=managers, event_heap=events)
+        # A stall is a phase boundary: run every manager's full recount
+        # first, so accounting drift the per-mutation checks defer
+        # surfaces here as the likelier root cause.
+        self.runtime.checkpoint("watchdog")
         stuck = ", ".join(f"{q['name']}={q['pending']}" for q in queues
                           if q["pending"])
         self.runtime.violation(

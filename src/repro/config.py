@@ -322,8 +322,12 @@ class AuditConfig:
     #: When False, violations are recorded on the runtime (and traced)
     #: but the run continues — useful for surveying a misbehaving run.
     strict: bool = True
-    #: Shadow the MappingTable / LogStore / PartitionManager after every
-    #: mutation and check that their accounts agree.
+    #: Check after every mutation that the MappingTable, LogStore,
+    #: PartitionManager, ``_by_lbn`` index and FTL accounts agree.  Each
+    #: check re-reads only what its mutation touched, against shadow
+    #: state the auditor keeps; a mismatch, an explicit check, a phase
+    #: boundary or the amortised cadence runs a full recount
+    #: (docs/AUDITING.md).
     check_coherence: bool = True
     #: Track payload bytes end-to-end and assert conservation per read
     #: and at end-of-run drain.

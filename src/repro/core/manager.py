@@ -283,7 +283,7 @@ class IBridgeManager:
         self._count_admission(kind, "write")
         if self.audit:
             self.audit.note_ssd_redirect(sub.nbytes)
-            self.audit.check("ssd_write")
+            self.audit.check("ssd_write", entries=(entry,))
         yield req.done
 
     def _disk_write(self, sub: SubRequest, span=None):
@@ -446,7 +446,7 @@ class IBridgeManager:
                 # A still-dirty drop means a newer write superseded the
                 # bytes (uncovered parts were flushed beforehand).
                 self.audit.note_superseded(entry.nbytes)
-            self.audit.check("drop")
+            self.audit.check("drop", entries=(entry,))
 
     def _flush_entry(self, entry: CacheEntry, stream: int = BACKGROUND_STREAM):
         """Copy a dirty entry's bytes from the SSD log to its disk home."""
@@ -475,7 +475,7 @@ class IBridgeManager:
         self.stats.writeback_bytes += entry.nbytes
         if self.audit:
             self.audit.note_writeback(entry.nbytes)
-            self.audit.check("writeback")
+            self.audit.check("writeback", entries=(entry,))
 
     # =================================================== space management
     def _make_room(self, kind: CacheKind, nbytes: int, max_attempts: int = 3):
@@ -541,10 +541,16 @@ class IBridgeManager:
                     self._by_lbn[new_lbn] = entry
                 write = self.ssd_queue.submit(Op.WRITE, new_lbn, size,
                                               stream=BACKGROUND_STREAM)
-                yield write.done
+                # Checked before yielding, like every other site, so no
+                # other check sees the relocation before its own does.
                 if self.audit:
-                    self.audit.check("clean")
+                    self.audit.check(
+                        "clean", entries=() if entry is None else (entry,),
+                        moved=(lbn, new_lbn))
+                yield write.done
             log.release_victim(victim)
+            if self.audit:
+                self.audit.check("release", segment=victim)
 
     # =================================================== background daemons
     def _writeback_daemon(self):
@@ -635,7 +641,7 @@ class IBridgeManager:
             if self.audit:
                 self.audit.note_writeback(entry.nbytes)
         if self.audit:
-            self.audit.check("writeback_batch")
+            self.audit.check("writeback_batch", entries=batch)
 
     def flush_all(self):
         """Synchronously flush every dirty entry (end-of-run accounting).
@@ -705,7 +711,7 @@ class IBridgeManager:
             self._count_admission(kind, "fill")
             if self.audit:
                 self.audit.note_fill(end - start)
-                self.audit.check("fill")
+                self.audit.check("fill", entries=(entry,))
             write = self.ssd_queue.submit(Op.WRITE, lbn, payload,
                                           stream=BACKGROUND_STREAM)
             yield write.done

@@ -7,9 +7,11 @@ blocks, and a garbage collector that must copy live pages before it
 can erase — the mechanism behind write amplification and GC stalls.
 
 The FTL is a pure state machine (no timing, no randomness): the SSD
-charges time for the work it reports, and the audit layer calls
-:meth:`FlashTranslationLayer.verify` to check its ledgers.  The ledger
-identity the auditor relies on::
+charges time for the work it reports, and the audit layer checks its
+ledgers — :meth:`FlashTranslationLayer.verify` in full, or
+:meth:`~FlashTranslationLayer.verify_journal` over just the blocks and
+pages changed since the last verify.  The ledger identity the auditor
+relies on::
 
     device_pages_written == host_pages_written + gc_pages_copied
 
@@ -29,28 +31,30 @@ latency for a much shorter tail.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import StorageError
 
 
 class _Block:
     """One erase block: programmed slots hold logical page numbers
-    (``None`` once invalidated)."""
+    (``None`` once invalidated).  ``valid`` is a running count of the
+    live slots, kept by the FTL's three mutators; :meth:`recount` is the
+    fresh count the audit compares it against."""
 
-    __slots__ = ("index", "pages")
+    __slots__ = ("index", "pages", "valid")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.pages: List[Optional[int]] = []
+        self.valid = 0
 
     @property
     def filled(self) -> int:
         return len(self.pages)
 
-    @property
-    def valid(self) -> int:
-        return sum(1 for p in self.pages if p is not None)
+    def recount(self) -> int:
+        return len(self.pages) - self.pages.count(None)
 
 
 class FlashTranslationLayer:
@@ -77,6 +81,14 @@ class FlashTranslationLayer:
         self._free_ids = deque(range(self.total_blocks))
         self._sealed: Dict[int, _Block] = {}
         self._active = _Block(self._free_ids.popleft())
+        #: Running sum of the blocks' ``valid`` counts.
+        self.valid_pages = 0
+        #: Blocks and logical pages changed since the last verify; None
+        #: until :meth:`start_journal` (unaudited runs keep no journal).
+        #: Several managers can audit one drive, so the journal lives
+        #: here, not in any one auditor.
+        self._touched_blocks: Optional[Set[_Block]] = None
+        self._touched_pages: Optional[Set[int]] = None
         # ---- write-amplification ledger -----------------------------
         self.host_pages_written = 0
         self.gc_pages_copied = 0
@@ -106,6 +118,11 @@ class FlashTranslationLayer:
             return
         block, slot = loc
         block.pages[slot] = None
+        block.valid -= 1
+        self.valid_pages -= 1
+        if self._touched_pages is not None:
+            self._touched_pages.add(lpn)
+            self._touched_blocks.add(block)
 
     def _program(self, lpn: int) -> None:
         if self._active.filled >= self.pages_per_block:
@@ -114,9 +131,15 @@ class FlashTranslationLayer:
                 raise StorageError(
                     "FTL out of free blocks (GC must run before writes)")
             self._active = _Block(self._free_ids.popleft())
-        self._active.pages.append(lpn)
-        self.page_map[lpn] = (self._active, self._active.filled - 1)
+        active = self._active
+        active.pages.append(lpn)
+        active.valid += 1
+        self.valid_pages += 1
+        self.page_map[lpn] = (active, active.filled - 1)
         self.device_pages_written += 1
+        if self._touched_pages is not None:
+            self._touched_pages.add(lpn)
+            self._touched_blocks.add(active)
 
     def host_write(self, lbn: int, nbytes: int) -> int:
         """Program the pages covering ``[lbn, lbn+nbytes)``; returns the
@@ -173,6 +196,10 @@ class FlashTranslationLayer:
                 self._program(lpn)
                 copied += 1
         victim.pages = []
+        victim.valid = 0
+        self.valid_pages -= copied
+        if self._touched_blocks is not None:
+            self._touched_blocks.add(victim)
         self._free_ids.append(victim.index)
         self.gc_pages_copied += copied
         self.erases += 1
@@ -181,33 +208,108 @@ class FlashTranslationLayer:
 
     def reset(self) -> None:
         """Factory-fresh state (drive replacement); ledgers restart."""
+        journaled = self._touched_pages is not None
         self.__init__(self._logical_capacity, self.page_size,
                       self.pages_per_block, self._over_provision)
+        if journaled:
+            self.start_journal()
 
     # --------------------------------------------------------------- audit
-    def verify(self) -> None:
-        """Raise :class:`StorageError` on any ledger/mapping drift."""
+    @property
+    def audit_size(self) -> int:
+        """Items a full :meth:`verify` visits (blocks + mapped pages)."""
+        return len(self._sealed) + 1 + len(self.page_map)
+
+    def start_journal(self) -> None:
+        """Record the blocks and pages each mutation touches, so
+        :meth:`verify_journal` can check only those."""
+        self._touched_blocks = set()
+        self._touched_pages = set()
+
+    def _take_journal(self) -> Tuple[Optional[Set[_Block]], Optional[Set[int]]]:
+        """Hand over the journal and start a fresh one."""
+        blocks, pages = self._touched_blocks, self._touched_pages
+        if pages is not None:
+            self.start_journal()
+        return blocks, pages
+
+    def _check_ledger(self) -> None:
         if self.device_pages_written != (self.host_pages_written
                                          + self.gc_pages_copied):
             raise StorageError(
                 f"FTL WA ledger drift: device={self.device_pages_written} "
                 f"!= host={self.host_pages_written} "
                 f"+ gc={self.gc_pages_copied}")
-        blocks = list(self._sealed.values()) + [self._active]
-        valid_total = 0
-        for b in blocks:
-            if not 0 <= b.valid <= b.filled <= self.pages_per_block:
-                raise StorageError(f"FTL block {b.index} slot drift")
-            valid_total += b.valid
-        if valid_total != len(self.page_map):
+
+    def _check_block(self, b: _Block) -> None:
+        live = b.recount()
+        if b.valid != live:
             raise StorageError(
-                f"FTL mapping drift: {valid_total} valid slots vs "
+                f"FTL block {b.index} counts {b.valid} valid pages, its "
+                f"slots hold {live}")
+        if not 0 <= live <= b.filled <= self.pages_per_block:
+            raise StorageError(f"FTL block {b.index} slot drift")
+
+    def _check_valid_total(self, total: int) -> None:
+        if total != len(self.page_map):
+            raise StorageError(
+                f"FTL mapping drift: {total} valid slots vs "
                 f"{len(self.page_map)} mapped pages")
-        for lpn, (block, slot) in self.page_map.items():
-            if block.pages[slot] != lpn:
-                raise StorageError(f"FTL map entry for page {lpn} is stale")
-        if len(self._free_ids) + len(blocks) != self.total_blocks:
+
+    def _check_page(self, lpn: int, loc: tuple) -> None:
+        block, slot = loc
+        if block.pages[slot] != lpn:
+            raise StorageError(f"FTL map entry for page {lpn} is stale")
+
+    def _check_census(self) -> None:
+        if len(self._free_ids) + len(self._sealed) + 1 != self.total_blocks:
             raise StorageError("FTL block census drift")
+
+    def verify(self) -> None:
+        """Raise :class:`StorageError` on any ledger/mapping drift.
+
+        The full reference check: the write-amplification identity,
+        every block's running ``valid`` count against its slots, the
+        slot total against the page map and the running total, every
+        map entry, and the block census.  Empties the journal.
+        """
+        self._take_journal()
+        self._check_ledger()
+        blocks = list(self._sealed.values()) + [self._active]
+        for b in blocks:
+            self._check_block(b)
+        valid_total = sum(b.valid for b in blocks)
+        self._check_valid_total(valid_total)
+        if self.valid_pages != valid_total:
+            raise StorageError(
+                f"FTL running valid total {self.valid_pages} != "
+                f"{valid_total} summed over blocks")
+        for lpn, loc in self.page_map.items():
+            self._check_page(lpn, loc)
+        self._check_census()
+
+    def verify_journal(self) -> None:
+        """Check only what changed since the last verify (O(touched)).
+
+        The write-amplification identity, the running valid total
+        against the page map and the block census are O(1); the slots
+        of each touched block and the map entry of each touched page
+        are re-checked.  Without a journal this is :meth:`verify`.
+        """
+        if self._touched_pages is None:
+            self.verify()
+            return
+        blocks, pages = self._take_journal()
+        self._check_ledger()
+        for b in blocks:
+            self._check_block(b)
+        self._check_valid_total(self.valid_pages)
+        page_map = self.page_map
+        for lpn in pages:
+            loc = page_map.get(lpn)
+            if loc is not None:
+                self._check_page(lpn, loc)
+        self._check_census()
 
 
 class GCCoordinator:

@@ -153,6 +153,9 @@ def _reset_measurement_state(cluster: Cluster) -> None:
     from ..core.manager import IBridgeStats
     from ..util.rng import rng_stream
 
+    if cluster.audit is not None:
+        # The warm-to-timed boundary is a phase boundary for the audit.
+        cluster.audit.checkpoint("warm_reset")
     cluster.requests.clear()
     for client in cluster._clients.values():
         client._rng = rng_stream(cluster.config.seed, f"client:{client.id}")

@@ -2,8 +2,6 @@
 ledger, foreground GC charging, fleet coordination policies, and the
 GC-storm device hook."""
 
-import dataclasses
-
 import pytest
 
 from repro.config import SSDConfig
@@ -105,6 +103,79 @@ def test_verify_catches_ledger_and_map_tampering():
     block.pages[slot] = 7                         # stale mapping
     with pytest.raises(StorageError):
         ftl.verify()
+
+
+def test_valid_counts_run_with_the_slots_and_pick_the_same_victims():
+    """Running per-block valid counts equal a fresh slot recount after
+    overwrites, trims and collections, and the GC victim is the block a
+    recount would pick."""
+    import random
+    rng = random.Random(7)
+    ftl = make_ftl(logical=256 * KiB, ppb=8)
+    for _ in range(2000):
+        lpn = rng.randrange(ftl.logical_pages)
+        if rng.random() < 0.1:
+            ftl.trim(lpn * ftl.page_size, ftl.page_size)
+        else:
+            ftl.host_write(lpn * ftl.page_size, ftl.page_size)
+        if ftl.free_blocks < 3:
+            sealed = list(ftl._sealed.values())
+            expect = min(sealed, key=lambda b: (b.recount(), b.index))
+            free_before = ftl.free_blocks
+            assert ftl.collect_one() is not None
+            assert ftl._free_ids[-1] == expect.index
+            assert ftl.free_blocks == free_before + 1
+        for b in list(ftl._sealed.values()) + [ftl._active]:
+            assert b.valid == b.recount()
+    assert ftl.valid_pages == len(ftl.page_map)
+    ftl.verify()
+
+
+def test_verify_reports_valid_counter_drift():
+    ftl = make_ftl()
+    ftl.host_write(0, 16 * KiB)
+    block, _slot = ftl.page_map[0]
+    block.valid += 1                              # counter drifts
+    with pytest.raises(StorageError, match="counts 5 valid pages"):
+        ftl.verify()
+    block.valid -= 1
+    ftl.valid_pages += 1                          # running total drifts
+    with pytest.raises(StorageError, match="valid"):
+        ftl.verify()
+
+
+def test_verify_journal_checks_only_touched_state():
+    ftl = make_ftl()
+    ftl.start_journal()
+    ftl.host_write(0, 16 * KiB)                   # pages 0-3, block 0
+    ftl.verify_journal()                          # healthy; journal empties
+    block, slot = ftl.page_map[0]
+    block.pages[slot] = 7                         # untouched since: unseen
+    ftl.verify_journal()
+    with pytest.raises(StorageError, match="stale"):
+        ftl.verify()                              # the full check sees it
+    block.pages[slot] = 0
+    ftl.host_write(0, 4 * KiB)                    # touches page 0 again
+    new_block, new_slot = ftl.page_map[0]
+    new_block.valid -= 1                          # drift on a touched block
+    with pytest.raises(StorageError, match="counts"):
+        ftl.verify_journal()
+    new_block.valid += 1
+    ftl.gc_pages_copied += 1                      # O(1) identity, always
+    with pytest.raises(StorageError, match="ledger"):
+        ftl.verify_journal()
+
+
+def test_reset_keeps_the_journal_on():
+    ftl = make_ftl()
+    ftl.start_journal()
+    ftl.host_write(0, 8 * KiB)
+    ftl.reset()
+    ftl.host_write(0, 4 * KiB)
+    block, slot = ftl.page_map[0]
+    block.pages[slot] = 3
+    with pytest.raises(StorageError, match="stale"):
+        ftl.verify_journal()
 
 
 def test_reset_restores_factory_state():
