@@ -82,6 +82,10 @@ class ManagerAuditor:
     def __init__(self, manager: "IBridgeManager", runtime: "AuditRuntime") -> None:
         self.manager = manager
         self.runtime = runtime
+        # Bound once for _trace, which every note_* hook calls.
+        self._emit = runtime.trace.emit
+        self._env = runtime.env
+        self._server_id = manager.server_id
         cfg = runtime.config
         self._coherence = cfg.check_coherence
         self._conservation = cfg.check_conservation
@@ -127,8 +131,7 @@ class ManagerAuditor:
                                server=self.manager.server_id, **context)
 
     def _trace(self, kind: str, **fields) -> None:
-        self.runtime.trace.emit(self.runtime.env.now, kind,
-                                server=self.manager.server_id, **fields)
+        self._emit(self._env.now, kind, server=self._server_id, **fields)
 
     # ----------------------------------------------------- write-side hooks
     def note_client_write(self, nbytes: int) -> None:

@@ -33,7 +33,14 @@ from typing import Callable, Dict, List, Optional
 
 
 class EventTrace:
-    """Bounded in-memory ring + optional JSONL mirror."""
+    """Bounded in-memory ring + optional JSONL mirror.
+
+    A record is never mutated after :meth:`emit` returns it: the audit
+    runtime's violation list and the obs layer's instant-event sink
+    (:meth:`~repro.obs.runtime.ObsRuntime.attach_event_trace`) keep
+    references to the ring's record instead of copies, and read it
+    later.
+    """
 
     def __init__(self, path: Optional[str] = None, limit: int = 4096) -> None:
         self._records: deque = deque(maxlen=limit if limit > 0 else None)
@@ -54,9 +61,8 @@ class EventTrace:
         self._sink = sink
 
     def emit(self, time: float, kind: str, **fields) -> Dict:
-        """Record one event; returns the record dict."""
-        record = {"t": round(time, 9), "kind": kind}
-        record.update(fields)
+        """Record one event; returns the record dict (never mutate it)."""
+        record = {"t": round(time, 9), "kind": kind, **fields}
         self._records.append(record)
         self._counts[kind] += 1
         if self._file is not None:

@@ -412,14 +412,20 @@ class IBridgeManager:
         to disk before being dropped.
         """
         for entry in self.mapping.overlapping(handle, start, end):
-            if entry.busy:
-                # Wait for the in-flight writeback to finish; it will
-                # leave the entry clean.
-                while entry.busy:
-                    yield self.env.timeout(self.ib.writeback_idle)
+            # Wait for the in-flight writeback to finish; it will leave
+            # the entry clean.
+            while entry.busy:
+                yield self.env.timeout(self.ib.writeback_idle)
+            # Every yield in this loop (this wait, an earlier entry's
+            # wait or flush) lets a concurrent write or eviction drop
+            # the entry first; it is then no longer ours to flush or drop.
+            if entry not in self.mapping:
+                continue
             if (entry.dirty and flush_uncovered
                     and (entry.start < new_start or entry.end > new_end)):
                 yield from self._flush_entry(entry)
+                if entry not in self.mapping:
+                    continue
             self._drop_entry(entry)
 
     def _ssd_trim(self, lbn: int, nbytes: int) -> None:

@@ -69,6 +69,9 @@ class MappingTable:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, entry: CacheEntry) -> bool:
+        return entry.id in self._entries
+
     @property
     def entries(self) -> Tuple[CacheEntry, ...]:
         return tuple(self._entries.values())

@@ -16,13 +16,18 @@ analyzer:
    effect (§II, Fig. 2) rendered as a per-request number: a fragment
    that costs 3x its siblings drags the whole synchronous request to
    3x, no matter how fast the other pieces were.
+
+:func:`analyze` returns a lazy :class:`RunReport`: the trace count and
+the magnification list (all the workload harness reads) come from one
+pass over the closed roots and their rpc children, and the walk above
+runs only when a caller reads per-trace results.
 """
 
 from __future__ import annotations
 
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .span import KIND_RPC, Span
 
@@ -157,6 +162,19 @@ def _walk(tree: TraceTree, span: Span, lo: float, hi: float,
         cur = child_lo
 
 
+def _straggler(subs: List[Span]) -> Tuple[Span, Optional[float]]:
+    """The straggler among a root's rpc children and its magnification
+    (straggler time over the median sibling time; None with no sibling
+    or a zero median)."""
+    straggler = max(subs, key=lambda s: (s.end, s.duration, s.span_id))
+    durs = sorted(s.duration for s in subs if s is not straggler)
+    if not durs:
+        return straggler, None
+    n = len(durs)
+    mid = durs[n // 2] if n % 2 else 0.5 * (durs[n // 2 - 1] + durs[n // 2])
+    return straggler, (straggler.duration / mid if mid > 0 else None)
+
+
 def analyze_trace(tree: TraceTree) -> TraceReport:
     """Critical-path attribution for one span tree."""
     root = tree.root
@@ -168,16 +186,10 @@ def analyze_trace(tree: TraceTree) -> TraceReport:
 
     subs = [s for s in tree.child_spans(root) if s.kind == KIND_RPC]
     if subs:
-        straggler = max(subs, key=lambda s: (s.end, s.duration, s.span_id))
+        straggler, report.magnification = _straggler(subs)
         report.straggler = dict(straggler.attrs or {})
         report.straggler.setdefault("duration", straggler.duration)
-        siblings = [s for s in subs if s is not straggler]
-        if siblings:
-            durs = sorted(s.duration for s in siblings)
-            mid = durs[len(durs) // 2] if len(durs) % 2 else \
-                0.5 * (durs[len(durs) // 2 - 1] + durs[len(durs) // 2])
-            if mid > 0:
-                report.magnification = straggler.duration / mid
+        if len(subs) > 1:
             sizes = [(s.attrs or {}).get("nbytes") for s in subs]
             if all(isinstance(n, (int, float)) for n in sizes):
                 report.straggler_is_smallest = (
@@ -185,19 +197,69 @@ def analyze_trace(tree: TraceTree) -> TraceReport:
     return report
 
 
-@dataclass
-class RunReport:
-    """Aggregate straggler attribution over every trace of a run."""
+def _count_and_magnifications(spans: Sequence[Span]
+                              ) -> Tuple[int, List[float]]:
+    """How many traces :func:`build_trees` keeps over closed ``spans``
+    and their magnifications in trace-id order, without building trees
+    or walking paths."""
+    roots: Dict[int, Optional[Span]] = {}
+    for s in spans:
+        if s.parent_id is None and s.end is not None:
+            # A second root voids the trace, as in build_trees.
+            roots[s.trace_id] = None if s.trace_id in roots else s
+    subs: Dict[int, List[Span]] = {}
+    for s in spans:
+        if s.kind == KIND_RPC and s.end is not None:
+            root = roots.get(s.trace_id)
+            if root is not None and s.parent_id == root.span_id:
+                subs.setdefault(s.trace_id, []).append(s)
+    mags = []
+    for trace_id in sorted(subs):
+        mag = _straggler(subs[trace_id])[1]
+        if mag is not None:
+            mags.append(mag)
+    return sum(1 for r in roots.values() if r is not None), mags
 
-    traces: List[TraceReport] = field(default_factory=list)
+
+class RunReport:
+    """Aggregate straggler attribution over every trace of a run.
+
+    Built from spans by :func:`analyze`, the report reads them lazily:
+    :attr:`count` and :meth:`magnifications` take one pass over the
+    closed roots and their rpc children, and :attr:`traces` (with
+    everything derived from it) walks every trace's critical path on
+    its first read.  Both see the closed spans as they were at
+    :func:`analyze`.
+    """
+
+    def __init__(self, traces: Optional[List[TraceReport]] = None,
+                 spans: Sequence[Span] = ()) -> None:
+        self._traces = traces
+        self._closed = [s for s in spans if s.end is not None]
+        self._summary: Optional[Tuple[int, List[float]]] = None
+
+    @property
+    def traces(self) -> List[TraceReport]:
+        """Per-trace reports in trace-id order (walked on first read)."""
+        if self._traces is None:
+            trees = build_trees(self._closed)
+            self._traces = [analyze_trace(trees[t]) for t in sorted(trees)]
+        return self._traces
+
+    def _count_and_mags(self) -> Tuple[int, List[float]]:
+        if self._traces is not None:
+            return len(self._traces), [t.magnification for t in self._traces
+                                       if t.magnification is not None]
+        if self._summary is None:
+            self._summary = _count_and_magnifications(self._closed)
+        return self._summary[0], list(self._summary[1])
 
     @property
     def count(self) -> int:
-        return len(self.traces)
+        return self._count_and_mags()[0]
 
     def magnifications(self) -> List[float]:
-        return [t.magnification for t in self.traces
-                if t.magnification is not None]
+        return self._count_and_mags()[1]
 
     @property
     def mean_magnification(self) -> float:
@@ -262,9 +324,6 @@ class RunReport:
 
 
 def analyze(spans: Sequence[Span]) -> RunReport:
-    """Build trees from ``spans`` and attribute every complete trace."""
-    trees = build_trees(spans)
-    report = RunReport()
-    for trace_id in sorted(trees):
-        report.traces.append(analyze_trace(trees[trace_id]))
-    return report
+    """Attribution of every complete trace in ``spans`` (lazy; see
+    :class:`RunReport`)."""
+    return RunReport(spans=spans)

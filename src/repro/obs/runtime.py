@@ -20,7 +20,11 @@ Lifecycle (mirrors the audit runtime):
   takes a final sample and exports spans/metrics to the configured
   paths — appending, so multi-cluster experiments accumulate into one
   file that the CLI truncated once up front (the ``--audit-trace``
-  contract).
+  contract);
+* nothing resets telemetry between a workload's warm passes and its
+  timed pass: :meth:`reset` exists but has no caller, so the spans,
+  events, samples and the ``obs_*``/``timeline_last[...]`` result
+  extras of a run with ``warm_runs`` cover the warm passes too.
 """
 
 from __future__ import annotations
@@ -173,28 +177,29 @@ class ObsRuntime:
 
     # ------------------------------------------------------------ adapters
     def attach_event_trace(self, trace) -> None:
-        """Mirror audit trace records into the tracer as instant events."""
+        """Mirror audit trace records into the tracer as instant events.
+
+        The tracer keeps a reference to the ring's record, not a copy;
+        :func:`~repro.obs.span.event_record` strips ``t``/``kind`` from
+        it when the event is read.
+        """
         tracer = self.tracer
         if tracer is None:
             return
-
-        def sink(record: dict) -> None:
-            attrs = {k: v for k, v in record.items() if k not in ("t", "kind")}
-            tracer.event(f"audit.{record.get('kind', 'event')}",
-                         float(record.get("t", 0.0)), **attrs)
-
-        trace.set_sink(sink)
+        add = tracer.add_event
+        trace.set_sink(lambda record: add((None, None, record)))
 
     def attach_block_tracer(self, block_tracer, dev: str) -> None:
         """Mirror blktrace dispatch records into the tracer."""
         tracer = self.tracer
         if tracer is None:
             return
+        add = tracer.add_event
 
         def sink(rec) -> None:
-            tracer.event("blk.dispatch", rec.time, dev=dev,
-                         op=rec.op.name.lower(), sectors=rec.sectors,
-                         merged=rec.merged)
+            add(("blk.dispatch", rec.time,
+                 {"dev": dev, "op": rec.op.name.lower(),
+                  "sectors": rec.sectors, "merged": rec.merged}))
 
         block_tracer.sink = sink
 
@@ -214,8 +219,8 @@ class ObsRuntime:
         """
         if not self._streaming:
             return 0
-        events = self.tracer.events[self._events_streamed:]
-        self._events_streamed = len(self.tracer.events)
+        events = self.tracer.events_since(self._events_streamed)
+        self._events_streamed += len(events)
         if not self._stream_buf and not events:
             return 0
         rows = append_spans(self.config.trace_path, self._stream_buf, events)
@@ -231,7 +236,13 @@ class ObsRuntime:
             self.timeline.stop()
 
     def reset(self) -> None:
-        """Drop telemetry accumulated by warm runs (measurement reset)."""
+        """Drop the telemetry accumulated so far (a measurement reset).
+
+        Not called by :func:`~repro.workloads.base.run_workload`: warm
+        passes stay in the telemetry, and calling this at the warm→timed
+        boundary would change the ``obs_*`` extras that ``run_digest``
+        covers.
+        """
         if self.tracer is not None:
             self.tracer.clear()
         if self.registry is not None:

@@ -11,7 +11,9 @@ Each test pins one fixed behaviour:
   ``bytes_from_disk`` (they are ``readahead_bytes``),
 * concurrent admissions never over-commit a static class share,
 * the log cleaner skips an extent an overwrite dropped while it was
-  being read, and repoints the entry before writing the relocated copy.
+  being read, and repoints the entry before writing the relocated copy,
+* an overwrite that waited on a busy overlapping entry (or flushed it)
+  skips the entry when a concurrent path dropped it meanwhile.
 """
 
 import dataclasses
@@ -210,3 +212,19 @@ def test_log_cleaner_survives_concurrent_overwrites(seed):
     assert sum(s.ibridge._log.cleanings for s in cluster.servers) > 0
     assert cluster.audit.ok
     assert result.requests
+
+
+@pytest.mark.parametrize("seed", [5, 11, 15])
+def test_overwrite_skips_entry_dropped_while_it_waited(seed):
+    """Undrained passes leave writebacks in flight when the next pass
+    overwrites: ``_invalidate_overlaps`` waited on the busy entry, a
+    concurrent write dropped it first, and the waiter's own drop raised
+    "remove of unknown entry"."""
+    from repro.pfs.cluster import Cluster
+    from repro.workloads.base import run_workload
+
+    cfg, wl = gc_stagger_cell(seed)
+    cluster = Cluster(cfg)
+    result = run_workload(cluster, wl, warm_runs=2, drain=False)
+    assert cluster.audit.ok
+    assert len(result.requests) == wl.nprocs * wl.iterations
