@@ -122,6 +122,12 @@ class FaultEvent:
         if self.kind is FaultKind.NET_DROP:
             if not 0.0 < self.drop_prob <= 1.0:
                 raise FaultError("net_drop needs drop_prob in (0, 1]")
+        elif self.drop_prob != 0.0:
+            # Only a net_drop window gets a drop RNG: anywhere else the
+            # probability would be logged but never drop anything.
+            raise FaultError(
+                f"drop_prob is a net_drop field; {self.kind.value} "
+                f"must leave it at 0, got {self.drop_prob}")
         if self.kind is FaultKind.SSD_FAIL and self.policy not in ("forfeit",
                                                                    "drain"):
             raise FaultError(f"unknown ssd_fail policy {self.policy!r}")

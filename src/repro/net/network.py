@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..config import NetworkConfig
-from ..sim import Environment, Event, Resource
+from ..errors import FaultError
+from ..sim import Chain, Environment, Event, Resource
 
 
 @dataclass
@@ -75,6 +76,10 @@ class Network:
     # ------------------------------------------------------------- faults
     def add_fault(self, fault: NetFault) -> NetFault:
         """Activate a fault window (returned so it can be removed)."""
+        if fault.drop_prob > 0.0 and fault.rng is None:
+            raise FaultError(
+                f"net fault with drop_prob={fault.drop_prob} needs an rng "
+                f"to draw drops from")
         self._faults.append(fault)
         return fault
 
@@ -97,7 +102,7 @@ class Network:
             if not fault.applies(src, dst):
                 continue
             delay += fault.delay
-            if (not dropped and fault.drop_prob > 0.0 and fault.rng is not None
+            if (not dropped and fault.drop_prob > 0.0
                     and fault.rng.random() < fault.drop_prob):
                 dropped = True
         return delay, dropped
@@ -115,7 +120,9 @@ class Network:
 
         ``nbytes`` is payload size; control messages pass 0 and still
         pay overhead + latency.  ``obs_parent`` (a span) traces the
-        message as a network span from send to delivery.
+        message as a network span from send to delivery.  A message
+        lost to a drop-fault window never fires its event: recovery is
+        the sender's job (client timeout/retry).
         """
         done = self.env.event()
         span = None
@@ -124,8 +131,7 @@ class Network:
             span = obs.start("net.msg", "network", obs_parent.trace_id,
                              self.env.now, parent=obs_parent, src=src,
                              dst=dst, nbytes=int(nbytes))
-        self.env.spawn(self._transfer(src, dst, int(nbytes), done, span),
-                       name=f"net:{src}->{dst}")
+        _Transfer(self, src, dst, int(nbytes), done, span)
         return done
 
     def send_local_leg(self, src: str, dst: str, nbytes: int = 0) -> Event:
@@ -142,67 +148,117 @@ class Network:
         the sharded network boundary (DESIGN.md §14).
         """
         done = self.env.event()
-        self.env.spawn(self._local_leg(src, dst, int(nbytes), done),
-                       name=f"net:{src}=>{dst}")
+        _LocalLeg(self, src, dst, int(nbytes), done, None)
         return done
 
-    def _local_leg(self, src: str, dst: str, nbytes: int, done: Event):
-        env = self.env
-        cfg = self.config
-        yield env.timeout(cfg.message_overhead)
-        if self._faults:
-            extra_delay, dropped = self._fault_effects(src, dst)
-            if dropped:
-                self.stats.dropped += 1
-                done.succeed(False)
-                return
-            if extra_delay > 0.0:
-                self.stats.fault_delay_time += extra_delay
-                yield env.timeout(extra_delay)
-        wire = nbytes / cfg.bandwidth
-        if nbytes > 0:
-            eg = self._nic(self._egress, src).request()
-            yield eg
-            yield env.timeout(wire)
-            self._nic(self._egress, src).release(eg)
-        self.stats.messages += 1
-        self.stats.bytes += nbytes
-        self.stats.wire_time += wire
-        done.succeed(True)
 
-    def _transfer(self, src: str, dst: str, nbytes: int, done: Event,
-                  span=None):
-        env = self.env
-        cfg = self.config
-        yield env.timeout(cfg.message_overhead)
-        if self._faults:
-            extra_delay, dropped = self._fault_effects(src, dst)
+class _Transfer(Chain):
+    """One message, as a callback chain: software overhead, fault
+    effects, both NICs held for the wire time, propagation latency."""
+
+    __slots__ = ("net", "src", "dst", "nbytes", "done", "span", "egress",
+                 "ingress")
+
+    #: ``done``'s value at delivery.
+    delivered = None
+
+    def __init__(self, net: Network, src: str, dst: str, nbytes: int,
+                 done: Event, span) -> None:
+        self.env = net.env
+        self.net = net
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.done = done
+        self.span = span
+        self._start(self._begin)
+
+    def _begin(self, _event: Event) -> None:
+        self.env.timeout(self.net.config.message_overhead).callbacks.append(
+            self._faults)
+
+    def _faults(self, _event: Event) -> None:
+        net = self.net
+        if net._faults:
+            extra_delay, dropped = net._fault_effects(self.src, self.dst)
             if dropped:
-                # The message is lost: ``done`` never fires.  Recovery
-                # is the sender's job (client timeout/retry).
-                self.stats.dropped += 1
-                if span is not None:
-                    span.annotate(dropped=True)
-                    self.obs.finish(span, env.now)
+                net.stats.dropped += 1
+                self._dropped()
+                self._end()
                 return
             if extra_delay > 0.0:
-                self.stats.fault_delay_time += extra_delay
-                yield env.timeout(extra_delay)
-        wire = nbytes / cfg.bandwidth
-        if nbytes > 0:
+                net.stats.fault_delay_time += extra_delay
+                self.env.timeout(extra_delay).callbacks.append(self._wire)
+                return
+        self._wire(None)
+
+    def _dropped(self) -> None:
+        """The message is lost; ``done`` never fires."""
+        span = self.span
+        if span is not None:
+            span.annotate(dropped=True)
+            self.net.obs.finish(span, self.env.now)
+
+    def _wire(self, _event) -> None:
+        if self.nbytes > 0:
             # Hold both NICs for the wire time: concurrent transfers at
             # an endpoint share its link serially.
-            eg = self._nic(self._egress, src).request()
-            yield eg
-            ing = self._nic(self._ingress, dst).request()
-            yield ing
-            yield env.timeout(wire)
-            self._nic(self._ingress, dst).release(ing)
-            self._nic(self._egress, src).release(eg)
-        yield env.timeout(cfg.latency)
-        self.stats.messages += 1
-        self.stats.bytes += nbytes
-        self.stats.wire_time += wire
-        if span is not None and self.obs is not None:
-            self.obs.finish(span, env.now)
-        done.succeed()
+            net = self.net
+            self.egress = net._nic(net._egress, self.src).request()
+            self.egress.callbacks.append(self._egress_held)
+        else:
+            self._on_wire(None)
+
+    def _egress_held(self, _event: Event) -> None:
+        net = self.net
+        self.ingress = net._nic(net._ingress, self.dst).request()
+        self.ingress.callbacks.append(self._ingress_held)
+
+    def _ingress_held(self, _event: Event) -> None:
+        self.env.timeout(self.nbytes / self.net.config.bandwidth
+                         ).callbacks.append(self._wired)
+
+    def _wired(self, _event: Event) -> None:
+        self.ingress.resource.release(self.ingress)
+        self.egress.resource.release(self.egress)
+        self._on_wire(None)
+
+    def _on_wire(self, _event) -> None:
+        self.env.timeout(self.net.config.latency).callbacks.append(
+            self._delivered)
+
+    def _delivered(self, _event) -> None:
+        net = self.net
+        stats = net.stats
+        nbytes = self.nbytes
+        stats.messages += 1
+        stats.bytes += nbytes
+        stats.wire_time += nbytes / net.config.bandwidth
+        if self.span is not None and net.obs is not None:
+            net.obs.finish(self.span, self.env.now)
+        self.done.succeed(self.delivered)
+        self._end()
+
+
+class _LocalLeg(_Transfer):
+    """The sender-side half of a cross-shard message (see
+    :meth:`Network.send_local_leg`): egress NIC only, no latency;
+    ``done`` fires ``True`` at departure, ``False`` on a drop."""
+
+    __slots__ = ()
+
+    delivered = True
+
+    def _dropped(self) -> None:
+        # Departure never happens: the record must not be posted.
+        self.done.succeed(False)
+
+    # No ingress NIC: the wire time starts once egress is held.
+    _egress_held = _Transfer._ingress_held
+
+    def _wired(self, _event: Event) -> None:
+        self.egress.resource.release(self.egress)
+        self._delivered(None)
+
+    def _on_wire(self, _event) -> None:
+        self._delivered(None)

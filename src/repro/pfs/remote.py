@@ -26,7 +26,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ..devices.base import Op
-from ..sim import Environment, Event
+from ..sim import Chain, Environment, Event
 from .server import ServerStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,22 +56,47 @@ class RemoteServerStub:
 
     # ------------------------------------------------------------- RPC
     def round_trip(self, client: "PFSClient", sub: "SubRequest",
-                   attempt_done: Event):
-        """Generator body of one cross-shard RPC attempt.
+                   attempt_done: Event) -> None:
+        """Start one cross-shard RPC attempt of ``client``.
 
-        Runs inside the client's attempt process.  Completion does not
-        happen here: the reply record delivered at a future window
-        barrier succeeds ``attempt_done`` (shared across attempts, so a
-        late reply to an earlier attempt still completes the
-        sub-request — the retry-storm fix applies across shards too).
+        Completion does not happen here: the reply record delivered at
+        a future window barrier succeeds ``attempt_done`` (shared across
+        attempts, so a late reply to an earlier attempt still completes
+        the sub-request — the retry-storm fix applies across shards
+        too).
         """
+        _RemoteAttempt(self, client, sub, attempt_done)
+
+
+class _RemoteAttempt(Chain):
+    """The sender leg of one cross-shard attempt, then the mailbox post."""
+
+    __slots__ = ("stub", "client", "sub", "attempt_done")
+
+    def __init__(self, stub: RemoteServerStub, client: "PFSClient",
+                 sub: "SubRequest", attempt_done: Event) -> None:
+        self.env = stub.env
+        self.stub = stub
+        self.client = client
+        self.sub = sub
+        self.attempt_done = attempt_done
+        self._start(self._send)
+
+    def _send(self, _event: Event) -> None:
+        sub = self.sub
         req_payload = sub.nbytes if sub.op is Op.WRITE else 0
-        departed = client.network.send_local_leg(client.name, self.name,
-                                                 req_payload)
-        ok = yield departed
-        if not ok:
-            return  # dropped by a fault window: the attempt is lost
-        # Strip the span before the wire: span trees are per-shard
-        # (the server shard opens no job spans for remote subs).
-        self.shard.post_request(self, client.name,
-                                replace(sub, span=None), attempt_done, sub)
+        self.client.network.send_local_leg(
+            self.client.name, self.stub.name, req_payload
+        ).callbacks.append(self._departed)
+
+    def _departed(self, event: Event) -> None:
+        # ``False``: a fault window dropped the message, the attempt is
+        # lost.
+        if event.value:
+            # Strip the span before the wire: span trees are per-shard
+            # (the server shard opens no job spans for remote subs).
+            sub = self.sub
+            self.stub.shard.post_request(self.stub, self.client.name,
+                                         replace(sub, span=None),
+                                         self.attempt_done, sub)
+        self._end()

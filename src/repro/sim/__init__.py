@@ -1,13 +1,14 @@
 """Deterministic discrete-event simulation engine.
 
-A minimal SimPy-flavoured kernel: generator-based processes, a binary
+A minimal SimPy-flavoured kernel: generator-based processes (and
+hand-written callback chains for the hottest paths), a binary
 heap of timestamped events with deterministic tie-breaking, counted
 resources, stores, and barriers.  Everything else in the reproduction
 (devices, schedulers, servers, MPI ranks) is built as processes on top
 of this engine.
 """
 
-from .core import Environment, Interrupt, Process
+from .core import Chain, Environment, Interrupt, Process
 from .events import AllOf, AnyOf, Event, Timeout
 from .resources import PriorityStore, Request, Resource, Store
 from .sync import Barrier, CountdownLatch
@@ -15,6 +16,7 @@ from .sync import Barrier, CountdownLatch
 __all__ = [
     "Environment",
     "Process",
+    "Chain",
     "Interrupt",
     "Event",
     "Timeout",

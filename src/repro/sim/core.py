@@ -6,21 +6,34 @@ identical schedules.  This is essential for reproducible experiments
 and for hypothesis-based property tests.
 
 Determinism contract: every scheduling consumes exactly one ``seq``
-number, and events dispatch in ``(time, priority, seq)`` order.  Two
+number, and events dispatch in ``(time, priority, seq)`` order.  Three
 kinds of scheduling are never dispatched but still consume their seq:
 the completion of a :meth:`~Environment.spawn`-ed process that finishes
-successfully with no waiters, and a timeout withdrawn with
-:meth:`~Environment.cancel`.  Neither could be observed (no callback
-would run), so every other event keeps its seq, its order and its time,
-and ``_seq`` deltas (event budgets, per-window event counts) read as if
-both had been dispatched.  A cancelled timeout stays in the heap (so
+successfully with no waiters, the end of a :class:`Chain`, and a
+timeout withdrawn with :meth:`~Environment.cancel`.  None could be
+observed (no callback would run), so every other event keeps its seq,
+its order and its time, and ``_seq`` deltas (event budgets, per-window
+event counts) read as if all had been dispatched.  A cancelled timeout stays in the heap (so
 :meth:`~Environment.peek` reads as before) and is skipped without
 advancing the clock.
 
+Callback chains (:class:`Chain`) are processes written by hand as
+step methods, for the per-sub-request paths where a generator and a
+:class:`Process` per round trip cost more host time than the work
+itself.  They keep the contract by construction: a chain starts with
+the same bootstrap entry a :class:`Process` pushes (one function,
+:func:`_bootstrap`, builds it for both), each wait appends a step to the
+awaited event's callbacks exactly where a process would append its
+resume, and a chain's end consumes one seq, like the unobserved finish
+of a detached spawn.  A chain therefore schedules the same
+``(time, priority, seq)`` entries as the generator it replaces; only
+failures differ, in that an exception raised by a step leaves
+:meth:`Environment.run` at once instead of failing a process event.
+
 Hot-path notes (see docs/PERFORMANCE.md): :meth:`Environment.run`
 inlines the dispatch loop (``step()`` remains for single-stepping), the
-:class:`Process` bootstrap builds a bare pre-triggered event without
-the ``Event.__init__`` trampoline, and resumes go through a cached bound
+bootstrap entry is a bare pre-triggered event built without the
+``Event.__init__`` trampoline, and resumes go through a cached bound
 ``send`` method.  A finished process drops its cached resume callback,
 so neither it nor anything it waited on is left in a reference cycle
 for the cycle collector.  Every fast path preserves the heap-entry
@@ -63,6 +76,57 @@ class Interrupt(Exception):
         return self.args[0] if self.args else None
 
 
+def _bootstrap(env: "Environment", callback) -> None:
+    """Schedule ``callback`` on the next scheduler pass at the current
+    time: the entry that starts every process and every chain.
+
+    The event is a bare slot-filled :class:`Event` — it exists only to
+    carry one callback through the heap once, so skipping the
+    constructor saves a call frame per start.  A pool was considered
+    and rejected: resetting a pooled event costs the same writes as
+    building a fresh one, and eager (push-free) starts would reorder
+    schedules.
+    """
+    init = Event.__new__(Event)
+    init.env = env
+    init.callbacks = [callback]
+    init._value = None
+    init._ok = True
+    init._triggered = True
+    init._processed = False
+    init._defused = False
+    env._seq = seq = env._seq + 1
+    heappush(env._queue, (env._now, PRIORITY_URGENT, seq, init))
+
+
+class Chain:
+    """A fire-and-forget process written as step methods.
+
+    The constructor of a subclass fills its slots and calls
+    :meth:`_start` with its first step; every step takes the event that
+    woke it, and waits by appending its successor to the next event's
+    ``callbacks`` (the event must not be processed yet — a chain waits
+    only on events it just created or was just handed).  The last step
+    calls :meth:`_end`.  Scheduling is entry for entry that of the same
+    body as a generator under :meth:`Environment.spawn` with nobody
+    waiting on it (see the module docstring).
+
+    A chain must not reference an event it waits on that may never fire
+    (a lost message's delivery): the event's callback references the
+    chain, and the two are freed together by reference counting only
+    if that is the sole link.
+    """
+
+    __slots__ = ("env",)
+
+    def _start(self, step) -> None:
+        _bootstrap(self.env, step)
+
+    def _end(self) -> None:
+        # The unobserved completion of a detached spawn: one seq.
+        self.env._seq += 1
+
+
 class Process(Event):
     """Wraps a generator; the process event fires when the generator ends.
 
@@ -96,29 +160,13 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._detached = False
         self.name = name or getattr(generator, "__name__", "process")
-        # Bootstrap: resume on the next scheduler pass at the current
-        # time.  The init event is a bare slot-filled Event — it exists
-        # only to carry one callback through the heap once, so skipping
-        # the constructor saves a call frame per spawned process.  A
-        # pool was considered and rejected: resetting a pooled event
-        # costs the same writes as building a fresh one, and eager
-        # (push-free) starts would reorder schedules.
         # ``self._resume`` builds a fresh bound method on every access;
         # waiting on an event appends it to the event's callback list,
         # so without this cache every yield allocates one.  The cache
         # is a process <-> bound-method cycle; :meth:`_finish` breaks
         # it, so a finished process is freed by reference counting.
         self._resume_cb = resume = self._resume
-        init = Event.__new__(Event)
-        init.env = env
-        init.callbacks = [resume]
-        init._value = None
-        init._ok = True
-        init._triggered = True
-        init._processed = False
-        init._defused = False
-        env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now, PRIORITY_URGENT, seq, init))
+        _bootstrap(env, resume)
 
     @property
     def is_alive(self) -> bool:
@@ -291,11 +339,11 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing once all ``events`` fire."""
-        return AllOf(self, list(events))
+        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Composite event firing once any of ``events`` fires."""
-        return AnyOf(self, list(events))
+        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------
     def _schedule(self, event: Event, priority: int = PRIORITY_NORMAL,

@@ -18,7 +18,7 @@ contract; every inlined push must reproduce it exactly.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Iterable, List, Optional, TYPE_CHECKING
 
 from ..errors import SimulationError
 
@@ -148,8 +148,10 @@ class Condition(Event):
 
     __slots__ = ("events", "_pending_count")
 
-    def __init__(self, env: "Environment", events: List[Event]) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
+        # The one copy: ``Environment.all_of``/``any_of`` pass the
+        # caller's iterable straight through.
         self.events = list(events)
         self._pending_count = 0
         for ev in self.events:

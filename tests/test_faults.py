@@ -165,6 +165,34 @@ def test_net_fault_drop_eats_the_message():
     assert net.stats.dropped == 1
 
 
+@pytest.mark.parametrize("kind,fields", [
+    (FaultKind.NET_DELAY, {"delay": 1e-3}),
+    (FaultKind.SERVER_CRASH, {"server": 0, "duration": 0.1}),
+    (FaultKind.GC_STORM, {"duration": 0.1}),
+])
+def test_drop_prob_outside_net_drop_is_rejected(kind, fields):
+    # A net_delay window with a drop probability used to validate, log
+    # its drop_prob, and never drop: only net_drop windows get a drop
+    # RNG.
+    with pytest.raises(FaultError, match="drop_prob"):
+        FaultEvent(kind=kind, drop_prob=0.4, **fields).validate()
+    with pytest.raises(FaultError, match="drop_prob"):
+        FaultEvent.from_dict({"kind": kind.value, "drop_prob": 0.4,
+                              **fields})
+    FaultEvent(kind=kind, **fields).validate()
+
+
+def test_net_fault_with_drop_prob_needs_an_rng():
+    env = Environment()
+    net = _flat_net(env)
+    with pytest.raises(FaultError, match="rng"):
+        net.add_fault(NetFault(delay=1e-3, drop_prob=0.4))
+    assert net.faults_active == 0
+    net.add_fault(NetFault(delay=1e-3))
+    net.add_fault(NetFault(drop_prob=0.4, rng=rng_stream(1, "drop")))
+    assert net.faults_active == 2
+
+
 def test_net_fault_endpoints_scope_the_window():
     env = Environment()
     net = _flat_net(env)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Chain, Environment, Event, Interrupt
 
 
 def test_clock_starts_at_zero():
@@ -533,3 +533,81 @@ def test_cancel_keeps_the_schedule_of_every_other_event(seed):
     assert go(lambda env: env.run(), cancelling=True) == reference
     assert go(by_steps, cancelling=True) == reference
     assert len(reference[0]) == 30
+
+
+class _Ticker(Chain):
+    """Test chain: two waits on timeouts, a log entry per step."""
+
+    __slots__ = ("log", "fail_at")
+
+    def __init__(self, env, log, fail_at=None):
+        self.env = env
+        self.log = log
+        self.fail_at = fail_at
+        self._start(self._first)
+
+    def _first(self, _event):
+        self.log.append(("first", self.env.now))
+        self.env.timeout(1.0).callbacks.append(self._second)
+
+    def _second(self, _event):
+        self.log.append(("second", self.env.now))
+        if self.fail_at == "second":
+            raise ValueError("chain step failed")
+        self._end()
+
+
+def _ticker_body(env, log):
+    """The generator :class:`_Ticker` stands for."""
+    log.append(("first", env.now))
+    yield env.timeout(1.0)
+    log.append(("second", env.now))
+
+
+def test_chain_bootstrap_entry_equals_a_spawned_process():
+    env_p, env_c = Environment(), Environment()
+    env_p.timeout(0.5)
+    env_c.timeout(0.5)
+    env_p.spawn(_ticker_body(env_p, []))
+    _Ticker(env_c, [])
+    (tp, prio_p, seq_p, init_p), = [e for e in env_p._queue if e[2] == 2]
+    (tc, prio_c, seq_c, init_c), = [e for e in env_c._queue if e[2] == 2]
+    assert (tp, prio_p, seq_p) == (tc, prio_c, seq_c) == (0.0, 0, 2)
+    assert type(init_p) is type(init_c) is Event
+    assert init_p.env is env_p and init_c.env is env_c
+    for slot in ("_value", "_ok", "_triggered", "_processed", "_defused"):
+        assert getattr(init_p, slot) == getattr(init_c, slot), slot
+    assert len(init_p.callbacks) == len(init_c.callbacks) == 1
+
+
+def test_chain_end_consumes_exactly_one_seq():
+    """A chain schedules what its generator spawned detached schedules,
+    entry for entry, and its end consumes one seq like that spawn's
+    unobserved finish."""
+
+    def trace(start):
+        env = Environment()
+        log, popped = [], []
+        start(env, log)
+        env.timeout(3.0)
+        while env._queue:
+            popped.append(env._queue[0][:3])
+            env.step()
+        return log, popped, env._seq
+
+    gen = trace(lambda env, log: env.spawn(_ticker_body(env, log)))
+    chain = trace(_Ticker)
+    assert chain == gen
+    assert chain[0] == [("first", 0.0), ("second", 1.0)]
+    # bootstrap, timeout, the later timeout, and the end's seq.
+    assert chain[2] == 4
+
+
+def test_exception_in_a_chain_step_surfaces_from_run():
+    env = Environment()
+    log = []
+    _Ticker(env, log, fail_at="second")
+    with pytest.raises(ValueError, match="chain step failed"):
+        env.run()
+    assert log == [("first", 0.0), ("second", 1.0)]
+    assert env.now == 1.0
