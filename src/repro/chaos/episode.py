@@ -29,7 +29,7 @@ check and the corpus replay assert.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from ..config import (AuditConfig, ClusterConfig, ObsConfig, RetryConfig,
                       ServerConfig)
@@ -76,8 +76,6 @@ def build_config(spec: Dict) -> ClusterConfig:
         from ..units import MiB
         config = config.with_ftl(
             capacity=max(8 * c["ssd_partition"], 64 * MiB))
-    if int(c.get("shards", 1) or 1) > 1:
-        config = config.with_shards(int(c["shards"]))
     config.validate()
     return config
 
@@ -138,8 +136,6 @@ def run_episode(spec: Dict) -> EpisodeResult:
     config = build_config(spec)
     workload = build_workload(spec)
     plan = FaultPlan.from_dict(spec["faults"])
-    if config.shards > 1:
-        return _run_episode_sharded(spec, config, workload, plan)
     cluster = Cluster(config, fault_plan=plan if len(plan) else None)
     env = cluster.env
     wall_start = time.monotonic()
@@ -200,98 +196,6 @@ def run_episode(spec: Dict) -> EpisodeResult:
         "recovery": recovery,
         "verdict": verdict,
         "fault_log": fault_log,
-    }
-    result["signature"] = episode_signature(result)
-    return result
-
-
-def _coordinator_guard(budget: Dict, wall_start: float):
-    """The sharded analog of :func:`_budget_guard`.
-
-    Runs at the coordinator between window barriers — never inside a
-    shard's event heap, so it cannot perturb event order.  Sim time is
-    read from the window end, engine events from the per-window heap
-    sequence deltas summed across shards (both deterministic); the
-    wall-clock backstop stays real-time.
-    """
-    state = {"events": 0}
-    sim_cap = budget["sim_time"]
-    event_cap = budget["events"]
-    wall_cap = budget["wall_clock"]
-
-    def guard(t_end: float, events: int) -> None:
-        state["events"] += events
-        if t_end > sim_cap:
-            raise EpisodeBudgetError(
-                f"episode passed {sim_cap}s of simulated time "
-                f"(window end {t_end:.3f}s) — livelock or runaway "
-                "workload")
-        if state["events"] > event_cap:
-            raise EpisodeBudgetError(
-                f"episode scheduled more than {event_cap} engine events")
-        if time.monotonic() - wall_start > wall_cap:
-            raise EpisodeBudgetError(
-                f"episode exceeded the {wall_cap}s real-time backstop")
-
-    return guard
-
-
-def _run_episode_sharded(spec: Dict, config, workload,
-                         plan: FaultPlan) -> EpisodeResult:
-    """The episode body on the partitioned-horizon engine.
-
-    Same phases and oracles as the serial path — run, settle past the
-    horizon, drain, judge — with the coordinator merging per-shard
-    verdicts, recovery counters, restoration findings and fault logs.
-    The fault-log entries additionally carry ``index`` (plan position)
-    and ``shard`` (the injector that drove the transition); broadcast
-    events legitimately log once per shard.
-    """
-    from ..sim.parallel import (_merge_audit, merge_fault_records,
-                                merge_recovery, run_sharded_episode)
-    wall_start = time.monotonic()
-    guard = _coordinator_guard(spec["budget"], wall_start)
-    out = run_sharded_episode(
-        config, workload, fault_plan=plan if len(plan) else None,
-        settle_until=plan.horizon() + SETTLE_SLACK,
-        warm_runs=spec["workload"]["warm_runs"], guard=guard)
-    summaries = out["summaries"]
-
-    status, error = "ok", None
-    if out["error"] is not None:
-        exc = out["error"]
-        status, error = _classify(exc), f"{type(exc).__name__}: {exc}"
-
-    verdict = _merge_audit(config, summaries)
-    recovery = merge_recovery(summaries)
-    failures = []
-    if status != "ok":
-        failures.append(status)
-    if not verdict["ok"]:
-        failures.append("audit:" + "+".join(verdict["checks"]))
-    elif verdict["watchdog_fired"]:
-        failures.append("watchdog")
-    if status == "ok" and recovery["exhausted_subrequests"] > 0:
-        failures.append("retry-exhausted")
-    if out["settled"]:
-        failures.extend(sorted(out["restoration"]))
-
-    fault_log = [{"time": round(r["time"], 9), "phase": r["phase"],
-                  "event": r["event"], "index": r["index"],
-                  "shard": r["shard"]}
-                 for r in merge_fault_records(summaries)]
-    result: EpisodeResult = {
-        "spec": spec,
-        "status": status,
-        "ok": not failures,
-        "failures": failures,
-        "error": error,
-        "makespan": round(max(s["now"] for s in summaries), 9),
-        "recovery": recovery,
-        "verdict": verdict,
-        "fault_log": fault_log,
-        "shards": config.shards,
-        "windows": out["windows"],
     }
     result["signature"] = episode_signature(result)
     return result

@@ -197,16 +197,4 @@ def sample_spec(seed: int, index: int) -> Dict:
         plan = FaultPlan(events=tuple(events), name=plan.name)
         plan.validate()
         spec["faults"] = plan.to_dict()
-    # Shard-count sampling extends the substream the same append-only
-    # way (older (seed, index) pairs replay unchanged).  Shards beyond
-    # the server or rank count would leave empty shards idling at every
-    # barrier, so the candidate set is capped; chaos workloads use no
-    # barriers/collectives, so the sharded engine's rejection matrix
-    # never fires.
-    cluster["shards"] = 1
-    if rng.random() < 0.35:
-        cap = min(cluster["num_servers"], workload["nprocs"])
-        options = [s for s in (2, 4) if s <= cap]
-        if options:
-            cluster["shards"] = _pick(rng, options)
     return spec

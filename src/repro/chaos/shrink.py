@@ -148,12 +148,6 @@ def _param_candidates(spec: Dict) -> List:
         node[path[-1]] = value
         out.append((desc, cand))
 
-    if c.get("shards", 1) > 1:
-        # Most valuable reduction first: a bug that still reproduces on
-        # the serial engine is far easier to step through.
-        patch("shards=1", ("cluster", "shards"), 1)
-        if c["shards"] > 2:
-            patch("shards=2", ("cluster", "shards"), 2)
     if w["warm_runs"]:
         patch("drop warm run", ("workload", "warm_runs"), 0)
     for nprocs in (2, w["nprocs"] // 2):

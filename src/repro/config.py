@@ -541,28 +541,6 @@ class ClusterConfig:
     primary_store: str = "hdd"
     seed: int = 20130520
 
-    # ---- partitioned-horizon parallel execution (repro.sim.parallel) --
-    #: Shards the cluster is partitioned over.  ``1`` (default) is the
-    #: serial engine, bit-identical to every run before this knob
-    #: existed.  ``> 1`` round-robins servers and client nodes across
-    #: shards, one :class:`~repro.sim.core.Environment` per shard, all
-    #: stepped in this process by a conservative time-window protocol
-    #: on the network boundary (see DESIGN.md §14).  Sharding is a
-    #: determinism and differential harness, never a speedup.  Sharded
-    #: runs are deterministic for a fixed ``(seed, shards)`` pair but
-    #: are a *different* (coarser) network model than serial:
-    #: cross-shard messages pay sender-side overhead + wire time
-    #: locally and the propagation latency as the inter-shard
-    #: lookahead.
-    shards: int = 1
-    #: Synchronization lookahead in simulated seconds.  ``None`` uses
-    #: the safe value — the minimum configured link latency
-    #: (``network.latency``), below which no cross-shard message can be
-    #: delivered.  Larger values quantize cross-shard delivery times to
-    #: window boundaries (bounded, deterministic skew) in exchange for
-    #: fewer barriers; see docs/PERFORMANCE.md for the trade-off.
-    shard_lookahead: Optional[float] = None
-
     def validate(self) -> None:
         if self.num_servers < 1:
             raise ConfigError("need at least one data server")
@@ -576,15 +554,6 @@ class ClusterConfig:
             raise ConfigError("client_overhead must be non-negative")
         if self.client_jitter < 0:
             raise ConfigError("client_jitter must be non-negative")
-        if self.shards < 1:
-            raise ConfigError("shards must be >= 1")
-        if self.shard_lookahead is not None and self.shard_lookahead <= 0:
-            raise ConfigError("shard_lookahead must be positive (or None)")
-        if self.shards > 1 and self.network.latency <= 0 \
-                and self.shard_lookahead is None:
-            raise ConfigError("shards > 1 needs a positive network latency "
-                              "(or an explicit shard_lookahead) for the "
-                              "synchronization lookahead")
         self.hdd.validate()
         self.ssd.validate()
         self.hdd_scheduler.validate()
@@ -621,13 +590,6 @@ class ClusterConfig:
         """Copy of this config with observability enabled (+ overrides)."""
         obs = dataclasses.replace(self.obs, enabled=True, **overrides)
         return dataclasses.replace(self, obs=obs)
-
-    def with_shards(self, shards: int, **overrides) -> "ClusterConfig":
-        """Copy of this config partitioned over ``shards`` shards
-        (plus a ``shard_lookahead`` override)."""
-        cfg = dataclasses.replace(self, shards=shards, **overrides)
-        cfg.validate()
-        return cfg
 
     def without_ibridge(self) -> "ClusterConfig":
         """Copy of this config with iBridge disabled (the stock system)."""

@@ -21,8 +21,7 @@ from typing import List, Optional
 
 from ..config import AuditConfig, ObsConfig
 from .common import (DEFAULT_SCALE, set_default_audit, set_default_fault_plan,
-                     set_default_obs, set_default_shards,
-                     warn_if_oversubscribed)
+                     set_default_obs, warn_if_oversubscribed)
 from .registry import EXPERIMENTS, get
 from .runner import default_cache_dir, set_sweep_defaults
 
@@ -112,15 +111,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="worker processes for the experiment matrix "
                              "(default 1 = in-process; results are "
                              "bit-identical at any N)")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="partition every cluster into N shards "
-                             "stepped in this process by the "
-                             "partitioned-horizon engine, a determinism "
-                             "harness that never speeds a run up "
-                             "(default 1 = serial, bit-identical to the "
-                             "classic engine; composes with --fault-plan: "
-                             "the plan is partitioned across shard "
-                             "injectors)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk result "
                              "cache; every cell simulates from scratch")
@@ -181,9 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    set_default_shards(args.shards)
     # One warning, not one per cell: more pool workers than cores only
     # adds context-switch overhead.
     warn_if_oversubscribed(jobs=args.jobs)

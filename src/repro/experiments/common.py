@@ -10,7 +10,6 @@ self-contained.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -102,25 +101,6 @@ def set_default_obs(obs: Optional[ObsConfig]) -> None:
     _DEFAULT_OBS = obs
 
 
-#: Process-wide shard-count default applied by :func:`base_config` — set
-#: by the CLI's ``--shards`` flag so every experiment cluster is
-#: partitioned without per-experiment plumbing.  Like audit/obs it is
-#: part of the runner's cache-key context (``shards=1`` is bit-identical
-#: to serial, but >1 changes the engine and must never share cache rows
-#: with serial results).
-_DEFAULT_SHARDS: int = 1
-
-
-def set_default_shards(shards: int) -> None:
-    """Install the shard count experiments use (1 restores serial)."""
-    global _DEFAULT_SHARDS
-    _DEFAULT_SHARDS = max(1, int(shards))
-
-
-def default_shards() -> int:
-    return _DEFAULT_SHARDS
-
-
 #: Warn-once latch for :func:`warn_if_oversubscribed`.
 _oversubscribed_warned = False
 
@@ -128,8 +108,7 @@ _oversubscribed_warned = False
 def warn_if_oversubscribed(jobs: int = 1) -> bool:
     """Warn (once per process) when ``jobs`` worker processes exceed
     ``os.cpu_count()``: the extra ones only add context-switch
-    overhead.  Shards run in the calling process, so they never count.
-    Returns True if the warning fired."""
+    overhead.  Returns True if the warning fired."""
     global _oversubscribed_warned
     import os
     import warnings
@@ -151,8 +130,6 @@ def base_config(num_servers: int = 8, ibridge: bool = False,
         overrides["audit"] = _DEFAULT_AUDIT
     if _DEFAULT_OBS is not None and "obs" not in overrides:
         overrides["obs"] = _DEFAULT_OBS
-    if _DEFAULT_SHARDS != 1 and "shards" not in overrides:
-        overrides["shards"] = _DEFAULT_SHARDS
     cfg = ClusterConfig(num_servers=num_servers, **overrides)
     if ibridge:
         cfg = cfg.with_ibridge()
@@ -173,54 +150,17 @@ def scaled_ibridge(cfg: ClusterConfig, scale: float,
 
 
 def measure(cfg: ClusterConfig, workload: Workload, warm_runs: int = 0,
-            trace_disk: bool = False, fault_plan=None,
-            need_cluster: bool = False):
+            trace_disk: bool = False, fault_plan=None):
     """Build a fresh cluster, run the workload, return (result, cluster).
 
     ``fault_plan`` (or, when omitted, the process-wide default installed
     by :func:`set_default_fault_plan`) runs the workload under injected
     faults; the result then carries the fault/recovery telemetry.
-
-    ``cfg.shards > 1`` routes the run through the partitioned-horizon
-    engine (:func:`repro.sim.parallel.run_sharded_workload`); the
-    returned cluster is then ``None`` (each shard's cluster lives and
-    dies in its worker).  Callers that inspect the cluster afterwards
-    pass ``need_cluster=True`` (``trace_disk`` implies it) and get the
-    serial engine with a one-time warning.  Fault plans compose with
-    sharding: the plan is partitioned across per-shard injectors and
-    the merged result carries cluster-wide fault/recovery telemetry.
     """
     plan = fault_plan if fault_plan is not None else _DEFAULT_FAULT_PLAN
-    if cfg.shards > 1:
-        if trace_disk or need_cluster:
-            # The caller needs the finished cluster object (block
-            # tracers, audit runtime, ...); the sharded engine discards
-            # its per-shard clusters, so fall back to the serial engine.
-            _warn_serial_fallback()
-        else:
-            from ..sim.parallel import run_sharded_workload
-            result = run_sharded_workload(cfg, workload,
-                                          warm_runs=warm_runs,
-                                          fault_plan=plan)
-            return result, None
     cluster = Cluster(cfg, trace_disk=trace_disk, fault_plan=plan)
     result = run_workload(cluster, workload, warm_runs=warm_runs)
     return result, cluster
-
-
-_serial_fallback_warned = False
-
-
-def _warn_serial_fallback() -> None:
-    global _serial_fallback_warned
-    if _serial_fallback_warned:
-        return
-    _serial_fallback_warned = True
-    import warnings
-    warnings.warn(
-        "this experiment needs the finished cluster object; running it "
-        "on the serial engine despite shards > 1",
-        RuntimeWarning, stacklevel=3)
 
 
 def stock_vs_ibridge(make_workload: Callable[[], Workload], scale: float,

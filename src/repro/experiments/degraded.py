@@ -90,8 +90,7 @@ def run(scale: float = DEFAULT_SCALE, nprocs: int = 64,
                         use_sibling_term=False), False),
     ]
     for label, cfg, _sib in systems:
-        res, cluster = measure(cfg, MpiIoTest(**wl_args), fault_plan=plan,
-                               need_cluster=True)
+        res, cluster = measure(cfg, MpiIoTest(**wl_args), fault_plan=plan)
         if cfg.ibridge.enabled:
             slow = cluster.servers[degraded_server]
             others = [s for s in cluster.servers if s is not slow]

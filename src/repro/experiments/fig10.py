@@ -40,10 +40,8 @@ def run(scale: float = DEFAULT_SCALE,
 
     for np_ in procs:
         disk, _ = measure(disk_cfg, make_btio(np_, scale, steps))
-        ssd, ssd_cluster = measure(ssd_cfg, make_btio(np_, scale, steps),
-                                   need_cluster=True)
-        ib, ib_cluster = measure(ib_cfg, make_btio(np_, scale, steps),
-                                 need_cluster=True)
+        ssd, ssd_cluster = measure(ssd_cfg, make_btio(np_, scale, steps))
+        ib, ib_cluster = measure(ib_cfg, make_btio(np_, scale, steps))
         vs_ssd = ((ssd.makespan - ib.makespan) / ssd.makespan * 100
                   if ssd.makespan else 0)
         ssd_setup = ssd_setup_per_request(ssd_cluster)

@@ -63,7 +63,7 @@ def run(scale: float = DEFAULT_SCALE, nprocs: int = 64,
     ]
     for label, cfg in systems:
         wl = _make_workload(scale, nprocs, steps)
-        res, cluster = measure(cfg, wl, need_cluster=True)
+        res, cluster = measure(cfg, wl)
         tp_mio = _part_throughput(cluster.requests, wl.rank_range(0))
         tp_btio = _part_throughput(cluster.requests, wl.rank_range(1))
         agg = res.throughput_mib_s

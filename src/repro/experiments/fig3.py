@@ -133,7 +133,7 @@ def run(scale: float = DEFAULT_SCALE, ks: Sequence[int] = (1, 2, 3, 4, 5, 6, 7),
                                             cfg.num_servers, unit,
                                             iterations=iterations * 2)
                 wl = CompositeWorkload([main, reader], name=f"fig3-k{k}")
-                _res, cluster = measure(cfg, wl, need_cluster=True)
+                _res, cluster = measure(cfg, wl)
                 tps.append(_part_throughput(cluster.requests, wl.rank_range(0)))
             loss = (tps[0] - tps[1]) / tps[0] * 100 if tps[0] else 0.0
             losses.append(loss)

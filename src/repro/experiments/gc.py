@@ -78,8 +78,7 @@ def _cell(scale: float, nprocs: int, policy: str) -> Dict[str, float]:
     """One policy's run; returns the row's raw figures."""
     args = _workload_args(scale, nprocs)
     cfg = _config(policy, args["file_size"])
-    res, cluster = measure(cfg, MpiIoTest(**args), warm_runs=2,
-                           need_cluster=True)
+    res, cluster = measure(cfg, MpiIoTest(**args), warm_runs=2)
     lat = res.latency_stats()
     drives = [s.ssd for s in cluster.servers]
     ftls = [d.ftl for d in drives if d.ftl is not None]

@@ -48,9 +48,9 @@ from .. import __version__
 
 #: Bump when cached results become incompatible (cell wire format or
 #: engine semantics change in a result-affecting way).
-#: 3: the shard count joined the context token (partitioned-horizon
-#: engine) — sharded and serial results must never share cache rows.
-CACHE_SCHEMA = 3
+#: 4: the partition count left the context token and ``ClusterConfig``
+#: lost its two partitioning fields (the partitioned engine was deleted).
+CACHE_SCHEMA = 4
 
 #: Default cache location (relative to the working directory) when
 #: ``REPRO_CACHE_DIR`` is unset.  Resolved lazily by
@@ -141,39 +141,37 @@ def cell(fn: str, **kwargs: Any) -> Cell:
 
 
 # --------------------------------------------------------------- context
-def _current_context() -> Tuple[Any, Any, Any, Any]:
+def _current_context() -> Tuple[Any, Any, Any]:
     """The process-wide defaults a cell's result depends on.
 
     The audit config changes event schedules (the watchdog process
     consumes heap sequence numbers), the obs config likewise (the
-    metrics sampler is a sim process), the fault plan changes behaviour
-    outright, and the shard count swaps the engine — all must be part
-    of the cache key and must be re-installed inside worker processes.
+    metrics sampler is a sim process), and the fault plan changes
+    behaviour outright — all must be part of the cache key and must be
+    re-installed inside worker processes.
     """
     from . import common
     return (common._DEFAULT_AUDIT, common._DEFAULT_FAULT_PLAN,
-            common._DEFAULT_OBS, common._DEFAULT_SHARDS)
+            common._DEFAULT_OBS)
 
 
-def _context_token(context: Tuple[Any, Any, Any, Any]) -> Any:
-    audit, plan, obs, shards = context
+def _context_token(context: Tuple[Any, Any, Any]) -> Any:
+    audit, plan, obs = context
     return {
         "audit": stable_token(audit),
         "fault_plan": None if plan is None else plan.to_dict(),
         "obs": stable_token(obs),
-        "shards": int(shards),
     }
 
 
-def _worker_init(context: Tuple[Any, Any, Any, Any]) -> None:
-    """Install the parent's audit/fault/obs/shard defaults in a worker."""
+def _worker_init(context: Tuple[Any, Any, Any]) -> None:
+    """Install the parent's audit/fault/obs defaults in a worker."""
     from .common import (set_default_audit, set_default_fault_plan,
-                         set_default_obs, set_default_shards)
-    audit, plan, obs, shards = context
+                         set_default_obs)
+    audit, plan, obs = context
     set_default_audit(audit)
     set_default_fault_plan(plan)
     set_default_obs(obs)
-    set_default_shards(shards)
 
 
 def _execute(spec: Tuple[str, Tuple[Tuple[str, Any], ...]]) -> Any:
@@ -203,7 +201,7 @@ def null_context_token() -> Any:
     the submitting process's state, so the service cache stays
     interoperable with plain (flag-less) CLI runs.
     """
-    return _context_token((None, None, None, 1))
+    return _context_token((None, None, None))
 
 
 def cell_key(c: Cell, context_token: Any = None) -> str:

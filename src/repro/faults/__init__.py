@@ -11,7 +11,7 @@ replays bit-identically.
 
 from .device import FaultableDevice, faultable
 from .health import restoration_failures
-from .injector import FaultInjector, partition_events
+from .injector import FaultInjector
 from .plan import (ALL_KINDS, FaultEvent, FaultKind, FaultPlan, FaultRecord,
                    fail_slow, gc_storm, server_outage, ssd_outage)
 
@@ -26,7 +26,6 @@ __all__ = [
     "fail_slow",
     "faultable",
     "gc_storm",
-    "partition_events",
     "restoration_failures",
     "server_outage",
     "ssd_outage",

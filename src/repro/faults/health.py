@@ -1,19 +1,11 @@
 """Post-recovery health checks: did every fault window actually heal?
 
-:func:`restoration_failures` is the restoration oracle shared by the
-chaos episode runner and the sharded coordinator.  It reads a settled
-cluster — one run past its plan's horizon and drained — and reports
-every wound the recovery paths failed to close: a server still crashed,
-a block queue still paused, an iBridge manager still in SSD-bypass
-mode, a GC storm still active, or an injector log whose ``begin``
-transitions outnumber its ``end``\\ s.
-
-On a sharded cluster the function sees one *shard's* view: remote
-server stubs carry no devices and are skipped, and the log-balance
-check counts only the events partitioned to the local injector
-(:attr:`FaultInjector.events`), so each shard's answer covers exactly
-the faults it drives.  The coordinator concatenates the per-shard
-lists — the union is the fleet check the serial oracle performs.
+:func:`restoration_failures` is the chaos episode runner's restoration
+oracle.  It reads a settled cluster — one run past its plan's horizon
+and drained — and reports every wound the recovery paths failed to
+close: a server still crashed, a block queue still paused, an iBridge
+manager still in SSD-bypass mode, a GC storm still active, or an
+injector log whose ``begin`` transitions outnumber its ``end``\\ s.
 """
 
 from __future__ import annotations
@@ -25,8 +17,6 @@ def restoration_failures(cluster) -> List[str]:
     """Post-settle recovery checks; every entry is one unhealed wound."""
     out = []
     for server in cluster.servers:
-        if server.is_remote:
-            continue
         if server.crashed:
             out.append(f"restore:server{server.id}-still-crashed")
         if server.ssd_queue.paused:
@@ -42,10 +32,10 @@ def restoration_failures(cluster) -> List[str]:
         records = cluster.faults.records
         begun = sum(1 for r in records if r.phase == "begin")
         ended = sum(1 for r in records if r.phase == "end")
-        local = cluster.faults.events
-        finite = sum(1 for _idx, e in local if e.duration is not None)
-        if begun != len(local) or ended != finite:
+        events = cluster.faults.plan.events
+        finite = sum(1 for e in events if e.duration is not None)
+        if begun != len(events) or ended != finite:
             out.append(f"restore:fault-log-unbalanced"
-                       f"({begun}/{len(local)} begun,"
+                       f"({begun}/{len(events)} begun,"
                        f" {ended}/{finite} ended)")
     return out

@@ -32,23 +32,11 @@ deterministic log, used by replay tests) and — when the run is audited —
 emitted as ``fault_begin`` / ``fault_end`` trace events.  Fail-stop
 kinds that legitimately stall block queues are flagged to the audit
 runtime so the livelock watchdog stands down for the window.
-
-Sharded runs (``repro.sim.parallel``) pass a
-:class:`~repro.sim.parallel.ShardContext` as ``shard``: the plan is
-then *partitioned* — each server/device-targeted event installs only on
-the shard that owns its target, while network windows and correlated
-fleet-wide events (``gc_storm`` with ``server=None``) install on every
-shard (the sender leg of a cross-shard message runs on the client's
-shard, the reply leg on the server's, so a net window must exist on
-both sides to be honored).  Events keep their *plan* index through the
-partition, so the drop-RNG substream key ``fault:<plan>:<idx>:drop`` is
-identical no matter which shard drives the event — and ``shards=1``
-consumes the streams exactly like the serial injector.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from ..net import NetFault
 from ..util.rng import rng_stream
@@ -63,48 +51,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: audit watchdog must not read the stall as a livelock).
 _STALLING = frozenset({FaultKind.DEVICE_FAIL, FaultKind.SERVER_CRASH})
 
-#: Kinds installed on *every* shard of a partitioned run.  Network
-#: windows affect message legs played on both endpoints' shards; a
-#: ``gc_storm`` without a target server storms each shard's local
-#: drives.  Everything else targets one server and installs only on
-#: the owning shard.
-_BROADCAST_KINDS = frozenset({FaultKind.NET_DELAY, FaultKind.NET_DROP})
-
-
-def partition_events(plan: FaultPlan, shard) -> List[Tuple[int, FaultEvent]]:
-    """The ``(plan_index, event)`` pairs one shard installs.
-
-    ``shard=None`` (the serial build) installs everything.  Indices are
-    plan positions, not partition positions — they key the drop-RNG
-    substreams and the merged-record sort, both of which must not
-    depend on how the plan was split.
-    """
-    pairs = list(enumerate(plan.events))
-    if shard is None:
-        return pairs
-    out = []
-    for idx, ev in pairs:
-        if ev.kind in _BROADCAST_KINDS or ev.server is None:
-            out.append((idx, ev))
-        elif shard.owns_server(ev.server):
-            out.append((idx, ev))
-    return out
-
-
 class FaultInjector:
     """Schedules and reverts the faults of one plan on one cluster."""
 
     def __init__(self, cluster: "Cluster", plan: FaultPlan,
-                 audit: Optional["AuditRuntime"] = None,
-                 shard=None) -> None:
+                 audit: Optional["AuditRuntime"] = None) -> None:
         plan.validate()
         self.cluster = cluster
         self.plan = plan
-        self.shard = shard
-        #: The (plan index, event) pairs this injector drives — the
-        #: whole plan serially, this shard's slice under partitioning.
-        self.events: List[Tuple[int, FaultEvent]] = partition_events(
-            plan, shard)
         self.env = cluster.env
         self.audit = audit if audit is not None else cluster.audit
         #: Chronological fault transitions (replay-determinism log).
@@ -125,9 +79,7 @@ class FaultInjector:
                     f"has {nservers}")
             if ev.kind in (FaultKind.DEVICE_SLOW, FaultKind.DEVICE_FAIL):
                 server = self.cluster.servers[ev.server]
-                if ev.device == "hdd" and not server.is_remote:
-                    # Remote stubs have no devices; the owning shard
-                    # runs the same bound check on the real server.
+                if ev.device == "hdd":
                     ndisks = len(server.disks)
                     if ev.disk >= ndisks:
                         raise FaultError(
@@ -136,16 +88,16 @@ class FaultInjector:
 
     # ------------------------------------------------------- installation
     def install(self) -> "FaultInjector":
-        """Wrap targeted devices and start one driver per local event."""
+        """Wrap targeted devices and start one driver per event."""
         if self._installed:
             return self
         self._installed = True
-        for _idx, ev in self.events:
+        for ev in self.plan.events:
             if ev.kind in (FaultKind.DEVICE_SLOW, FaultKind.DEVICE_FAIL):
                 self._wrap(ev)
         # Driver creation order == plan order; the heap's sequence-number
         # tie-break then makes simultaneous windows apply in plan order.
-        for idx, ev in self.events:
+        for idx, ev in enumerate(self.plan.events):
             self.env.process(self._drive(idx, ev),
                              name=f"fault:{idx}:{ev.kind.value}")
         return self
@@ -300,11 +252,9 @@ class FaultInjector:
     def _begin_gc_storm(self, ev: FaultEvent, idx: int):
         # ``server=None`` is the correlated multi-device form: every
         # drive in the fleet storms at once.  Storm state nests (a depth
-        # counter on the drive), so overlapping windows compose.  Under
-        # sharding the fleet form installs on every shard and each shard
-        # storms only the drives it owns — the union is the fleet.
+        # counter on the drive), so overlapping windows compose.
         if ev.server is None:
-            servers = [s for s in self.cluster.servers if not s.is_remote]
+            servers = self.cluster.servers
         else:
             servers = [self.cluster.servers[ev.server]]
         drives = [s.ssd for s in servers]

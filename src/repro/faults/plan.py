@@ -333,9 +333,9 @@ class FaultRecord:
     phase: str          # "begin" | "end"
     event: FaultEvent
     detail: dict = field(default_factory=dict)
-    #: Position of ``event`` in its plan.  Partition-independent: a
-    #: sharded injector records the same index the serial one does, so
-    #: merged logs sort and compare across shard counts.
+    #: Position of ``event`` in its plan, so a record names its event
+    #: unambiguously even when two plan events are equal (it is carried
+    #: into ``result.fault_events`` and the chaos fault log).
     index: int = -1
 
     def signature(self) -> tuple:

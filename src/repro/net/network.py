@@ -134,23 +134,6 @@ class Network:
         _Transfer(self, src, dst, int(nbytes), done, span)
         return done
 
-    def send_local_leg(self, src: str, dst: str, nbytes: int = 0) -> Event:
-        """The *sender-side half* of a cross-shard message.
-
-        Used by :mod:`repro.sim.parallel` when ``dst`` lives on another
-        shard: the message pays its software overhead, fault effects,
-        and egress wire time here, and the returned event fires at the
-        local *departure* instant with value ``True`` (or ``False`` if a
-        drop-fault window ate the message — the record must then not be
-        posted to the mailbox).  The propagation latency is paid on the
-        receiving shard (arrival = departure + latency); the remote
-        ingress NIC is not modelled — the documented fidelity loss of
-        the sharded network boundary (DESIGN.md §14).
-        """
-        done = self.env.event()
-        _LocalLeg(self, src, dst, int(nbytes), done, None)
-        return done
-
 
 class _Transfer(Chain):
     """One message, as a callback chain: software overhead, fault
@@ -158,9 +141,6 @@ class _Transfer(Chain):
 
     __slots__ = ("net", "src", "dst", "nbytes", "done", "span", "egress",
                  "ingress")
-
-    #: ``done``'s value at delivery.
-    delivered = None
 
     def __init__(self, net: Network, src: str, dst: str, nbytes: int,
                  done: Event, span) -> None:
@@ -182,8 +162,12 @@ class _Transfer(Chain):
         if net._faults:
             extra_delay, dropped = net._fault_effects(self.src, self.dst)
             if dropped:
+                # The message is lost; ``done`` never fires.
                 net.stats.dropped += 1
-                self._dropped()
+                span = self.span
+                if span is not None:
+                    span.annotate(dropped=True)
+                    net.obs.finish(span, self.env.now)
                 self._end()
                 return
             if extra_delay > 0.0:
@@ -191,13 +175,6 @@ class _Transfer(Chain):
                 self.env.timeout(extra_delay).callbacks.append(self._wire)
                 return
         self._wire(None)
-
-    def _dropped(self) -> None:
-        """The message is lost; ``done`` never fires."""
-        span = self.span
-        if span is not None:
-            span.annotate(dropped=True)
-            self.net.obs.finish(span, self.env.now)
 
     def _wire(self, _event) -> None:
         if self.nbytes > 0:
@@ -236,29 +213,5 @@ class _Transfer(Chain):
         stats.wire_time += nbytes / net.config.bandwidth
         if self.span is not None and net.obs is not None:
             net.obs.finish(self.span, self.env.now)
-        self.done.succeed(self.delivered)
+        self.done.succeed()
         self._end()
-
-
-class _LocalLeg(_Transfer):
-    """The sender-side half of a cross-shard message (see
-    :meth:`Network.send_local_leg`): egress NIC only, no latency;
-    ``done`` fires ``True`` at departure, ``False`` on a drop."""
-
-    __slots__ = ()
-
-    delivered = True
-
-    def _dropped(self) -> None:
-        # Departure never happens: the record must not be posted.
-        self.done.succeed(False)
-
-    # No ingress NIC: the wire time starts once egress is held.
-    _egress_held = _Transfer._ingress_held
-
-    def _wired(self, _event: Event) -> None:
-        self.egress.resource.release(self.egress)
-        self._delivered(None)
-
-    def _on_wire(self, _event) -> None:
-        self._delivered(None)

@@ -25,8 +25,8 @@ package makes that visible per request instead of only in aggregate:
   bounded ring buffer, differencing cumulative series into rates, with
   event-driven marks for fault windows and GC storms.
 * :mod:`repro.obs.report` — the ``python -m repro.obs.report`` CLI that
-  joins trace + metrics + timeline (+ shard barrier profile) into one
-  console/markdown run report.
+  joins trace + metrics + timeline into one console/markdown run
+  report.
 
 Everything is flag-gated (``ObsConfig.enabled``) following the
 ``BlockTracer`` pattern: with observability off, instrumented sites

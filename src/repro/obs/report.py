@@ -4,19 +4,16 @@ Usage::
 
     python -m repro.obs.report --trace trace.jsonl \
         --timeline timeline.jsonl [--metrics metrics.jsonl] \
-        [--shard-profile profile.json] [--format console|markdown] \
-        [--out report.md]
+        [--format console|markdown] [--out report.md]
 
 Joins the three telemetry artifacts a traced run leaves behind — the
 span JSONL (where did each request's latency go), the metrics JSONL
 (what was the final state), and the timeline JSONL (how did the run
-evolve) — plus the sharded engine's barrier profile, into one report:
+evolve) — into one report:
 
 * the critical-path straggler table with a per-request magnification
   CDF (the paper's striping-magnification effect as percentiles);
 * one sparkline + min/mean/p99/last line per timeline series;
-* the shard barrier-profile table (bottleneck shard, parallel
-  efficiency, projected speedup) when a profile JSON is given;
 * fault-window and GC-storm annotations pulled from timeline marks.
 
 Every section is optional: the report renders whatever artifacts it is
@@ -27,7 +24,6 @@ summaries; the default console format prints them bare.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -124,16 +120,6 @@ def metrics_section(path: str) -> List[str]:
     return lines
 
 
-def shard_section(path: str) -> List[str]:
-    from ..sim.parallel import format_shard_profile
-    with open(path, "r", encoding="utf-8") as fh:
-        profile = json.load(fh)
-    # Accept either the raw extra dict or a whole result-extra dump.
-    if "windows" not in profile and "shard_profile" in profile:
-        profile = profile["shard_profile"]
-    return [format_shard_profile(profile)]
-
-
 def render(sections: List[tuple], markdown: bool) -> str:
     out: List[str] = []
     if markdown:
@@ -156,21 +142,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
         description="Render a unified run report from trace, metrics, "
-                    "timeline, and shard-profile artifacts.")
+                    "and timeline artifacts.")
     parser.add_argument("--trace", help="span JSONL (from --trace-out)")
     parser.add_argument("--metrics", help="metrics JSONL")
     parser.add_argument("--timeline", help="timeline JSONL")
-    parser.add_argument("--shard-profile",
-                        help="shard_profile JSON (sharded runs)")
     parser.add_argument("--format", choices=("console", "markdown"),
                         default="console")
     parser.add_argument("--out", help="write the report here instead of "
                                       "stdout")
     args = parser.parse_args(argv)
-    if not (args.trace or args.metrics or args.timeline
-            or args.shard_profile):
-        parser.error("give at least one of --trace/--metrics/--timeline/"
-                     "--shard-profile")
+    if not (args.trace or args.metrics or args.timeline):
+        parser.error("give at least one of --trace/--metrics/--timeline")
 
     sections: List[tuple] = []
     if args.trace:
@@ -181,9 +163,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         sections.append(("Fault / GC windows", marks_section(rows)))
     if args.metrics:
         sections.append(("Metrics", metrics_section(args.metrics)))
-    if args.shard_profile:
-        sections.append(("Shard barrier profile",
-                         shard_section(args.shard_profile)))
 
     text = render(sections, markdown=args.format == "markdown")
     if args.out:

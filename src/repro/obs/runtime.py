@@ -87,8 +87,6 @@ class ObsRuntime:
         if tracer is not None and cluster.audit is not None:
             self.attach_event_trace(cluster.audit.trace)
         for server in cluster.servers:
-            if getattr(server, "is_remote", False):
-                continue  # stub relays have no queues/devices to wire
             server.obs = tracer
             if self.timeline is not None:
                 # GC-storm edges become event-driven timeline marks.

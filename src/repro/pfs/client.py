@@ -124,15 +124,7 @@ class PFSClient:
 
     def _attempt(self, sub: SubRequest, attempt_done: Event) -> None:
         """Start one attempt; a reply succeeds ``attempt_done``."""
-        server = self.servers[sub.server]
-        if server.is_remote:
-            # Sharded run, server owned by another shard: the stub plays
-            # the sender leg and posts to the shard mailbox; the reply
-            # record (delivered at a window barrier) succeeds
-            # ``attempt_done`` directly.
-            server.round_trip(self, sub, attempt_done)
-        else:
-            _Attempt(self, sub, server, attempt_done)
+        _Attempt(self, sub, self.servers[sub.server], attempt_done)
 
 
 # ------------------------------------------------------------------ chains

@@ -47,7 +47,7 @@ class Cluster:
     def __init__(self, config: Optional[ClusterConfig] = None,
                  trace_disk: bool = False,
                  hdd_overrides: Optional[Dict[int, object]] = None,
-                 fault_plan=None, shard=None) -> None:
+                 fault_plan=None) -> None:
         """Build the cluster.
 
         ``hdd_overrides`` maps a server id to an :class:`HDDConfig` used
@@ -57,21 +57,10 @@ class Cluster:
 
         ``fault_plan`` (a :class:`repro.faults.FaultPlan`) installs a
         fault injector over the finished cluster; the injector is
-        exposed as :attr:`faults`.  Combined with ``shard`` the plan is
-        *partitioned*: this injector drives only the events targeting
-        locally-owned servers, plus broadcast kinds (network windows,
-        fleet-wide storms) — see ``repro.faults.partition_events``.
-
-        ``shard`` (a :class:`repro.sim.parallel.ShardContext`) builds
-        this cluster as one shard of a partitioned run: servers owned by
-        other shards become :class:`~repro.pfs.remote.RemoteServerStub`
-        relays, and every manager/daemon/drain only touches the local
-        servers.  ``None`` (the default) is the ordinary whole-cluster
-        build.
+        exposed as :attr:`faults`.
         """
         self.config = config or ClusterConfig()
         self.config.validate()
-        self.shard = shard
         self.env = Environment()
         self.layout = StripeLayout(self.config.stripe_unit,
                                    self.config.num_servers)
@@ -89,10 +78,6 @@ class Cluster:
         # own view; the MDS broadcast updates them all).
         self.servers: List[DataServer] = []
         for i in range(self.config.num_servers):
-            if shard is not None and not shard.owns_server(i):
-                from .remote import RemoteServerStub
-                self.servers.append(RemoteServerStub(self.env, i, shard))
-                continue
             server_cfg = self.config
             if i in overrides:
                 import dataclasses
@@ -115,8 +100,7 @@ class Cluster:
                 self.env, self.config.ssd.gc_policy,
                 self.config.ssd.gc_stagger_slot)
             for server in self.servers:
-                if not server.is_remote:
-                    self.gc_coordinator.register(server.ssd)
+                self.gc_coordinator.register(server.ssd)
         self._clients: Dict[int, PFSClient] = {}
         self.requests: List[ParentRequest] = []
         # Observability: one tracer + metrics registry for the whole
@@ -130,8 +114,8 @@ class Cluster:
         self.faults = None
         if fault_plan is not None and len(fault_plan):
             from ..faults import FaultInjector
-            self.faults = FaultInjector(self, fault_plan, audit=self.audit,
-                                        shard=shard).install()
+            self.faults = FaultInjector(self, fault_plan,
+                                        audit=self.audit).install()
             if self.obs is not None:
                 # Fault begin/end records double as timeline marks.
                 self.obs.attach_faults(self.faults)
@@ -172,8 +156,6 @@ class Cluster:
         SSD data has been written back to the disks."""
         done = []
         for server in self.servers:
-            if server.is_remote:
-                continue
             proc = self.env.process(server.drain(),
                                     name=f"{server.name}-drain")
             done.append(proc)
@@ -195,7 +177,7 @@ class Cluster:
     @property
     def total_bytes_moved(self) -> int:
         return sum(s.stats.bytes_read + s.stats.bytes_written
-                   for s in self.servers if not s.is_remote)
+                   for s in self.servers)
 
     def ibridge_stats(self):
         """Aggregated iBridge counters across servers (None if disabled)."""
@@ -204,8 +186,6 @@ class Cluster:
         from ..core.manager import IBridgeStats
         agg = IBridgeStats()
         for server in self.servers:
-            if server.is_remote:
-                continue
             st = server.ibridge.stats
             for field_name in vars(st):
                 setattr(agg, field_name,

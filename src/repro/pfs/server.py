@@ -53,10 +53,6 @@ class DiskUnit:
 class DataServer:
     """One data server node."""
 
-    #: Sharded execution marker (see :mod:`repro.pfs.remote`): a real
-    #: server serves locally; a stub relays across the shard boundary.
-    is_remote = False
-
     def __init__(self, env: Environment, server_id: int, config: ClusterConfig,
                  profile: SeekProfile, t_table: Optional[GlobalTTable] = None,
                  trace_disk: bool = False,

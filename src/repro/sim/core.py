@@ -12,10 +12,9 @@ the completion of a :meth:`~Environment.spawn`-ed process that finishes
 successfully with no waiters, the end of a :class:`Chain`, and a
 timeout withdrawn with :meth:`~Environment.cancel`.  None could be
 observed (no callback would run), so every other event keeps its seq,
-its order and its time, and ``_seq`` deltas (event budgets, per-window
-event counts) read as if all had been dispatched.  A cancelled timeout stays in the heap (so
-:meth:`~Environment.peek` reads as before) and is skipped without
-advancing the clock.
+its order and its time, and ``_seq`` deltas (event budgets) read as if
+all had been dispatched.  A cancelled timeout stays in the heap and is
+skipped without advancing the clock.
 
 Callback chains (:class:`Chain`) are processes written by hand as
 step methods, for the per-sub-request paths where a generator and a
@@ -358,19 +357,12 @@ class Environment:
         Its callbacks are dropped, so whatever waited on it is no longer
         kept alive by it; waiting on it afterwards raises
         :class:`SimulationError`.  The heap entry stays where it is and
-        the dispatch loops skip it without advancing the clock.  It is
-        deliberately not removed early: :meth:`peek` keeps reporting it
-        until it is skipped, because the sharded engine's window
-        schedule is built from ``peek`` and must not change.
+        the dispatch loops skip it without advancing the clock.
         """
         if not isinstance(timeout, Timeout):
             raise SimulationError(f"cannot cancel {timeout!r}: not a timeout")
         if timeout.callbacks is not None:
             timeout.callbacks = _CANCELLED
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def queue_snapshot(self, limit: Optional[int] = None) -> List[Tuple[float, int, int, str]]:
         """The pending event queue as ``(time, priority, seq, label)``.

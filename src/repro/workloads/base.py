@@ -160,8 +160,6 @@ def _reset_measurement_state(cluster: Cluster) -> None:
     for client in cluster._clients.values():
         client._rng = rng_stream(cluster.config.seed, f"client:{client.id}")
     for server in cluster.servers:
-        if getattr(server, "is_remote", False):
-            continue  # sharded build: stubs have no devices to reset
         for unit in server.disks:
             unit.hdd.reset_stats()
             unit.hdd._head = 0

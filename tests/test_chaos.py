@@ -20,9 +20,9 @@ from repro.pfs import Cluster
 from repro.units import KiB, MiB
 from repro.workloads import MpiIoTest, run_workload
 
-from repro.chaos import (episode_signature, load_corpus, replay_reproducer,
-                         run_episode, sample_spec, save_reproducer,
-                         shrink_spec)
+from repro.chaos import (episode_signature, fuzz, load_corpus,
+                         replay_reproducer, run_episode, sample_spec,
+                         save_reproducer, shrink_spec)
 from repro.chaos.corpus import Reproducer
 from repro.chaos.shrink import _ddmin, failure_kinds
 
@@ -196,50 +196,17 @@ def test_episode_is_deterministic():
     assert a["fault_log"] == b["fault_log"]
 
 
-def test_sharded_episode_is_deterministic():
-    # Seed-0 index 3 samples shards=4 (the generator's append-only
-    # extension); the sharded episode body must replay bit-identically
-    # and log every fault transition with its driving shard.
-    spec = sample_spec(0, 3)
-    assert spec["cluster"]["shards"] > 1
-    a = run_episode(spec)
-    b = run_episode(spec)
-    assert a["ok"] and b["ok"]
-    assert a["shards"] == spec["cluster"]["shards"]
-    assert a["signature"] == b["signature"]
-    assert a["signature"] == episode_signature(a)
-    assert a["fault_log"] == b["fault_log"]
-    for entry in a["fault_log"]:
-        assert 0 <= entry["shard"] < spec["cluster"]["shards"]
-        assert entry["index"] >= 0
+#: ``python -m repro.chaos --seed 0 --episodes 25`` — the fixed CI
+#: campaign.  Any change to sampling, episode bodies or the signature
+#: moves it; change it only on purpose.
+SEED0_CAMPAIGN_DIGEST = (
+    "768006892f26d4f95293fde66051c0ac3ab56c9671cb52e67c95f21243b883fe")
 
 
-def test_sharded_episode_budget_guard_fires():
-    spec = copy.deepcopy(sample_spec(0, 3))
-    assert spec["cluster"]["shards"] > 1
-    spec["budget"]["sim_time"] = 0.0001  # first window already beyond
-    result = run_episode(spec)
-    assert result["status"] == "budget-exceeded"
-    assert "budget-exceeded" in result["failures"]
-    assert not result["ok"]
-
-
-def test_generator_caps_shards_to_topology():
-    seen = set()
-    for i in range(80):
-        spec = sample_spec(0, i)
-        s = spec["cluster"]["shards"]
-        seen.add(s)
-        assert s <= min(spec["cluster"]["num_servers"],
-                        spec["workload"]["nprocs"])
-    assert seen >= {1, 2}  # the campaign actually fuzzes the engine
-
-
-def test_shrink_tries_the_serial_engine_first():
-    from repro.chaos.shrink import _param_candidates
-    spec = copy.deepcopy(sample_spec(0, 3))
-    descs = [d for d, _ in _param_candidates(spec)]
-    assert descs[0] == "shards=1"
+def test_seed0_campaign_digest_is_pinned():
+    report = fuzz(seed=0, episodes=25, shrink=False)
+    assert len(report.results) == 25 and not report.failures
+    assert report.digest == SEED0_CAMPAIGN_DIGEST
 
 
 def test_episode_rejects_unknown_schema():

@@ -5,7 +5,6 @@ module's constants as-is; each finishes in seconds.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

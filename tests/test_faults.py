@@ -14,9 +14,8 @@ from repro.config import ClusterConfig, NetworkConfig
 from repro.devices import HardDisk, Op
 from repro.errors import (DeviceFailedError, FaultError, ReproError,
                           RequestTimeoutError)
-from repro.faults import (FaultEvent, FaultKind, FaultPlan, FaultableDevice,
-                          fail_slow, faultable, gc_storm, server_outage,
-                          ssd_outage)
+from repro.faults import (FaultEvent, FaultKind, FaultPlan, fail_slow,
+                          faultable, gc_storm, server_outage, ssd_outage)
 from repro.net import Network, NetFault
 from repro.pfs import Cluster
 from repro.sim import Environment

@@ -1,11 +1,10 @@
 """Differential test: the round-trip callback chains against the
 generator processes they replaced.
 
-The client request, the client's retry loop and attempts, the network
-message legs and the remote-stub attempt run as
-:class:`~repro.sim.Chain` subclasses.  The functions between the
-``verbatim`` markers are the generator bodies those chains replaced,
-copied unchanged (with the ``submit``/``send``/``send_local_leg``
+The client request, the client's retry loop and attempts, and the
+network message legs run as :class:`~repro.sim.Chain` subclasses.  The
+functions between the ``verbatim`` markers are the generator bodies
+those chains replaced, copied unchanged (with the ``submit``/``send``
 entry points that spawned them); :func:`_install_generators` puts them
 back on their classes.  Every cell below runs once on the chains and
 once on the generators, recording each popped heap entry by wrapping
@@ -13,14 +12,13 @@ once on the generators, recording each popped heap entry by wrapping
 
 * the popped ``(time, priority, seq)`` stream and each final ``_seq``;
 * every client's recovery counters and ``outstanding``;
-* every network's :class:`~repro.net.NetworkStats`;
+* the network's :class:`~repro.net.NetworkStats`;
 * the span tree of traced cells, ``run_digest``, and the error of a
   run that exhausts its retries.
 
 The cells cover stock and iBridge paths, fault plans (message loss,
 message delay with late replies, a server crash and restart, retry
-exhaustion, the ``retry.total_timeout`` cap), retry disabled, and
-2-shard runs (remote attempts and local legs).
+exhaustion, the ``retry.total_timeout`` cap) and retry disabled.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -44,10 +41,10 @@ from repro.pfs import messages
 from repro.pfs.client import PFSClient
 from repro.pfs.cluster import Cluster
 from repro.pfs.messages import ParentRequest, SubRequest
-from repro.pfs.remote import RemoteServerStub
 from repro.sim import Event, core
-from repro.sim.parallel import run_digest, run_sharded_workload
+from repro.sim.parallel import run_digest
 from repro.units import KiB, MiB
+from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
 
 # ---------------------------------------------------------------- verbatim
@@ -144,13 +141,6 @@ def _sub_round_trip(self, sub: SubRequest) -> Event:
     finished = env.event()
 
     def attempt(attempt_done: Event):
-        if server.is_remote:
-            # Sharded run, server owned by another shard: the stub
-            # plays the sender leg and posts to the shard mailbox;
-            # the reply record (delivered at a window barrier)
-            # succeeds ``attempt_done`` directly.
-            yield from server.round_trip(self, sub, attempt_done)
-            return
         req_payload = sub.nbytes if sub.op is Op.WRITE else 0
         yield self.network.send(self.name, server.name, req_payload,
                                 obs_parent=sub.span)
@@ -261,50 +251,6 @@ def send(self, src: str, dst: str, nbytes: int = 0,
     return done
 
 
-def send_local_leg(self, src: str, dst: str, nbytes: int = 0) -> Event:
-    """The *sender-side half* of a cross-shard message.
-
-    Used by :mod:`repro.sim.parallel` when ``dst`` lives on another
-    shard: the message pays its software overhead, fault effects,
-    and egress wire time here, and the returned event fires at the
-    local *departure* instant with value ``True`` (or ``False`` if a
-    drop-fault window ate the message — the record must then not be
-    posted to the mailbox).  The propagation latency is paid on the
-    receiving shard (arrival = departure + latency); the remote
-    ingress NIC is not modelled — the documented fidelity loss of
-    the sharded network boundary (DESIGN.md §14).
-    """
-    done = self.env.event()
-    self.env.spawn(self._local_leg(src, dst, int(nbytes), done),
-                   name=f"net:{src}=>{dst}")
-    return done
-
-
-def _local_leg(self, src: str, dst: str, nbytes: int, done: Event):
-    env = self.env
-    cfg = self.config
-    yield env.timeout(cfg.message_overhead)
-    if self._faults:
-        extra_delay, dropped = self._fault_effects(src, dst)
-        if dropped:
-            self.stats.dropped += 1
-            done.succeed(False)
-            return
-        if extra_delay > 0.0:
-            self.stats.fault_delay_time += extra_delay
-            yield env.timeout(extra_delay)
-    wire = nbytes / cfg.bandwidth
-    if nbytes > 0:
-        eg = self._nic(self._egress, src).request()
-        yield eg
-        yield env.timeout(wire)
-        self._nic(self._egress, src).release(eg)
-    self.stats.messages += 1
-    self.stats.bytes += nbytes
-    self.stats.wire_time += wire
-    done.succeed(True)
-
-
 def _transfer(self, src: str, dst: str, nbytes: int, done: Event,
               span=None):
     env = self.env
@@ -343,28 +289,6 @@ def _transfer(self, src: str, dst: str, nbytes: int, done: Event,
     done.succeed()
 
 
-def round_trip(self, client: "PFSClient", sub: "SubRequest",
-               attempt_done: Event):
-    """Generator body of one cross-shard RPC attempt.
-
-    Runs inside the client's attempt process.  Completion does not
-    happen here: the reply record delivered at a future window
-    barrier succeeds ``attempt_done`` (shared across attempts, so a
-    late reply to an earlier attempt still completes the
-    sub-request — the retry-storm fix applies across shards too).
-    """
-    req_payload = sub.nbytes if sub.op is Op.WRITE else 0
-    departed = client.network.send_local_leg(client.name, self.name,
-                                             req_payload)
-    ok = yield departed
-    if not ok:
-        return  # dropped by a fault window: the attempt is lost
-    # Strip the span before the wire: span trees are per-shard
-    # (the server shard opens no job spans for remote subs).
-    self.shard.post_request(self, client.name,
-                            replace(sub, span=None), attempt_done, sub)
-
-
 # ------------------------------------------------------------ /verbatim
 
 GENERATORS = (
@@ -372,10 +296,7 @@ GENERATORS = (
     (PFSClient, "_request", _request),
     (PFSClient, "_sub_round_trip", _sub_round_trip),
     (Network, "send", send),
-    (Network, "send_local_leg", send_local_leg),
-    (Network, "_local_leg", _local_leg),
     (Network, "_transfer", _transfer),
-    (RemoteServerStub, "round_trip", round_trip),
 )
 
 
@@ -397,17 +318,11 @@ def _observe(monkeypatch, make, generators: bool) -> dict:
     """Run one cell; everything the two paths must agree on."""
     cfg, wl, plan, warm_runs = make()
     popped = []
-    clusters = []
-    cluster_init = Cluster.__init__
 
     def pop(heap):
         entry = heapq.heappop(heap)
         popped.append(entry[:3])
         return entry
-
-    def tracked_init(self, *args, **kwargs):
-        cluster_init(self, *args, **kwargs)
-        clusters.append(self)
 
     with monkeypatch.context() as m:
         if generators:
@@ -415,23 +330,22 @@ def _observe(monkeypatch, make, generators: bool) -> dict:
         for module, name in ID_COUNTERS:
             m.setattr(module, name, itertools.count(1))
         m.setattr(core, "heappop", pop)
-        m.setattr(Cluster, "__init__", tracked_init)
+        cluster = Cluster(cfg, fault_plan=plan)
         result = error = None
         try:
-            result = run_sharded_workload(cfg, wl, warm_runs=warm_runs,
-                                          fault_plan=plan)
+            result = run_workload(cluster, wl, warm_runs=warm_runs)
         except FaultError as exc:
             error = (type(exc).__name__, str(exc))
-    spans = [[(s.trace_id, s.span_id, s.parent_id, s.name, s.start, s.end)
-              for s in cl.obs.tracer.spans]
-             for cl in clusters if cl.obs is not None
-             and cl.obs.tracer is not None]
+    tracer = cluster.obs.tracer if cluster.obs is not None else None
+    spans = [] if tracer is None else [
+        (s.trace_id, s.span_id, s.parent_id, s.name, s.start, s.end)
+        for s in tracer.spans]
     return {
         "popped": popped,
-        "seq": [cl.env._seq for cl in clusters],
+        "seq": cluster.env._seq,
         "clients": [[getattr(c, k) for k in CLIENT_COUNTERS]
-                    for cl in clusters for c in cl._clients.values()],
-        "net": [dataclasses.asdict(cl.network.stats) for cl in clusters],
+                    for c in cluster._clients.values()],
+        "net": dataclasses.asdict(cluster.network.stats),
         "spans": spans,
         "digest": None if result is None else run_digest(result),
         "error": error,
@@ -505,12 +419,6 @@ CELLS = {
     "retry_disabled": lambda: (
         ClusterConfig(num_servers=4, seed=3).with_retry(enabled=False),
         _writes(), _delay(), 0),
-    "sharded_stock_read": lambda: (
-        ClusterConfig(num_servers=4, seed=3).with_shards(2), _reads(),
-        None, 0),
-    "sharded_ibridge_net_drop": lambda: (
-        _ibridge(retry=_lossy().retry).with_shards(2), _writes(),
-        _drop(), 1),
 }
 
 
@@ -544,7 +452,7 @@ def test_cells_reach_the_paths_they_are_here_for(monkeypatch):
         return obs, totals
 
     drop, totals = run("net_drop")
-    assert drop["net"][0]["dropped"] > 0 and totals["retries"] > 0
+    assert drop["net"]["dropped"] > 0 and totals["retries"] > 0
     stragglers.clear()
     _, totals = run("net_delay")
     # Late replies complete sub-requests both during a backoff sleep
@@ -558,7 +466,4 @@ def test_cells_reach_the_paths_they_are_here_for(monkeypatch):
     capped, totals = run("retry_total_timeout")
     assert "wall-clock" in capped["error"][1]
     assert totals["wallclock_exhausted"] >= 1
-    sharded, _ = run("sharded_ibridge_net_drop")
-    assert len(sharded["seq"]) == 2
-    assert sum(n["dropped"] for n in sharded["net"]) > 0
-    assert run("ibridge_read_traced")[0]["spans"][0]
+    assert run("ibridge_read_traced")[0]["spans"]

@@ -12,12 +12,14 @@ The two properties the whole design hangs on:
 
 import dataclasses
 import enum
+import warnings
 
 import pytest
 
 from repro.config import AuditConfig
 from repro.experiments import common as exp_common
 from repro.experiments import fig2
+from repro.experiments.common import warn_if_oversubscribed
 from repro.experiments.runner import (Cell, ResultCache, cell, run_cells,
                                       set_sweep_defaults, stable_hash,
                                       stable_token, sweep)
@@ -225,3 +227,14 @@ def test_cell_key_and_null_context_token(tmp_path):
     assert default_context_token() == null_context_token()
     assert cell_key(c) == c.key(default_context_token())
     assert cell_key(c, null_context_token()) == cell_key(c)
+
+
+def test_oversubscription_warns_once(monkeypatch):
+    monkeypatch.setattr(exp_common, "_oversubscribed_warned", False)
+    import os
+    cpus = os.cpu_count() or 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert warn_if_oversubscribed(jobs=cpus + 1) is True
+        assert warn_if_oversubscribed(jobs=cpus + 1) is False
+    assert len(caught) == 1

@@ -220,10 +220,8 @@ def test_yield_non_event_is_error():
 def test_peek_and_step():
     env = Environment()
     env.timeout(2.0)
-    assert env.peek() == 2.0
     env.step()
     assert env.now == 2.0
-    assert env.peek() == float("inf")
     with pytest.raises(SimulationError):
         env.step()
 
@@ -451,12 +449,9 @@ def test_cancelled_timeout_never_fires_and_keeps_its_seq():
     t.callbacks.append(lambda ev: fired.append(env.now))
     env.timeout(1.0)
     env.cancel(t)
-    # Still visible to peek (the sharded window schedule reads it) ...
-    assert env.peek() == 1.0
     env.step()
-    assert env.peek() == 2.0
-    # ... but never dispatched, never snapshotted, and skipped without
-    # moving the clock.
+    # Never dispatched, never snapshotted, and skipped without moving
+    # the clock.
     assert env.queue_snapshot() == []
     env.run()
     assert fired == [] and env.now == 1.0

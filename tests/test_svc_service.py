@@ -8,9 +8,8 @@ import pytest
 from repro.experiments.runner import (cell, cell_key, encode_result,
                                       null_context_token)
 from repro.obs.metrics import parse_prometheus_text
-from repro.svc import (HttpQueue, JobStore, PeriodicTask, Scheduler,
-                       ServiceClient, ServiceError, Worker, make_server,
-                       nightly_chaos)
+from repro.svc import (HttpQueue, JobStore, Scheduler, ServiceClient,
+                       ServiceError, Worker, make_server, nightly_chaos)
 from repro.svc.scheduler import tasks_from_file
 from repro.svc.submissions import (campaign_submission, cell_submission,
                                    parse_submission)

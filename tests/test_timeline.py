@@ -264,23 +264,6 @@ def test_report_cli_requires_an_input():
     assert exc.value.code == 2
 
 
-def test_report_cli_renders_shard_profile(tmp_path, capsys):
-    from repro.obs import report
-    from repro.sim.parallel import run_sharded_workload
-
-    cfg = ClusterConfig(num_servers=4, client_jitter=0.0, shards=2)
-    result = run_sharded_workload(
-        cfg, MpiIoTest(nprocs=4, request_size=65 * KiB,
-                       file_size=1 * MiB))
-    path = tmp_path / "profile.json"
-    path.write_text(json.dumps(result.extra["shard_profile"]),
-                    encoding="utf-8")
-    assert report.main(["--shard-profile", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "parallel efficiency" in out
-    assert "projected speedup" in out
-
-
 # ------------------------------------------------------------ end to end
 def _traced_run(tmp_path, **obs_kwargs):
     cfg = ClusterConfig(num_servers=2, client_jitter=0.0) \
