@@ -1,13 +1,13 @@
-"""Wall-clock performance suite (events/sec, e2e runs, fig2 sweep).
+"""Observability overhead benchmarks (tracing tiers, span slab).
 
 Unlike the ``benchmarks/test_*`` accuracy benchmarks (which compare
-simulated numbers against the paper), this package measures how fast
-the simulator itself runs, and records the results as ``BENCH_<date>.json``
-at the repo root so the perf trajectory has data points.
+simulated numbers against the paper), this package times the
+simulator's telemetry: ``obs_bench`` runs one cell with each
+observability tier and ``span_bench`` times the span slab.  Simulator
+speed itself is measured by ``perfbench/`` (see perfbench/README.md).
 
 Usage::
 
-    PYTHONPATH=src python -m benchmarks.perf.run            # full suite
-    PYTHONPATH=src python -m benchmarks.perf.run --quick    # CI smoke
-    PYTHONPATH=src python -m benchmarks.perf.compare A.json B.json
+    PYTHONPATH=src python -m benchmarks.perf.obs_bench            # full, gated
+    PYTHONPATH=src python -m benchmarks.perf.obs_bench --quick    # CI smoke
 """

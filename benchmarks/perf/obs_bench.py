@@ -6,25 +6,31 @@ Runs the same unaligned mpi-io-test cell five ways — obs disabled
 target applies to), spans + metrics sampler, and the full stack plus
 the continuous timeline recorder at its default cadence — and reports
 wall seconds plus the relative overhead.  The disabled case is the one
-that matters for the perf baseline: every instrumented site must cost
-one attribute load and a ``None`` test, so its wall time must track
-the pre-observability engine numbers (``BASELINE.json``, checked by
-the micro suite).  The ``obs_timeline`` tier bounds the marginal cost
-of the timeline ticker over ``obs_full`` (its regression gate lives in
-``run.py``).
+every experiment runs: each instrumented site must cost one attribute
+load and a ``None`` test.  The ``obs_timeline`` tier bounds the
+marginal cost of the timeline ticker over ``obs_full``: outside
+``--quick`` the command fails if it exceeds 10 percentage points.  The
+span slab row (``span_bench``) is printed last.
 
 Methodology: tiers are **interleaved** round-robin and each overhead
 is the *median of per-round ratios* against the obs-off run of the
 same round.  Back-to-back tiers with min-of-N, the previous scheme,
 let host drift between tiers masquerade as (or hide) tracing cost;
 pairing within a round cancels it.
+
+::
+
+    PYTHONPATH=src python -m benchmarks.perf.obs_bench            # full, gated
+    PYTHONPATH=src python -m benchmarks.perf.obs_bench --quick    # CI smoke
 """
 
 from __future__ import annotations
 
+import argparse
 import statistics
+import sys
 import time
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.config import ClusterConfig
 from repro.devices.base import Op
@@ -32,6 +38,12 @@ from repro.pfs.cluster import Cluster
 from repro.units import KiB, MiB
 from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
+
+from . import span_bench
+
+#: Largest marginal overhead (percentage points) the timeline ticker may
+#: add over the spans+metrics tier in a full run.
+TIMELINE_BUDGET_PCT = 10.0
 
 
 def _run_once(obs_cfg: ClusterConfig, nprocs: int, file_size: int) -> float:
@@ -76,3 +88,45 @@ def run_all(quick: bool = False) -> Dict[str, Any]:
     report["obs_sampled"]["sample_n"] = 4
     report["obs_timeline"]["timeline_dt"] = 0.05
     return report
+
+
+def main(argv: Optional[list] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="benchmarks.perf.obs_bench",
+        description="Time the observability tiers and the span slab.")
+    parser.add_argument("--quick", action="store_true",
+                        help="tiny sizes (CI smoke; no overhead gate)")
+    args = parser.parse_args(argv)
+
+    obs = run_all(quick=args.quick)
+    print(f"  {'obs_off':14s} {obs['obs_off']['seconds']:.3f}s")
+    labels = {"obs_trace": "spans",
+              "obs_sampled": f"spans, 1-in-{obs['obs_sampled']['sample_n']}",
+              "obs_full": "spans+metrics",
+              "obs_timeline": "+timeline@"
+                              f"{obs['obs_timeline']['timeline_dt']:g}s"}
+    for name, label in labels.items():
+        print(f"  {name:14s} {obs[name]['seconds']:.3f}s "
+              f"({obs[name]['overhead_pct']:+.1f}%, {label})")
+    span_row = span_bench.span_alloc_bench(quick=args.quick)
+    print(f"  {'span_alloc':14s} unsampled "
+          f"{span_row['unsampled_ops_per_s']:,.0f} ops/s, "
+          f"1-in-{span_row['sample_n']} sampled "
+          f"{span_row['sampled_ops_per_s']:,.0f} ops/s "
+          f"({span_row['sampled_speedup']:.2f}x)")
+
+    # The timeline ticker rides the obs_full stack; its *marginal* cost
+    # over obs_full must stay small (quick sizes are too noisy for a
+    # percentage-point gate).
+    marginal = (obs["obs_timeline"]["overhead_pct"]
+                - obs["obs_full"]["overhead_pct"])
+    if not args.quick and marginal > TIMELINE_BUDGET_PCT:
+        print(f"FAIL: timeline recorder adds {marginal:.1f}% over the "
+              f"spans+metrics tier (> {TIMELINE_BUDGET_PCT:g}% budget)",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

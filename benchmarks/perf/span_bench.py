@@ -43,7 +43,3 @@ def span_alloc_bench(quick: bool = False) -> Dict[str, Any]:
         "sample_n": 4,
         "sampled_speedup": sampled / unsampled if unsampled else 0.0,
     }
-
-
-def run_all(quick: bool = False) -> Dict[str, Any]:
-    return {"span_alloc": span_alloc_bench(quick=quick)}

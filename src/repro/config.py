@@ -289,9 +289,6 @@ class IBridgeConfig:
     admit_reads: bool = True
     #: Use the striping-magnification sibling term of Eq. 3.
     use_sibling_term: bool = True
-    #: Write redirected data to the SSD log-structured store (paper
-    #: behaviour).  False = in-place SSD writes (ablation).
-    log_structured: bool = True
 
     def validate(self) -> None:
         if self.ssd_partition < 0:
@@ -358,7 +355,7 @@ class ObsConfig:
     Disabled by default, following the ``BlockTracer`` pattern: with
     ``enabled`` False no tracer or registry is built, instrumented
     sites see a ``None`` attribute, and a run pays one attribute load
-    per site (measured by ``benchmarks/perf/obs_bench.py``).
+    per site (``python -m benchmarks.perf.obs_bench`` times every tier).
     """
 
     enabled: bool = False

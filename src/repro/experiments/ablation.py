@@ -6,8 +6,6 @@ depends on so regressions in any of them are visible:
 * ``return_policy`` — the literal per-request Eq. 1 form vs the
   efficiency-normalized form (the literal form fails to bootstrap).
 * ``use_sibling_term`` — Eq. 3's striping magnification term.
-* ``log_structured`` — SSD log vs in-place SSD writes (Fig. 10's
-  ssd-only configuration shows the device-level version of this).
 * ``global_merge`` — Linux-style cross-process insert merging.
 """
 

@@ -11,11 +11,10 @@ self-contained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..analysis.report import format_table
 from ..config import AuditConfig, ClusterConfig, ObsConfig
-from ..devices.base import Op
 from ..pfs.cluster import Cluster
 from ..units import GiB, KiB, MiB
 from ..workloads.base import Workload, run_workload
@@ -161,21 +160,3 @@ def measure(cfg: ClusterConfig, workload: Workload, warm_runs: int = 0,
     cluster = Cluster(cfg, trace_disk=trace_disk, fault_plan=plan)
     result = run_workload(cluster, workload, warm_runs=warm_runs)
     return result, cluster
-
-
-def stock_vs_ibridge(make_workload: Callable[[], Workload], scale: float,
-                     num_servers: int = 8, warm_ibridge_reads: bool = False,
-                     op: Optional[Op] = None, **ib_overrides):
-    """Run the same workload on the stock system and with iBridge.
-
-    Returns (stock_result, ibridge_result).  ``warm_ibridge_reads``
-    performs the paper's prior-run warm pass for read workloads (the
-    fragments identified in one run are cached for the next).
-    """
-    stock_cfg = base_config(num_servers=num_servers)
-    ib_cfg = scaled_ibridge(base_config(num_servers=num_servers), scale,
-                            **ib_overrides)
-    stock, _ = measure(stock_cfg, make_workload())
-    warm = 1 if (warm_ibridge_reads and (op is None or op is Op.READ)) else 0
-    ib, _ = measure(ib_cfg, make_workload(), warm_runs=warm)
-    return stock, ib

@@ -31,7 +31,7 @@ package makes that visible per request instead of only in aggregate:
 Everything is flag-gated (``ObsConfig.enabled``) following the
 ``BlockTracer`` pattern: with observability off, instrumented sites
 cost one attribute load and a ``None`` test — no records, no spans, no
-sampler process (measured by ``benchmarks/perf/obs_bench.py``).
+sampler process (``python -m benchmarks.perf.obs_bench`` times every tier).
 """
 
 from .critical_path import RunReport, TraceReport, analyze, build_trees

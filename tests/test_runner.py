@@ -115,16 +115,20 @@ def test_sweep_uses_installed_defaults(tmp_path):
 
 
 # -- the headline property: fig2 serial == parallel --------------------
-def test_fig2_values_identical_serial_vs_parallel():
-    """fig2a at --jobs 1 and --jobs 4 produce bit-identical values."""
-    kwargs = dict(scale=0.001, sizes_kib=(64, 65), procs=(2, 4))
+@pytest.mark.parametrize("run, kwargs, n_values", [
+    (fig2.run_fig2a, dict(sizes_kib=(64, 65), procs=(2, 4)), 4),
+    (fig2.run_fig2b, dict(offsets_kib=(0, 10), procs=(2, 4)), 4),
+    (fig2.run_fig2cde, dict(nprocs=4), 6),
+], ids=["fig2a", "fig2b", "fig2cde"])
+def test_fig2_values_identical_serial_vs_parallel(run, kwargs, n_values):
+    """Each fig2 sub-run at --jobs 1 and --jobs 4 gives bit-identical values."""
     set_sweep_defaults(jobs=1, cache=False)
-    serial = fig2.run_fig2a(**kwargs)
+    serial = run(scale=0.001, **kwargs)
     set_sweep_defaults(jobs=4, cache=False)
-    parallel = fig2.run_fig2a(**kwargs)
+    parallel = run(scale=0.001, **kwargs)
     assert serial.values == parallel.values
     assert serial.rows == parallel.rows
-    assert len(serial.values) == 4
+    assert len(serial.values) == n_values
 
 
 # -- cache soundness ---------------------------------------------------
