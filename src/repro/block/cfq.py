@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from ..config import SchedulerConfig
 from .request import BlockRequest, Dispatch
-from .scheduler import Scheduler, SelectResult
+from .scheduler import Scheduler, SelectResult, _MergeIndex
 
 
 class _StreamQueue:
@@ -67,6 +67,9 @@ class CFQScheduler(Scheduler):
         self._active: Optional[int] = None
         self._idle_until: Optional[float] = None
         self._position = 0
+        #: Every queued dispatch, by start and by end: a merge scan that
+        #: could not merge is skipped in O(1).
+        self._index = _MergeIndex()
         self.insert_merges = 0
 
     # ------------------------------------------------------------- insert
@@ -81,7 +84,9 @@ class CFQScheduler(Scheduler):
         if q is None:
             q = _StreamQueue(req.stream)
             self._queues[req.stream] = q
-        q.add(Dispatch(req))
+        dispatch = Dispatch(req)
+        q.add(dispatch)
+        self._index.add(dispatch)
         if req.stream == self._active:
             # The anticipated request arrived; cancel the idle window.
             self._idle_until = None
@@ -89,6 +94,11 @@ class CFQScheduler(Scheduler):
     def _try_insert_merge(self, req: BlockRequest) -> bool:
         """Linux elv_merge: absorb ``req`` into a contiguous queued
         dispatch (any stream when global_merge, else same stream)."""
+        index = self._index
+        op = req.op
+        if ((op, req.lbn) not in index.ends
+                and (op, req.lbn + req.nbytes) not in index.starts):
+            return False
         limit = self.config.max_merge_bytes
         window = self.config.merge_window
         queues = (self._queues.values() if self.config.global_merge
@@ -98,10 +108,14 @@ class CFQScheduler(Scheduler):
                 if not dispatch.within_merge_window(req, window):
                     continue
                 if dispatch.can_back_merge(req, limit):
+                    index.discard(dispatch)
                     dispatch.back_merge(req)
+                    index.add(dispatch)
                     return True
                 if dispatch.can_front_merge(req, limit):
+                    index.discard(dispatch)
                     dispatch.front_merge(req)
+                    index.add(dispatch)
                     # Front merge moves the dispatch's start; re-sort.
                     q.dispatches.remove(dispatch)
                     q.add(dispatch)
@@ -155,14 +169,19 @@ class CFQScheduler(Scheduler):
                 return None, None
 
         dispatch = active_q.pop_next(self._position)
+        index = self._index
+        index.discard(dispatch)
         active_q.served_in_slice += 1
         limit = self.config.max_merge_bytes
         window = self.config.merge_window
 
         # Late merge within the active stream: absorb queued dispatches
-        # contiguous with the one being issued.
+        # contiguous with the one being issued.  A pass is skipped when
+        # no queued dispatch starts where it ends or ends where it
+        # starts, as it could not merge.
         merged = True
-        while merged:
+        while merged and ((dispatch.op, dispatch.end) in index.starts
+                          or (dispatch.op, dispatch.lbn) in index.ends):
             merged = False
             for other in list(active_q.dispatches):
                 if abs(other.born - dispatch.born) > window:
@@ -171,12 +190,14 @@ class CFQScheduler(Scheduler):
                         and other.lbn == dispatch.end
                         and dispatch.nbytes + other.nbytes <= limit):
                     active_q.dispatches.remove(other)
+                    index.discard(other)
                     dispatch.absorb(other)
                     merged = True
                 elif (dispatch.op is other.op
                         and other.end == dispatch.lbn
                         and dispatch.nbytes + other.nbytes <= limit):
                     active_q.dispatches.remove(other)
+                    index.discard(other)
                     dispatch.absorb_front(other)
                     merged = True
 

@@ -1,12 +1,12 @@
 """The device queue runner: glue between a scheduler and a device model.
 
 One :class:`BlockQueue` per physical device.  Submitted requests enter
-the scheduler; a single runner process repeatedly asks the scheduler
-for the next dispatch, charges the device model for it, records it in
-the tracer, and completes the member requests.  The runner honours CFQ
-idle hints (wait briefly for an anticipated request) and exposes idle
-state so iBridge's writeback daemon can run "during quiet I/O-device
-periods" as the paper specifies.
+the scheduler; a single runner (a callback chain) repeatedly asks the
+scheduler for the next dispatch, charges the device model for it,
+records it in the tracer, and completes the member requests.  The
+runner honours CFQ idle hints (wait briefly for an anticipated request)
+and exposes idle state so iBridge's writeback daemon can run "during
+quiet I/O-device periods" as the paper specifies.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from ..config import SchedulerConfig
 from ..devices.base import Device, Op
 from ..errors import StorageError
 from ..sim import Environment, Event
+from ..sim.core import _bootstrap
 from .blktrace import BlockTracer
 from .cfq import CFQScheduler
 from .request import BlockRequest, Dispatch
@@ -63,7 +64,14 @@ class BlockQueue:
         #: audit watchdog reads this to detect stalls: simulated time
         #: advancing while no request on any queue completes.
         self.completed = 0
-        env.process(self._run(), name=f"{name}-runner")
+        # The runner is a chain of the step methods below, started by
+        # the entry a process would push.  The queue lives as long as
+        # its device, so each step's bound method is made once.
+        self._dispatch: Optional[Dispatch] = None
+        self._next_step = self._next
+        self._anticipated_step = self._anticipated
+        self._served_step = self._served
+        _bootstrap(env, self._next_step)
 
     # -- public API ---------------------------------------------------
     def submit(self, op: Op, lbn: int, nbytes: int, stream: int = 0,
@@ -150,38 +158,48 @@ class BlockQueue:
         self._resume_evt = None
 
     # -- runner ---------------------------------------------------------
-    def _run(self):
+    # Steps of a callback chain (see repro.sim.Chain): each wait appends
+    # the next step to the awaited event.  tests/test_round_trip_chains.py
+    # keeps the generator this replaced and checks both schedule the
+    # same heap entries: keep statement order in step with it.
+    def _next(self, _event) -> None:
+        """Wait for, pick and issue the next dispatch."""
         env = self.env
         while True:
             if self._pause_depth:
                 if self._resume_evt is None:
                     self._resume_evt = env.event()
-                yield self._resume_evt
-                continue
+                self._resume_evt.callbacks.append(self._next_step)
+                return
             if self.scheduler.empty:
                 # Sleep until something arrives.
                 self._arrival = env.event()
-                yield self._arrival
-                continue
+                self._arrival.callbacks.append(self._next_step)
+                return
             dispatch, idle_until = self.scheduler.select(env.now)
-            if dispatch is None:
-                if idle_until is None:
-                    continue
+            if dispatch is not None:
+                self._issue(dispatch)
+                return
+            if idle_until is not None:
                 # CFQ anticipation: wait for either the idle deadline or
                 # a new arrival, whichever comes first.
                 arrival = self._arrival = env.event()
                 deadline = env.timeout(max(0.0, idle_until - env.now))
-                anticipation = env.any_of([arrival, deadline])
-                yield anticipation
-                if arrival.callbacks is not None:
-                    # Timed out with the arrival still pending: unhook
-                    # the condition, or the two keep each other alive
-                    # in a cycle once ``_arrival`` is replaced.
-                    arrival.callbacks.remove(anticipation._check)
-                continue
-            yield from self._serve(dispatch)
+                env.any_of([arrival, deadline]).callbacks.append(
+                    self._anticipated_step)
+                return
 
-    def _serve(self, dispatch: Dispatch):
+    def _anticipated(self, anticipation: Event) -> None:
+        arrival = self._arrival
+        if arrival.callbacks is not None:
+            # Timed out with the arrival still pending: unhook the
+            # condition, or the two keep each other alive in a cycle
+            # once ``_arrival`` is replaced.
+            arrival.callbacks.remove(anticipation._check)
+        self._next(None)
+
+    def _issue(self, dispatch: Dispatch) -> None:
+        """Charge the device for ``dispatch`` and wait out its service."""
         env = self.env
         self._busy = True
         # How long the device sat idle before this dispatch: rotational
@@ -197,10 +215,12 @@ class BlockQueue:
             tracer.record(env.now, dispatch.op, dispatch.lbn,
                           dispatch.nbytes, len(dispatch.members))
         obs = self.obs
-        # GC/storm share of this service time (SSD FTL model); exposed
-        # as its own span nested in the service span so critical_path
-        # attributes straggling stripe units to garbage collection.
-        gc_stall = getattr(self.device, "last_gc_stall", 0.0)
+        if obs is not None:
+            # GC/storm share of this service time (SSD FTL model);
+            # exposed as its own span nested in the service span so
+            # critical_path attributes straggling stripe units to
+            # garbage collection.
+            gc_stall = getattr(self.device, "last_gc_stall", 0.0)
         for member in dispatch.members:
             member.dispatch_time = env.now
             # Queue-wait ends at dispatch; the service span picks up as
@@ -220,7 +240,13 @@ class BlockQueue:
                         parent=member.span, dev=self.name,
                         stall=gc_stall)
                     obs.finish(gc_span, env.now + gc_stall)
-        yield env.timeout(service)
+        self._dispatch = dispatch
+        env.timeout(service).callbacks.append(self._served_step)
+
+    def _served(self, _event: Event) -> None:
+        env = self.env
+        dispatch = self._dispatch
+        obs = self.obs
         self._busy = False
         self._inflight -= len(dispatch.members)
         self._last_activity = env.now
@@ -237,3 +263,4 @@ class BlockQueue:
             waiters, self._drain_waiters = self._drain_waiters, []
             for ev in waiters:
                 ev.succeed()
+        self._next(None)

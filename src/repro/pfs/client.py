@@ -130,8 +130,9 @@ class PFSClient:
 # ------------------------------------------------------------------ chains
 # Each class below is one fire-and-forget process of the request path,
 # written as a :class:`~repro.sim.Chain` (step methods appended to the
-# events they wait on) rather than a generator, so a round trip spawns
-# one generator process (the server job) instead of about five.
+# events they wait on) rather than a generator, as are the server job
+# (pfs/server.py) and the block-queue runner (block/queue.py): a round
+# trip starts no process.
 # tests/test_round_trip_chains.py keeps the equivalent generator bodies
 # and checks both schedule the same heap entries: keep statement order
 # in step with them (events, RNG draws, spans and counters).

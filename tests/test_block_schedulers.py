@@ -1,13 +1,16 @@
 """Unit tests for the Noop, Deadline and CFQ schedulers."""
 
 import random
-from collections import Counter, deque
+from collections import Counter, OrderedDict, deque
+from typing import Optional
 
 import pytest
 
 from repro.block import (CFQScheduler, DeadlineScheduler, NoopScheduler,
                          Scheduler)
+from repro.block.cfq import _StreamQueue
 from repro.block.request import BlockRequest, Dispatch
+from repro.block.scheduler import SelectResult
 from repro.config import SchedulerConfig
 from repro.devices import Op
 from repro.sim import Environment
@@ -210,6 +213,134 @@ class ScanDeadlineScheduler(Scheduler):
         return dispatch, None
 
 
+class ScanCFQScheduler(Scheduler):
+    """The scan-based CFQ elevator before the merge index, verbatim."""
+
+    def __init__(self, config: SchedulerConfig) -> None:
+        super().__init__(config)
+        self._queues: "OrderedDict[int, _StreamQueue]" = OrderedDict()
+        self._active: Optional[int] = None
+        self._idle_until: Optional[float] = None
+        self._position = 0
+        self.insert_merges = 0
+
+    # ------------------------------------------------------------- insert
+    def add(self, req: BlockRequest) -> None:
+        self._pending += 1
+        if self._try_insert_merge(req):
+            self.insert_merges += 1
+            if req.stream == self._active:
+                self._idle_until = None
+            return
+        q = self._queues.get(req.stream)
+        if q is None:
+            q = _StreamQueue(req.stream)
+            self._queues[req.stream] = q
+        q.add(Dispatch(req))
+        if req.stream == self._active:
+            # The anticipated request arrived; cancel the idle window.
+            self._idle_until = None
+
+    def _try_insert_merge(self, req: BlockRequest) -> bool:
+        """Linux elv_merge: absorb ``req`` into a contiguous queued
+        dispatch (any stream when global_merge, else same stream)."""
+        limit = self.config.max_merge_bytes
+        window = self.config.merge_window
+        queues = (self._queues.values() if self.config.global_merge
+                  else [q for s, q in self._queues.items() if s == req.stream])
+        for q in queues:
+            for dispatch in q.dispatches:
+                if not dispatch.within_merge_window(req, window):
+                    continue
+                if dispatch.can_back_merge(req, limit):
+                    dispatch.back_merge(req)
+                    return True
+                if dispatch.can_front_merge(req, limit):
+                    dispatch.front_merge(req)
+                    # Front merge moves the dispatch's start; re-sort.
+                    q.dispatches.remove(dispatch)
+                    q.add(dispatch)
+                    return True
+        return False
+
+    # ------------------------------------------------------------- dispatch
+    def _rotate_to_next(self) -> Optional[_StreamQueue]:
+        """Advance round-robin to the next non-empty stream queue."""
+        if not self._queues:
+            return None
+        keys = list(self._queues.keys())
+        if self._active in self._queues:
+            start = keys.index(self._active) + 1
+        else:
+            start = 0
+        order = keys[start:] + keys[:start]
+        for key in order:
+            q = self._queues[key]
+            if q.dispatches:
+                q.served_in_slice = 0
+                self._active = key
+                return q
+            del self._queues[key]  # garbage-collect drained streams
+        return None
+
+    def select(self, now: float) -> SelectResult:
+        if self._pending == 0:
+            self._idle_until = None
+            return None, None
+
+        active_q = self._queues.get(self._active) if self._active is not None else None
+
+        if active_q is not None and not active_q.dispatches:
+            # Active stream is empty: idle briefly for its next request
+            # (CFQ anticipation), unless the window already expired.
+            if self.config.idle_window > 0:
+                if self._idle_until is None:
+                    self._idle_until = now + self.config.idle_window
+                if now < self._idle_until:
+                    return None, self._idle_until
+            self._idle_until = None
+            active_q = None
+
+        if active_q is not None and active_q.served_in_slice >= self.config.quantum:
+            active_q = None  # quantum exhausted, rotate
+
+        if active_q is None:
+            active_q = self._rotate_to_next()
+            if active_q is None:
+                return None, None
+
+        dispatch = active_q.pop_next(self._position)
+        active_q.served_in_slice += 1
+        limit = self.config.max_merge_bytes
+        window = self.config.merge_window
+
+        # Late merge within the active stream: absorb queued dispatches
+        # contiguous with the one being issued.
+        merged = True
+        while merged:
+            merged = False
+            for other in list(active_q.dispatches):
+                if abs(other.born - dispatch.born) > window:
+                    continue
+                if (dispatch.op is other.op
+                        and other.lbn == dispatch.end
+                        and dispatch.nbytes + other.nbytes <= limit):
+                    active_q.dispatches.remove(other)
+                    dispatch.absorb(other)
+                    merged = True
+                elif (dispatch.op is other.op
+                        and other.end == dispatch.lbn
+                        and dispatch.nbytes + other.nbytes <= limit):
+                    active_q.dispatches.remove(other)
+                    dispatch.absorb_front(other)
+                    merged = True
+
+        self._pending -= len(dispatch.members)
+        self._position = dispatch.end
+        self._idle_until = None
+        return dispatch, None
+
+
 UNIT = 4 * KiB
 MERGE_LIMIT = 16 * KiB
 WINDOW = 0.002
@@ -250,45 +381,65 @@ def random_requests(rng, env, now):
 
 
 def assert_index_mirrors_queue(sched):
-    queued = sched._queue if isinstance(sched, NoopScheduler) else sched._sorted
+    if isinstance(sched, CFQScheduler):
+        queued = [d for q in sched._queues.values() for d in q.dispatches]
+    elif isinstance(sched, NoopScheduler):
+        queued = sched._queue
+    else:
+        queued = sched._sorted
     assert sched._index.starts == Counter((r.op, r.lbn) for r in queued)
     assert sched._index.ends == Counter((r.op, r.end) for r in queued)
 
 
+def same_result(got, want):
+    """Two ``select`` results are the same dispatch (or the same hint)."""
+    (d, hint), (w, whint) = got, want
+    assert hint == whint and (d is None) == (w is None)
+    if d is not None:
+        assert (d.op, d.lbn, d.nbytes, [m.id for m in d.members]) == \
+            (w.op, w.lbn, w.nbytes, [m.id for m in w.members])
+
+
 @pytest.mark.parametrize("seed", range(40))
-@pytest.mark.parametrize("kind", ["noop", "deadline"])
+@pytest.mark.parametrize("kind", ["noop", "deadline", "cfq", "cfq_stream"])
 def test_merge_index_matches_scan(kind, seed):
     rng = random.Random(seed)
     env = Environment()
-    cfg = SchedulerConfig(kind=kind, max_merge_bytes=MERGE_LIMIT,
-                          merge_window=WINDOW)
+    cfq_kind = kind.startswith("cfq")
+    cfg = SchedulerConfig(kind="cfq" if cfq_kind else kind,
+                          max_merge_bytes=MERGE_LIMIT, merge_window=WINDOW,
+                          global_merge=kind != "cfq_stream", quantum=3)
     if kind == "noop":
         new, old = NoopScheduler(cfg), ScanNoopScheduler(cfg)
-    else:
+    elif kind == "deadline":
         new = DeadlineScheduler(cfg, max_age=0.003)
         old = ScanDeadlineScheduler(cfg, max_age=0.003)
+    else:
+        new, old = CFQScheduler(cfg), ScanCFQScheduler(cfg)
     now = 0.0
     for _ in range(120):
         now += rng.choice((0.0, 0.0002, 0.001, 0.0025))
         if rng.random() < 0.55:
             for req in random_requests(rng, env, now):
+                if cfq_kind:
+                    req.stream = rng.randrange(3)
                 new.add(req)
                 old.add(req)
         else:
-            got, _ = new.select(now)
-            want, _ = old.select(now)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert (got.lbn, got.nbytes, [m.id for m in got.members]) == \
-                    (want.lbn, want.nbytes, [m.id for m in want.members])
+            same_result(new.select(now), old.select(now))
         assert len(new) == len(old)
         assert_index_mirrors_queue(new)
     while len(old):
-        got, _ = new.select(now)
-        want, _ = old.select(now)
-        assert (got.lbn, got.nbytes, [m.id for m in got.members]) == \
-            (want.lbn, want.nbytes, [m.id for m in want.members])
+        got, want = new.select(now), old.select(now)
+        same_result(got, want)
+        assert_index_mirrors_queue(new)
+        if got[0] is None:
+            # CFQ idling on an empty active stream: wait it out.
+            assert got[1] is not None
+            now = got[1]
     assert len(new) == 0 and new.select(now) == (None, None)
+    if cfq_kind:
+        assert new.insert_merges == old.insert_merges
 
 
 # ---------------------------------------------------------------- CFQ

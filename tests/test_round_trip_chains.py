@@ -1,24 +1,29 @@
-"""Differential test: the round-trip callback chains against the
+"""Differential test: the request-path callback chains against the
 generator processes they replaced.
 
-The client request, the client's retry loop and attempts, and the
-network message legs run as :class:`~repro.sim.Chain` subclasses.  The
-functions between the ``verbatim`` markers are the generator bodies
-those chains replaced, copied unchanged (with the ``submit``/``send``
-entry points that spawned them); :func:`_install_generators` puts them
-back on their classes.  Every cell below runs once on the chains and
-once on the generators, recording each popped heap entry by wrapping
-``repro.sim.core.heappop``, and the two runs must agree on:
+The client request, the client's retry loop and attempts, the network
+message legs, the server job and the block-queue runner run as
+:class:`~repro.sim.Chain` steps.  The functions between the
+``verbatim`` markers are the generator bodies those chains replaced,
+copied unchanged (with the ``submit``/``send`` entry points that
+spawned them and the ``BlockQueue.__init__`` that started the runner);
+:func:`_install_generators` puts them back on their classes.  Every
+cell below runs once on the chains and once on the generators,
+recording each popped heap entry by wrapping ``repro.sim.core.heappop``,
+and the two runs must agree on:
 
 * the popped ``(time, priority, seq)`` stream and each final ``_seq``;
 * every client's recovery counters and ``outstanding``;
 * the network's :class:`~repro.net.NetworkStats`;
+* every server's job counters and every block queue's dispatch and
+  completion counts, the iBridge counters and the fault log;
 * the span tree of traced cells, ``run_digest``, and the error of a
   run that exhausts its retries.
 
 The cells cover stock and iBridge paths, fault plans (message loss,
 message delay with late replies, a server crash and restart, retry
-exhaustion, the ``retry.total_timeout`` cap) and retry disabled.
+exhaustion, the ``retry.total_timeout`` cap, and on iBridge a slow
+disk, an SSD fail-stop and a paused disk queue) and retry disabled.
 """
 
 from __future__ import annotations
@@ -27,21 +32,29 @@ import dataclasses
 import heapq
 import itertools
 
+from typing import List, Optional
+
 import pytest
 
 from repro.block import request as block_request
+from repro.block.blktrace import BlockTracer
+from repro.block.queue import BlockQueue
+from repro.block.request import Dispatch
+from repro.block.scheduler import Scheduler
 from repro.config import ClusterConfig
 from repro.core import mapping
-from repro.devices.base import Op
+from repro.devices.base import Device, Op
 from repro.errors import FaultError, RequestTimeoutError
-from repro.faults import FaultEvent, FaultKind, FaultPlan, server_outage
+from repro.faults import (FaultEvent, FaultKind, FaultPlan, fail_slow,
+                          server_outage, ssd_outage)
 from repro.net import network
 from repro.net.network import Network
 from repro.pfs import messages
 from repro.pfs.client import PFSClient
 from repro.pfs.cluster import Cluster
 from repro.pfs.messages import ParentRequest, SubRequest
-from repro.sim import Event, core
+from repro.pfs.server import DataServer
+from repro.sim import Environment, Event, core
 from repro.sim.parallel import run_digest
 from repro.units import KiB, MiB
 from repro.workloads.base import run_workload
@@ -289,6 +302,196 @@ def _transfer(self, src: str, dst: str, nbytes: int, done: Event,
     done.succeed()
 
 
+class _ServerGenerators:
+    """``DataServer``'s job generators, verbatim."""
+
+    def submit(self, sub: SubRequest) -> Event:
+        """Accept a sub-request; the event fires when it is served.
+
+        A crashed server accepts nothing: the returned event never
+        fires, and the client's timeout/retry path recovers.
+        """
+        done = self.env.event()
+        if self.crashed:
+            return done
+        obs = self.obs
+        span = None
+        if obs is not None and sub.span is not None:
+            span = obs.start(f"{self.name}.job", "server", sub.span.trace_id,
+                             self.env.now, parent=sub.span, server=self.id)
+        self.env.spawn(self._job(sub, done, self.epoch, span),
+                       name=f"{self.name}-job")
+        return done
+
+    def _job(self, sub: SubRequest, done: Event, epoch: int, span=None):
+        env = self.env
+        obs = self.obs
+        with self._slots.request() as slot:
+            if span is not None:
+                # Time spent waiting for a Trove I/O slot is queueing,
+                # not service — give it its own span.
+                wait = obs.start("slot.wait", "queue", span.trace_id,
+                                 env.now, parent=span)
+                yield slot
+                obs.finish(wait, env.now)
+            else:
+                yield slot
+            yield env.timeout(self.config.server.request_overhead)
+            self.stats.jobs += 1
+            if sub.op is Op.WRITE:
+                self.stats.bytes_written += sub.nbytes
+            else:
+                self.stats.bytes_read += sub.nbytes
+            unit = self._disk_of(sub.handle)
+            if unit.ibridge is not None and self.config.primary_store == "hdd":
+                yield from unit.ibridge.handle(sub, span)
+            else:
+                yield from self._stock_io(sub, span)
+        if span is not None:
+            obs.finish(span, env.now)
+        if self.crashed or self.epoch != epoch:
+            # The server crashed while this job was in flight: whatever
+            # the devices completed stays done, but the reply is lost.
+            # The client retries against the restarted server.
+            return
+        done.succeed(sub)
+
+    def _stock_io(self, sub: SubRequest, span=None):
+        """Serve directly from the primary store (no iBridge)."""
+        store = self.primary_store_for(sub.handle)
+        queue = self.primary_queue_for(sub.handle)
+        if sub.op is Op.WRITE:
+            ranges = store.ranges_for_write(sub.handle, sub.local_offset,
+                                            sub.nbytes)
+        else:
+            ranges = store.ranges_for_read(sub.handle, sub.local_offset,
+                                           sub.nbytes)
+        reqs = [queue.submit(sub.op, lbn, size, stream=sub.rank,
+                             obs_parent=span)
+                for lbn, size in ranges]
+        yield self.env.all_of([r.done for r in reqs])
+
+
+class _QueueGenerators:
+    """``BlockQueue``'s runner generators, verbatim."""
+
+    def __init__(self, env: Environment, device: Device,
+                 scheduler: Scheduler, tracer: Optional[BlockTracer] = None,
+                 name: str = "blkq") -> None:
+        self.env = env
+        self.device = device
+        self.scheduler = scheduler
+        # Note: an empty BlockTracer is falsy (it defines __len__), so an
+        # explicit None test is required here.
+        self.tracer = tracer if tracer is not None else BlockTracer(enabled=False)
+        #: Observability tracer (:class:`repro.obs.span.Tracer`); wired
+        #: by the cluster's ObsRuntime, None on untraced runs.
+        self.obs = None
+        self.name = name
+        self._arrival: Event = env.event()
+        self._busy = False
+        self._pause_depth = 0
+        self._resume_evt: Optional[Event] = None
+        self._inflight = 0
+        self._last_activity = env.now
+        self._last_service_end = env.now
+        self._drain_waiters: List[Event] = []
+        self.dispatches = 0
+        #: Block requests completed over the queue's lifetime.  The
+        #: audit watchdog reads this to detect stalls: simulated time
+        #: advancing while no request on any queue completes.
+        self.completed = 0
+        env.process(self._run(), name=f"{name}-runner")
+
+    def _run(self):
+        env = self.env
+        while True:
+            if self._pause_depth:
+                if self._resume_evt is None:
+                    self._resume_evt = env.event()
+                yield self._resume_evt
+                continue
+            if self.scheduler.empty:
+                # Sleep until something arrives.
+                self._arrival = env.event()
+                yield self._arrival
+                continue
+            dispatch, idle_until = self.scheduler.select(env.now)
+            if dispatch is None:
+                if idle_until is None:
+                    continue
+                # CFQ anticipation: wait for either the idle deadline or
+                # a new arrival, whichever comes first.
+                arrival = self._arrival = env.event()
+                deadline = env.timeout(max(0.0, idle_until - env.now))
+                anticipation = env.any_of([arrival, deadline])
+                yield anticipation
+                if arrival.callbacks is not None:
+                    # Timed out with the arrival still pending: unhook
+                    # the condition, or the two keep each other alive
+                    # in a cycle once ``_arrival`` is replaced.
+                    arrival.callbacks.remove(anticipation._check)
+                continue
+            yield from self._serve(dispatch)
+
+    def _serve(self, dispatch: Dispatch):
+        env = self.env
+        self._busy = True
+        # How long the device sat idle before this dispatch: rotational
+        # state decays across idle gaps (see HDDConfig.sweep_idle_reset).
+        idle_gap = max(0.0, env.now - self._last_service_end)
+        service = self.device.serve(dispatch.op, dispatch.lbn, dispatch.nbytes,
+                                    idle_gap=idle_gap)
+        self.dispatches += 1
+        # Zero-cost when tracing is off: skip the record() call frame
+        # (and its TraceRecord build) on every dispatch.
+        tracer = self.tracer
+        if tracer.enabled or tracer.sink is not None:
+            tracer.record(env.now, dispatch.op, dispatch.lbn,
+                          dispatch.nbytes, len(dispatch.members))
+        obs = self.obs
+        # GC/storm share of this service time (SSD FTL model); exposed
+        # as its own span nested in the service span so critical_path
+        # attributes straggling stripe units to garbage collection.
+        gc_stall = getattr(self.device, "last_gc_stall", 0.0)
+        for member in dispatch.members:
+            member.dispatch_time = env.now
+            # Queue-wait ends at dispatch; the service span picks up as
+            # a sibling (same parent) so the pair tiles [submit,
+            # complete] exactly for the critical-path analyzer.
+            span = member.span
+            if span is not None and obs is not None:
+                obs.finish(span, env.now)
+                member.span = obs.start(
+                    "blk.service", "service", span.trace_id, env.now,
+                    parent_id=span.parent_id, dev=self.name,
+                    op=dispatch.op.value, nbytes=member.nbytes,
+                    merged=len(dispatch.members))
+                if gc_stall > 0.0:
+                    gc_span = obs.start(
+                        "ssd.gc", "gc", span.trace_id, env.now,
+                        parent=member.span, dev=self.name,
+                        stall=gc_stall)
+                    obs.finish(gc_span, env.now + gc_stall)
+        yield env.timeout(service)
+        self._busy = False
+        self._inflight -= len(dispatch.members)
+        self._last_activity = env.now
+        self._last_service_end = env.now
+        self.completed += len(dispatch.members)
+        for member in dispatch.members:
+            member.complete_time = env.now
+            if member.span is not None and obs is not None:
+                obs.finish(member.span, env.now)
+            # Value None: a request -> done -> request value would be
+            # a reference cycle per I/O.
+            member.done.succeed()
+        if self._inflight == 0 and self._drain_waiters:
+            waiters, self._drain_waiters = self._drain_waiters, []
+            for ev in waiters:
+                ev.succeed()
+
+
 # ------------------------------------------------------------ /verbatim
 
 GENERATORS = (
@@ -297,6 +500,12 @@ GENERATORS = (
     (PFSClient, "_sub_round_trip", _sub_round_trip),
     (Network, "send", send),
     (Network, "_transfer", _transfer),
+    (DataServer, "submit", _ServerGenerators.submit),
+    (DataServer, "_job", _ServerGenerators._job),
+    (DataServer, "_stock_io", _ServerGenerators._stock_io),
+    (BlockQueue, "__init__", _QueueGenerators.__init__),
+    (BlockQueue, "_run", _QueueGenerators._run),
+    (BlockQueue, "_serve", _QueueGenerators._serve),
 )
 
 
@@ -346,6 +555,16 @@ def _observe(monkeypatch, make, generators: bool) -> dict:
         "clients": [[getattr(c, k) for k in CLIENT_COUNTERS]
                     for c in cluster._clients.values()],
         "net": dataclasses.asdict(cluster.network.stats),
+        "servers": [(dataclasses.asdict(srv.stats), srv.crashes,
+                     [(q.dispatches, q.completed)
+                      for q in [u.queue for u in srv.disks]
+                      + [srv.ssd_queue]])
+                    for srv in cluster.servers],
+        "ibridge": (None if not cfg.ibridge.enabled
+                    else dataclasses.asdict(cluster.ibridge_stats())),
+        "faults": (None if cluster.faults is None else
+                   [(r.time, r.phase, r.event.kind.value)
+                    for r in cluster.faults.records]),
         "spans": spans,
         "digest": None if result is None else run_digest(result),
         "error": error,
@@ -390,6 +609,18 @@ def _delay():
                             name="slow-net")
 
 
+def _device_faults():
+    # A slow disk on server 0, an SSD fail-stop on server 1 (its
+    # managers bypass the SSD until the restore) and a fail-stopped
+    # disk on server 2, whose block queue pauses and then resumes.
+    return FaultPlan(events=(
+        fail_slow(0, 4.0, start=0.0, duration=0.05, bw_mult=2.0),
+        ssd_outage(1, start=0.005, duration=0.03),
+        FaultEvent(kind=FaultKind.DEVICE_FAIL, server=2, start=0.01,
+                   duration=0.02),
+    ), name="device-faults")
+
+
 CELLS = {
     "stock_read": lambda: (ClusterConfig(num_servers=4, seed=3), _reads(),
                            None, 0),
@@ -419,6 +650,8 @@ CELLS = {
     "retry_disabled": lambda: (
         ClusterConfig(num_servers=4, seed=3).with_retry(enabled=False),
         _writes(), _delay(), 0),
+    "ibridge_device_faults": lambda: (_ibridge(), _writes(),
+                                      _device_faults(), 0),
 }
 
 
@@ -428,7 +661,8 @@ def test_chains_replay_the_generator_heap_stream(monkeypatch, cell):
     gens = _observe(monkeypatch, CELLS[cell], generators=True)
     assert len(chains["popped"]) == len(gens["popped"])
     assert chains["popped"] == gens["popped"]
-    for key in ("seq", "clients", "net", "spans", "digest", "error"):
+    for key in ("seq", "clients", "net", "servers", "ibridge", "faults",
+                "spans", "digest", "error"):
         assert chains[key] == gens[key], key
 
 
@@ -467,3 +701,36 @@ def test_cells_reach_the_paths_they_are_here_for(monkeypatch):
     assert "wall-clock" in capped["error"][1]
     assert totals["wallclock_exhausted"] >= 1
     assert run("ibridge_read_traced")[0]["spans"]
+    faulted = run("ibridge_device_faults")[0]
+    assert [kind for _, phase, kind in faulted["faults"]
+            if phase == "end"] == ["device_fail", "ssd_fail", "device_slow"]
+    assert faulted["ibridge"]["ssd_outages"] == 1
+    assert faulted["ibridge"]["ssd_redirected_writes"] > 0
+
+
+@pytest.mark.parametrize("cell", ["stock_read", "ibridge_read_warm"])
+def test_no_process_per_sub_request(monkeypatch, cell):
+    """Processes started by a run do not grow with its request count:
+    sub-requests, server jobs and dispatches are all chains."""
+    started = []
+    init = core.Process.__init__
+
+    def counted(self, *args, **kwargs):
+        started.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.Process, "__init__", counted)
+
+    def processes(file_size):
+        cfg = (ClusterConfig(num_servers=4, seed=3) if cell == "stock_read"
+               else _ibridge())
+        started.clear()
+        cluster = Cluster(cfg)
+        run_workload(cluster, _reads(file_size=file_size),
+                     warm_runs=0 if cell == "stock_read" else 1)
+        return len(started), sum(s.stats.jobs for s in cluster.servers)
+
+    small, small_jobs = processes(4 * MiB)
+    large, large_jobs = processes(8 * MiB)
+    assert large_jobs >= 2 * small_jobs
+    assert large == small
