@@ -33,7 +33,7 @@ from .corpus import (Reproducer, load_corpus, replay_reproducer,
 from .episode import (EpisodeResult, episode_signature, run_episode,
                       run_episode_cell)
 from .generator import DEFAULT_BUDGET, sample_spec
-from .runner import FuzzReport, fuzz, run_campaign_job
+from .runner import FuzzReport, fuzz
 from .shrink import ShrinkResult, shrink_spec
 
 __all__ = [
@@ -51,5 +51,4 @@ __all__ = [
     "replay_reproducer",
     "fuzz",
     "FuzzReport",
-    "run_campaign_job",
 ]

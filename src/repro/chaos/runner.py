@@ -45,38 +45,6 @@ class FuzzReport:
         return stable_hash([r["signature"] for r in self.results])
 
 
-def run_campaign_job(spec: Dict) -> Dict:
-    """Campaign-as-job adapter for the experiment service.
-
-    ``spec`` is a plain JSON dict (``seed``, ``episodes``, and the
-    optional knobs below); the return value is a small picklable
-    summary the service stores as the job's result.  Unknown spec keys
-    are ignored so schedulers can salt the dedup key (e.g. a nightly
-    ``window`` counter) without touching this adapter.
-
-    ``wall_seconds`` is real time and therefore non-deterministic; the
-    deterministic replay handle is ``digest``, same as the CLI's.
-    """
-    report = fuzz(
-        seed=int(spec["seed"]),
-        episodes=int(spec["episodes"]),
-        jobs=int(spec.get("jobs", 1)),
-        corpus_dir=spec.get("corpus_dir"),
-        shrink=bool(spec.get("shrink", True)),
-        max_shrink_runs=int(spec.get("max_shrink_runs", DEFAULT_MAX_RUNS)),
-        wall_budget=spec.get("wall_budget"))
-    return {
-        "seed": report.seed,
-        "episodes_requested": report.episodes,
-        "episodes_run": len(report.results),
-        "failures": len(report.failures),
-        "failure_signatures": [r["signature"] for r in report.failures],
-        "reproducers": [path for _i, path in report.reproducers],
-        "digest": report.digest,
-        "wall_seconds": report.wall_seconds,
-    }
-
-
 def fuzz(seed: int, episodes: int, jobs: int = 1,
          corpus_dir: Optional[str] = None, shrink: bool = True,
          max_shrink_runs: int = DEFAULT_MAX_RUNS,

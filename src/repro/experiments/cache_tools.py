@@ -1,8 +1,8 @@
 """Maintenance for the on-disk result cache (``.ibridge-cache/``).
 
 The cache grows without bound by design — every distinct cell ever run
-leaves a pickle — which is fine for one developer and wrong for a
-worker fleet sharing one directory.  ``ibridge-experiment cache``
+leaves a pickle — which is fine for a short session and wrong for a
+cache directory kept across many sweeps.  ``ibridge-experiment cache``
 exposes:
 
 * ``stats`` — entry count, total bytes, age range;

@@ -140,9 +140,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "JSONL file")
     parser.add_argument("--metrics-text", metavar="PATH", default=None,
                         help="write the final metrics snapshot as "
-                             "Prometheus exposition text (the same "
-                             "format the experiment service serves "
-                             "under /metrics)")
+                             "Prometheus exposition text")
     parser.add_argument("--timeline-out", metavar="PATH", default=None,
                         help="record the continuous sim-time series "
                              "(gauges sampled every --timeline-dt "

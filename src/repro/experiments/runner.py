@@ -54,9 +54,8 @@ CACHE_SCHEMA = 4
 
 #: Default cache location (relative to the working directory) when
 #: ``REPRO_CACHE_DIR`` is unset.  Resolved lazily by
-#: :func:`default_cache_dir` so a worker (or test) that sets the env
-#: var after this module is imported still takes effect — the service
-#: fleet relies on this to point every worker at one shared cache.
+#: :func:`default_cache_dir` so a process (or test) that sets the env
+#: var after this module is imported still takes effect.
 DEFAULT_CACHE_DIR = ".ibridge-cache"
 
 
@@ -180,52 +179,14 @@ def _execute(spec: Tuple[str, Tuple[Tuple[str, Any], ...]]) -> Any:
     return Cell(fn=fn, kwargs=kwargs).resolve()(**dict(kwargs))
 
 
-# ------------------------------------------------------ public key API
-def default_context_token() -> Any:
-    """Cache-key token for this process's audit/fault/obs defaults.
-
-    This is exactly what :func:`run_cells` folds into every cell key;
-    exposing it lets other layers (the experiment service) compute keys
-    that agree with the CLI's cache.  A process with no defaults
-    installed (no ``--audit``/``--fault-plan``/``--trace-out``) yields
-    the *null* context token — service submissions use that, so a
-    service-warmed cache hits for plain CLI runs and vice versa.
-    """
-    return _context_token(_current_context())
-
-
-def null_context_token() -> Any:
-    """Context token for a process with *no* defaults installed.
-
-    Service submissions hash against this fixed token regardless of
-    the submitting process's state, so the service cache stays
-    interoperable with plain (flag-less) CLI runs.
-    """
-    return _context_token((None, None, None))
-
-
-def cell_key(c: Cell, context_token: Any = None) -> str:
-    """Public stable cache key for a cell.
-
-    ``context_token=None`` uses :func:`default_context_token` (the
-    current process defaults); pass a stored token to reproduce a key
-    from another process.
-    """
-    if context_token is None:
-        context_token = default_context_token()
-    return c.key(context_token)
-
-
 # --------------------------------------------------------------- cache
 # ------------------------------------------------- result serialization
 def encode_result(value: Any) -> bytes:
-    """Serialize one cell result to bytes (the cache/store wire format).
+    """Serialize one cell result to bytes (the cache's on-disk format).
 
     Pickle at the highest protocol — cell results are plain picklable
     data by the determinism contract, and pickle (unlike JSON) keeps
-    int dict keys, tuples, and float precision exact.  Deterministic
-    for the same value, so equal results encode to equal bytes and the
-    service can assert bit-identity across transports.
+    int dict keys, tuples, and float precision exact.
     """
     return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 

@@ -1,10 +1,9 @@
 """``python -m repro.faults`` — lint fault plans offline.
 
-Service-submitted campaigns carry fault plans as JSON; a malformed one
-used to surface only at cluster build time, deep inside a worker.  The
-``validate`` subcommand runs the full plan linter (schema, per-event
-field validation, the same-target overlap rule, horizon computation)
-without building anything::
+A malformed fault plan otherwise surfaces only at cluster build time,
+deep inside a run.  The ``validate`` subcommand runs the full plan
+linter (schema, per-event field validation, the same-target overlap
+rule, horizon computation) without building anything::
 
     python -m repro.faults validate plan.json
     python -m repro.faults validate plan.json --num-servers 4 \\

@@ -216,10 +216,9 @@ class MetricsRegistry:
         family, labels rendered ``{k="v"}``, histograms exported as
         cumulative ``_bucket{le="..."}`` series plus ``_sum`` and
         ``_count``.  Gauges read their callbacks at render time, so
-        this is a live snapshot — the service scrapes it under
-        ``/metrics`` and the CLI's ``--metrics-text`` writes the final
-        snapshot of a run.  :func:`parse_prometheus_text` round-trips
-        it (asserted by tests/test_obs.py).
+        this is a live snapshot; the CLI's ``--metrics-text`` writes the
+        final snapshot of a run.  :func:`parse_prometheus_text`
+        round-trips it (asserted by tests/test_metrics_text.py).
         """
         lines: List[str] = []
         families: Dict[str, str] = {}

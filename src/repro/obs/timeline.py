@@ -238,7 +238,7 @@ def summarize_series(rows: Iterable[Dict[str, Any]]) \
 
     Keys are :func:`series_key` strings; marks and segment headers are
     ignored.  This is the compact, digest-safe form attached to results
-    and shipped by service workers.
+    as ``timeline_last[...]`` extras.
     """
     values: Dict[str, List[float]] = {}
     for row in rows:

@@ -30,18 +30,12 @@ from .export import load_spans_jsonl, validate_chrome_trace
 from .span import Span
 from .timeline import KNOWN_MARKS, KNOWN_SERIES
 
-#: Metric families the run wiring and the experiment service can emit
-#: into a metrics JSONL (raw names; the timeline's ``_rate`` forms are
-#: in :data:`repro.obs.timeline.KNOWN_SERIES`).
+#: Metric families the run wiring can emit into a metrics JSONL (raw
+#: names; the timeline's ``_rate`` forms are in
+#: :data:`repro.obs.timeline.KNOWN_SERIES`).
 KNOWN_METRICS = frozenset({
     name for name in KNOWN_SERIES if not name.endswith("_rate")
-}) | frozenset({
-    "ibridge_benefit",
-    "svc_jobs", "svc_results", "svc_workers_alive", "svc_workers_known",
-    "svc_cache_hit_ratio", "svc_submissions_total", "svc_dedup_hits_total",
-    "svc_claim_latency_seconds", "svc_timeline_last",
-    "svc_client_retries",
-})
+}) | frozenset({"ibridge_benefit"})
 
 
 def validate_events(events: List[Dict[str, Any]]) -> List[str]:

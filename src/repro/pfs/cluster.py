@@ -174,11 +174,6 @@ class Cluster:
             self.obs.stop()
 
     # ------------------------------------------------------------- stats
-    @property
-    def total_bytes_moved(self) -> int:
-        return sum(s.stats.bytes_read + s.stats.bytes_written
-                   for s in self.servers)
-
     def ibridge_stats(self):
         """Aggregated iBridge counters across servers (None if disabled)."""
         if not self.config.ibridge.enabled:

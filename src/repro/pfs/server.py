@@ -153,19 +153,6 @@ class DataServer:
             return self.ssd_queue
         return self._disk_of(handle).queue
 
-    # Back-compat aliases used by single-disk code paths.
-    @property
-    def primary_store(self) -> LocalStore:
-        if self.config.primary_store == "ssd":
-            return self.ssd_store
-        return self.disk_store
-
-    @property
-    def primary_queue(self) -> BlockQueue:
-        if self.config.primary_store == "ssd":
-            return self.ssd_queue
-        return self.hdd_queue
-
     def preallocate(self, handle: int, nbytes: int) -> None:
         """Lay out this server's share of a file contiguously."""
         if nbytes > 0:

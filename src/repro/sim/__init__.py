@@ -10,7 +10,7 @@ of this engine.
 
 from .core import Chain, Environment, Interrupt, Process
 from .events import AllOf, AnyOf, Event, Timeout
-from .resources import PriorityStore, Request, Resource, Store
+from .resources import Request, Resource, Store
 from .sync import Barrier, CountdownLatch
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
-    "PriorityStore",
     "Barrier",
     "CountdownLatch",
 ]

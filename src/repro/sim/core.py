@@ -199,7 +199,6 @@ class Process(Event):
         # resumes on the spot, and a process may do that any number of
         # times in a row.
         while True:
-            env._active_process = self
             self._target = None
             try:
                 if event._ok:
@@ -208,14 +207,11 @@ class Process(Event):
                     event._defused = True
                     target = self._generator.throw(event._value)
             except StopIteration as stop:
-                env._active_process = None
                 self._finish(True, stop.value)
                 return
             except BaseException as exc:
-                env._active_process = None
                 self._finish(False, exc)
                 return
-            env._active_process = None
 
             if not isinstance(target, Event):
                 break
@@ -271,24 +267,18 @@ class Environment:
         env.run()
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process")
+    __slots__ = ("_now", "_queue", "_seq")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
 
     # -- clock -------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- factories ---------------------------------------------------
     def event(self) -> Event:

@@ -2,12 +2,11 @@
 
 ``Resource`` models a server with limited concurrency (e.g. a NIC or a
 device command slot); ``Store`` is an unbounded producer/consumer queue
-(used for server job queues); ``PriorityStore`` pops the smallest item.
+(used for the iBridge manager's fill-task queue).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Deque, Generator, List
 
@@ -123,37 +122,3 @@ class Store:
             self._getters.append(ev)
         return ev
 
-
-class PriorityStore(Store):
-    """A store that always yields the smallest item (heap ordered).
-
-    Items must be comparable; use tuples ``(priority, seq, payload)``.
-    """
-
-    def __init__(self, env: Environment) -> None:
-        super().__init__(env)
-        self._heap: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> tuple:
-        return tuple(sorted(self._heap))
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            # A getter is waiting; give it the item only if it is the
-            # minimum of (heap + item); otherwise push and pop-min.
-            heapq.heappush(self._heap, item)
-            self._getters.popleft().succeed(heapq.heappop(self._heap))
-        else:
-            heapq.heappush(self._heap, item)
-
-    def get(self) -> StoreGet:
-        ev = StoreGet(self.env)
-        if self._heap:
-            ev.succeed(heapq.heappop(self._heap))
-        else:
-            self._getters.append(ev)
-        return ev

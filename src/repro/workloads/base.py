@@ -98,9 +98,9 @@ def run_workload(cluster: Cluster, workload: Workload, drain: bool = True,
         if cluster.obs.timeline is not None:
             result.extra["timeline_rows"] = float(
                 len(cluster.obs.timeline.rows))
-            # Flat last-value gauges so downstream consumers (the svc
-            # worker result payload, the run report) need no timeline
-            # object — just the float extras every transport carries.
+            # Flat last-value gauges: plain float extras, so a cached or
+            # digested result carries the timeline's final state without
+            # the timeline object.
             for key, stats in cluster.obs.timeline_summary().items():
                 result.extra[f"timeline_last[{key}]"] = stats["last"]
     if cluster.faults is not None:

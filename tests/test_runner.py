@@ -221,18 +221,6 @@ def test_encode_decode_result_roundtrip():
     assert decode_result(blob) == value
 
 
-def test_cell_key_and_null_context_token(tmp_path):
-    from repro.experiments.runner import (cell_key, default_context_token,
-                                          null_context_token)
-
-    c = cell(PROBE, a=1)
-    # with no process-wide audit/fault/obs defaults, the default
-    # context IS the null context — the service's shared-cache contract
-    assert default_context_token() == null_context_token()
-    assert cell_key(c) == c.key(default_context_token())
-    assert cell_key(c, null_context_token()) == cell_key(c)
-
-
 def test_oversubscription_warns_once(monkeypatch):
     monkeypatch.setattr(exp_common, "_oversubscribed_warned", False)
     import os

@@ -1,9 +1,9 @@
-"""Unit tests for Resource / Store / PriorityStore."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, PriorityStore, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_grants_up_to_capacity():
@@ -114,36 +114,3 @@ def test_store_len_and_items():
     store.put(2)
     assert len(store) == 2
     assert store.items == (1, 2)
-
-
-def test_priority_store_pops_minimum():
-    env = Environment()
-    ps = PriorityStore(env)
-    for item in [(3, "c"), (1, "a"), (2, "b")]:
-        ps.put(item)
-    got = []
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield ps.get()
-            got.append(item[1])
-
-    env.process(consumer(env))
-    env.run()
-    assert got == ["a", "b", "c"]
-
-
-def test_priority_store_waiter_gets_minimum_of_future_puts():
-    env = Environment()
-    ps = PriorityStore(env)
-    got = []
-
-    def consumer(env):
-        item = yield ps.get()
-        got.append(item)
-
-    env.process(consumer(env))
-    env.run()
-    ps.put((5, "later"))
-    env.run()
-    assert got == [(5, "later")]

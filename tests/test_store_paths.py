@@ -1,32 +1,6 @@
-"""Additional PriorityStore / Store / Request edge cases."""
+"""Additional Store edge cases."""
 
-from repro.sim import Environment, PriorityStore, Store
-
-
-def test_priority_store_items_sorted_snapshot():
-    env = Environment()
-    ps = PriorityStore(env)
-    for item in [(5, "e"), (1, "a"), (3, "c")]:
-        ps.put(item)
-    assert ps.items == ((1, "a"), (3, "c"), (5, "e"))
-    assert len(ps) == 3
-
-
-def test_priority_store_put_wakes_waiter_with_minimum():
-    env = Environment()
-    ps = PriorityStore(env)
-    got = []
-
-    def consumer(env):
-        item = yield ps.get()
-        got.append(item)
-
-    env.process(consumer(env))
-    env.run()
-    # Waiter pending; a put hands over the item directly.
-    ps.put((2, "later"))
-    env.run()
-    assert got == [(2, "later")]
+from repro.sim import Environment, Store
 
 
 def test_store_interleaved_producers_consumers():

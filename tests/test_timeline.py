@@ -179,10 +179,13 @@ def test_metrics_validator_accepts_restart_flags_regression():
     problems = validate_metrics_rows([
         {"t": 0.0, "name": "queue_depth", "labels": {}, "value": 1.0},
         {"t": 2.0, "name": "mystery_metric", "labels": {}, "value": 1.0},
+        # a family of the deleted experiment service: nothing emits it.
+        {"t": 2.0, "name": "svc_jobs", "labels": {}, "value": 1.0},
         {"t": 1.0, "name": "queue_depth", "labels": {},
          "value": float("nan")},
     ])
     assert any("unknown metric" in p for p in problems)
+    assert "row 2: unknown metric 'svc_jobs'" in problems
     assert any("bad value" in p for p in problems)
     assert any("backwards" in p for p in problems)
 
