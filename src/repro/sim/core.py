@@ -13,8 +13,9 @@ successfully with no waiters, the end of a :class:`Chain`, and a
 timeout withdrawn with :meth:`~Environment.cancel`.  None could be
 observed (no callback would run), so every other event keeps its seq,
 its order and its time, and ``_seq`` deltas (event budgets) read as if
-all had been dispatched.  A cancelled timeout stays in the heap and is
-skipped without advancing the clock.
+all had been dispatched.  A cancelled timeout is skipped without
+advancing the clock if it reaches the front of the queue, and is
+dropped from the heap at the next compaction (:meth:`Environment.cancel`).
 
 Callback chains (:class:`Chain`) are processes written by hand as
 step methods, for the per-sub-request paths where a generator and a
@@ -29,14 +30,16 @@ of a detached spawn.  A chain therefore schedules the same
 failures differ, in that an exception raised by a step leaves
 :meth:`Environment.run` at once instead of failing a process event.
 
-Hot-path notes (see docs/PERFORMANCE.md): :meth:`Environment.run`
-inlines the dispatch loop (``step()`` remains for single-stepping), the
-bootstrap entry is a bare pre-triggered event built without the
-``Event.__init__`` trampoline, and resumes go through a cached bound
-``send`` method.  A finished process drops its cached resume callback,
-so neither it nor anything it waited on is left in a reference cycle
-for the cycle collector.  Every fast path preserves the heap-entry
-layout and seq consumption exactly, so schedules are bit-identical to
+Hot-path notes (see docs/PERFORMANCE.md): an entry due at the current
+time goes to a FIFO lane, not through the heap (see
+:class:`Environment`); :meth:`Environment.run` inlines the dispatch
+loop (``step()`` remains for single-stepping), the bootstrap entry is a
+bare pre-triggered event built without the ``Event.__init__``
+trampoline, and resumes go through a cached bound ``send`` method.  A
+finished process drops its cached resume callback, so neither it nor
+anything it waited on is left in a reference cycle for the cycle
+collector.  Every fast path preserves the entry layout and seq
+consumption exactly, so schedules are bit-identical to
 the straightforward implementation — the determinism regression tests
 in ``tests/test_sim_core.py`` pin this.
 """
@@ -44,7 +47,9 @@ in ``tests/test_sim_core.py`` pin this.
 from __future__ import annotations
 
 import heapq
-from heapq import heappop, heappush
+from collections import deque
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -95,7 +100,7 @@ def _bootstrap(env: "Environment", callback) -> None:
     init._processed = False
     init._defused = False
     env._seq = seq = env._seq + 1
-    heappush(env._queue, (env._now, PRIORITY_URGENT, seq, init))
+    env._urgent.append((env._now, PRIORITY_URGENT, seq, init))
 
 
 class Chain:
@@ -191,7 +196,7 @@ class Process(Event):
         wakeup._defused = True
         env = self.env
         env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now, PRIORITY_URGENT, seq, wakeup))
+        env._urgent.append((env._now, PRIORITY_URGENT, seq, wakeup))
 
     def _resume(self, event: Event) -> None:
         env = self.env
@@ -265,14 +270,29 @@ class Environment:
             yield env.timeout(1.0)
         env.process(proc(env))
         env.run()
+
+    Pending entries ``(time, priority, seq, event)`` live in three
+    containers.  One due at the current time is appended to a FIFO
+    lane, ``_urgent`` (process starts and interrupts) or ``_normal``
+    (``succeed``, ``fail``, zero-delay timeouts); a later one is pushed
+    onto the heap ``_queue``.  Every lane entry has time ``_now`` and
+    each lane is in seq order, so the next entry is the smaller of the
+    heap top and the first non-empty lane's head, and the clock moves
+    only once both lanes are empty: the dispatch order is exactly that
+    of one heap holding every entry.
     """
 
-    __slots__ = ("_now", "_queue", "_seq")
+    __slots__ = ("_now", "_queue", "_urgent", "_normal", "_seq",
+                 "_cancelled")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
+        self._urgent: deque = deque()
+        self._normal: deque = deque()
         self._seq = 0
+        # Timeouts cancelled since the heap was last compacted.
+        self._cancelled = 0
 
     # -- clock -------------------------------------------------------
     @property
@@ -305,7 +325,10 @@ class Environment:
         ev._defused = False
         ev.delay = delay
         self._seq = seq = self._seq + 1
-        heappush(self._queue, (self._now + delay, PRIORITY_NORMAL, seq, ev))
+        if delay:
+            heappush(self._queue, (self._now + delay, PRIORITY_NORMAL, seq, ev))
+        else:
+            self._normal.append((self._now, PRIORITY_NORMAL, seq, ev))
         return ev
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
@@ -335,24 +358,29 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------
-    def _schedule(self, event: Event, priority: int = PRIORITY_NORMAL,
-                  delay: float = 0.0) -> None:
-        self._seq = seq = self._seq + 1
-        heappush(self._queue, (self._now + delay, priority, seq, event))
-
     def cancel(self, timeout: Timeout) -> None:
         """Withdraw a pending timeout: it will never fire (a no-op once
         it has fired).
 
         Its callbacks are dropped, so whatever waited on it is no longer
         kept alive by it; waiting on it afterwards raises
-        :class:`SimulationError`.  The heap entry stays where it is and
-        the dispatch loops skip it without advancing the clock.
+        :class:`SimulationError`.  Its entry is dropped at the next
+        compaction: once more timeouts were cancelled since the last one
+        than half the heap holds, the heap is rebuilt from its live
+        entries, in place (``run`` holds the list).  An entry that
+        reaches the front first is skipped without advancing the clock.
         """
         if not isinstance(timeout, Timeout):
             raise SimulationError(f"cannot cancel {timeout!r}: not a timeout")
         if timeout.callbacks is not None:
             timeout.callbacks = _CANCELLED
+            self._cancelled = cancelled = self._cancelled + 1
+            queue = self._queue
+            if cancelled > len(queue) >> 1:
+                queue[:] = [entry for entry in queue
+                            if entry[3].callbacks is not _CANCELLED]
+                heapify(queue)
+                self._cancelled = 0
 
     def queue_snapshot(self, limit: Optional[int] = None) -> List[Tuple[float, int, int, str]]:
         """The pending event queue as ``(time, priority, seq, label)``.
@@ -364,7 +392,7 @@ class Environment:
         ``heapq.nsmallest``, so a stall dump on a deep queue costs
         O(n log limit) rather than sorting the whole pending set.
         """
-        live = [entry for entry in self._queue
+        live = [entry for entry in chain(self._queue, self._urgent, self._normal)
                 if entry[3].callbacks is not _CANCELLED]
         if limit is not None:
             items = heapq.nsmallest(limit, live)
@@ -383,9 +411,15 @@ class Environment:
         """
         queue = self._queue
         while True:
-            if not queue:
+            lane = self._urgent or self._normal
+            if lane:
+                entry = (heappop(queue) if queue and queue[0] < lane[0]
+                         else lane.popleft())
+            elif queue:
+                entry = heappop(queue)
+            else:
                 raise SimulationError("step() on an empty event queue")
-            when, _prio, _seq, event = heappop(queue)
+            when, _prio, _seq, event = entry
             callbacks = event.callbacks
             if callbacks is not _CANCELLED:
                 break
@@ -417,15 +451,26 @@ class Environment:
                     f"until={stop_time} is in the past (now={self._now})")
 
         # The dispatch loop is the single hottest code in the package;
-        # it is inlined here (rather than calling step()) with the queue
-        # and heappop bound to locals.  Semantics match step() exactly.
+        # it is inlined here (rather than calling step()) with the
+        # containers and heappop bound to locals.  Semantics match
+        # step() exactly.
         queue = self._queue
+        urgent = self._urgent
+        normal = self._normal
         pop = heappop
         cancelled = _CANCELLED
         if stop_event is None and stop_time == float("inf"):
             # Run-to-exhaustion fast path: no stop checks per event.
-            while queue:
-                when, _prio, _seq, event = pop(queue)
+            while True:
+                lane = urgent or normal
+                if lane:
+                    entry = (pop(queue) if queue and queue[0] < lane[0]
+                             else lane.popleft())
+                elif queue:
+                    entry = pop(queue)
+                else:
+                    break
+                when, _prio, _seq, event = entry
                 callbacks = event.callbacks
                 if callbacks is cancelled:
                     continue
@@ -441,13 +486,22 @@ class Environment:
                     raise event._value
             return None
 
-        while queue:
+        while True:
             if stop_event is not None and stop_event._processed:
                 break
-            if queue[0][0] > stop_time:
-                self._now = stop_time
-                return None
-            when, _prio, _seq, event = pop(queue)
+            lane = urgent or normal
+            if lane:
+                # Lane entries are due now, so never after stop_time.
+                entry = (pop(queue) if queue and queue[0] < lane[0]
+                         else lane.popleft())
+            elif queue:
+                if queue[0][0] > stop_time:
+                    self._now = stop_time
+                    return None
+                entry = pop(queue)
+            else:
+                break
+            when, _prio, _seq, event = entry
             callbacks = event.callbacks
             if callbacks is cancelled:
                 continue

@@ -7,12 +7,15 @@ they succeed or fail exactly once, and callbacks attached afterwards
 fire immediately on the next scheduler pass.
 
 Hot-path notes (see docs/PERFORMANCE.md): ``succeed``, ``fail`` and
-``Timeout.__init__`` push onto the environment's heap directly instead
-of going through ``Environment._schedule`` — one Python call frame per
-event is real money when a run processes tens of millions of events.
-The heap entry layout ``(time, priority, seq, event)`` and the
-monotone-``seq`` tie-break are part of the engine's determinism
-contract; every inlined push must reproduce it exactly.
+``Timeout.__init__`` schedule inline, with no helper call — one Python
+call frame per event is real money when a run processes tens of
+millions of events.  An entry due at the current time (``succeed``,
+``fail``, a zero-delay timeout) is appended to the environment's
+normal-priority lane, a later one is pushed onto its heap (see
+:class:`~repro.sim.core.Environment`).  The entry layout
+``(time, priority, seq, event)`` and the monotone-``seq`` tie-break are
+part of the engine's determinism contract; every inlined push must
+reproduce it exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class Event:
     """A one-shot occurrence with a value and attached callbacks.
 
     An event moves through three states: *pending* (created),
-    *triggered* (scheduled with a value, waiting in the event heap) and
+    *triggered* (scheduled with a value, waiting in the event queue) and
     *processed* (callbacks have run).
     """
 
@@ -76,7 +79,7 @@ class Event:
         return self._value
 
     # -- triggering --------------------------------------------------
-    def succeed(self, value: Any = None, priority: int = PRIORITY_NORMAL) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Schedule this event to fire successfully with ``value``."""
         if self._triggered:
             raise SimulationError(f"{self!r} has already been triggered")
@@ -85,10 +88,10 @@ class Event:
         self._triggered = True
         env = self.env
         env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now, priority, seq, self))
+        env._normal.append((env._now, PRIORITY_NORMAL, seq, self))
         return self
 
-    def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Schedule this event to fire by raising ``exception`` in waiters."""
         if self._triggered:
             raise SimulationError(f"{self!r} has already been triggered")
@@ -99,7 +102,7 @@ class Event:
         self._triggered = True
         env = self.env
         env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now, priority, seq, self))
+        env._normal.append((env._now, PRIORITY_NORMAL, seq, self))
         return self
 
     def defuse(self) -> None:
@@ -140,7 +143,10 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now + delay, PRIORITY_NORMAL, seq, self))
+        if delay:
+            heappush(env._queue, (env._now + delay, PRIORITY_NORMAL, seq, self))
+        else:
+            env._normal.append((env._now, PRIORITY_NORMAL, seq, self))
 
 
 class Condition(Event):

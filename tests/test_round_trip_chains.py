@@ -9,8 +9,9 @@ copied unchanged (with the ``submit``/``send`` entry points that
 spawned them and the ``BlockQueue.__init__`` that started the runner);
 :func:`_install_generators` puts them back on their classes.  Every
 cell below runs once on the chains and once on the generators,
-recording each popped heap entry by wrapping ``repro.sim.core.heappop``,
-and the two runs must agree on:
+recording each popped entry by wrapping ``repro.sim.core.heappop`` and
+the ``popleft`` of the engine's same-time lanes, and the two runs must
+agree on:
 
 * the popped ``(time, priority, seq)`` stream and each final ``_seq``;
 * every client's recovery counters and ``outstanding``;
@@ -28,6 +29,7 @@ disk, an SSD fail-stop and a paused disk queue) and retry disabled.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import heapq
 import itertools
@@ -533,12 +535,19 @@ def _observe(monkeypatch, make, generators: bool) -> dict:
         popped.append(entry[:3])
         return entry
 
+    class Lane(collections.deque):
+        def popleft(self):
+            entry = super().popleft()
+            popped.append(entry[:3])
+            return entry
+
     with monkeypatch.context() as m:
         if generators:
             _install_generators(m)
         for module, name in ID_COUNTERS:
             m.setattr(module, name, itertools.count(1))
         m.setattr(core, "heappop", pop)
+        m.setattr(core, "deque", Lane)
         cluster = Cluster(cfg, fault_plan=plan)
         result = error = None
         try:

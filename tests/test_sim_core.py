@@ -1,9 +1,18 @@
 """Unit tests for the discrete-event engine core."""
 
+import collections
+import heapq
+import random
+import sys
+from heapq import heappop, heappush
+from typing import Any, Optional
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Chain, Environment, Event, Interrupt
+from repro.sim import Chain, Environment, Event, Interrupt, Process, Timeout, core
+from repro.sim.core import _CANCELLED
+from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT
 
 
 def test_clock_starts_at_zero():
@@ -313,6 +322,45 @@ def test_queue_snapshot_limit_is_a_prefix():
         assert env.queue_snapshot(limit=k) == full[:k]
 
 
+def test_queue_snapshot_spans_the_heap_and_both_lanes():
+    """At one instant, entries pushed earlier wait in the heap and
+    entries pushed now in both same-time lanes; the snapshot (whole and
+    by prefix) and the dispatch both follow ``(time, priority, seq)``
+    across the three."""
+    env = Environment()
+    fired = []
+
+    def note(label):
+        return lambda _ev: fired.append(label)
+
+    def proc(env, label):
+        fired.append(label)
+        yield env.timeout(0.5)
+
+    for i in range(3):
+        env.timeout(1.0).callbacks.append(note(f"heap{i}"))  # seq 1-3
+    env.step()
+    assert env.now == 1.0 and fired == ["heap0"]
+    env.process(proc(env, "start-a"))  # urgent lane, seq 4
+    ev = env.event()
+    ev.callbacks.append(note("succeed"))
+    ev.succeed()  # normal lane, seq 5
+    env.timeout(0).callbacks.append(note("timeout0"))  # normal lane, seq 6
+    env.timeout(0.5).callbacks.append(note("later"))  # heap, seq 7
+    env.process(proc(env, "start-b"))  # urgent lane, seq 8
+    assert env._queue and env._urgent and env._normal
+    full = env.queue_snapshot()
+    assert full == [(1.0, 0, 4, "Event"), (1.0, 0, 8, "Event"),
+                    (1.0, 1, 2, "Timeout"), (1.0, 1, 3, "Timeout"),
+                    (1.0, 1, 5, "Event"), (1.0, 1, 6, "Timeout"),
+                    (1.5, 1, 7, "Timeout")]
+    for k in range(len(full) + 2):
+        assert env.queue_snapshot(limit=k) == full[:k]
+    env.run()
+    assert fired == ["heap0", "start-a", "start-b", "heap1", "heap2",
+                     "succeed", "timeout0", "later"]
+
+
 def test_seq_numbers_are_consumed_per_scheduling():
     """Spawn/succeed/timeout each consume exactly one seq number."""
     env = Environment()
@@ -507,8 +555,6 @@ def test_cancel_keeps_the_schedule_of_every_other_event(seed):
     as no-ops.  All three must log the same resumes at the same times
     and consume the same seq numbers.
     """
-    import random
-
     def go(drive, cancelling):
         env = Environment()
         log = []
@@ -559,14 +605,20 @@ def _ticker_body(env, log):
     log.append(("second", env.now))
 
 
+def _pending(env):
+    """Every pending entry, heap and both same-time lanes, in firing
+    order (seqs are unique, so no two entries compare equal)."""
+    return sorted([*env._queue, *env._urgent, *env._normal])
+
+
 def test_chain_bootstrap_entry_equals_a_spawned_process():
     env_p, env_c = Environment(), Environment()
     env_p.timeout(0.5)
     env_c.timeout(0.5)
     env_p.spawn(_ticker_body(env_p, []))
     _Ticker(env_c, [])
-    (tp, prio_p, seq_p, init_p), = [e for e in env_p._queue if e[2] == 2]
-    (tc, prio_c, seq_c, init_c), = [e for e in env_c._queue if e[2] == 2]
+    (tp, prio_p, seq_p, init_p), = [e for e in _pending(env_p) if e[2] == 2]
+    (tc, prio_c, seq_c, init_c), = [e for e in _pending(env_c) if e[2] == 2]
     assert (tp, prio_p, seq_p) == (tc, prio_c, seq_c) == (0.0, 0, 2)
     assert type(init_p) is type(init_c) is Event
     assert init_p.env is env_p and init_c.env is env_c
@@ -585,8 +637,8 @@ def test_chain_end_consumes_exactly_one_seq():
         log, popped = [], []
         start(env, log)
         env.timeout(3.0)
-        while env._queue:
-            popped.append(env._queue[0][:3])
+        while _pending(env):
+            popped.append(_pending(env)[0][:3])
             env.step()
         return log, popped, env._seq
 
@@ -606,3 +658,504 @@ def test_exception_in_a_chain_step_surfaces_from_run():
         env.run()
     assert log == [("first", 0.0), ("second", 1.0)]
     assert env.now == 1.0
+
+
+# -- the same-time lanes and compaction against the heap-only engine ---
+# The functions between the ``verbatim`` markers are the engine's push
+# sites, ``cancel``, ``step`` and ``run`` from before entries due now
+# went to FIFO lanes and cancelled timeouts were compacted out of the
+# heap, copied unchanged; :data:`HEAP_ONLY` puts them back.  Seeded
+# random programs run on both engines, which must dispatch the same
+# ``(time, priority, seq)`` stream (cancelled entries are skipped by
+# one and compacted away by the other, so only dispatched entries
+# count), run the same callbacks in the same order and end on the same
+# ``_seq`` and clock.
+
+# ---------------------------------------------------------------- verbatim
+def _bootstrap(env: "Environment", callback) -> None:
+    """Schedule ``callback`` on the next scheduler pass at the current
+    time: the entry that starts every process and every chain.
+
+    The event is a bare slot-filled :class:`Event` — it exists only to
+    carry one callback through the heap once, so skipping the
+    constructor saves a call frame per start.  A pool was considered
+    and rejected: resetting a pooled event costs the same writes as
+    building a fresh one, and eager (push-free) starts would reorder
+    schedules.
+    """
+    init = Event.__new__(Event)
+    init.env = env
+    init.callbacks = [callback]
+    init._value = None
+    init._ok = True
+    init._triggered = True
+    init._processed = False
+    init._defused = False
+    env._seq = seq = env._seq + 1
+    heappush(env._queue, (env._now, PRIORITY_URGENT, seq, init))
+
+
+class _HeapOnlyProcess:
+    """``Process``'s push site, verbatim."""
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the process at the current time."""
+        if self._triggered:
+            raise SimulationError("cannot interrupt a finished process")
+        if self._target is not None and self._target.callbacks is not None:
+            try:
+                self._target.callbacks.remove(self._resume_cb)
+            except ValueError:
+                pass
+        wakeup = Event.__new__(Event)
+        wakeup.env = self.env
+        wakeup.callbacks = [self._resume_cb]
+        wakeup._value = Interrupt(cause)
+        wakeup._ok = False
+        wakeup._triggered = True
+        wakeup._processed = False
+        wakeup._defused = True
+        env = self.env
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now, PRIORITY_URGENT, seq, wakeup))
+
+
+class _HeapOnlyEvent:
+    """``Event``'s push sites, verbatim."""
+
+    def succeed(self, value: Any = None, priority: int = PRIORITY_NORMAL) -> "Event":
+        """Schedule this event to fire successfully with ``value``."""
+        if self._triggered:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        self._triggered = True
+        env = self.env
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now, priority, seq, self))
+        return self
+
+    def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
+        """Schedule this event to fire by raising ``exception`` in waiters."""
+        if self._triggered:
+            raise SimulationError(f"{self!r} has already been triggered")
+        if not isinstance(exception, BaseException):
+            raise SimulationError("fail() requires an exception instance")
+        self._ok = False
+        self._value = exception
+        self._triggered = True
+        env = self.env
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now, priority, seq, self))
+
+
+class _HeapOnlyTimeout:
+    """``Timeout``'s push site, verbatim."""
+
+    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        self.env = env
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        self._defused = False
+        self.delay = delay
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now + delay, PRIORITY_NORMAL, seq, self))
+
+
+class _HeapOnlyEnvironment:
+    """``Environment``'s push site, ``cancel``, ``step`` and ``run``,
+    verbatim."""
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """An event firing ``delay`` simulated seconds from now.
+
+        Construction is inlined (mirroring ``Timeout.__init__`` slot for
+        slot): this factory is the single most-called allocation site in
+        the package, and skipping the constructor frame is a measurable
+        share of events/sec.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        ev = Timeout.__new__(Timeout)
+        ev.env = self
+        ev.callbacks = []
+        ev._value = value
+        ev._ok = True
+        ev._triggered = True
+        ev._processed = False
+        ev._defused = False
+        ev.delay = delay
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (self._now + delay, PRIORITY_NORMAL, seq, ev))
+        return ev
+
+    def cancel(self, timeout: Timeout) -> None:
+        """Withdraw a pending timeout: it will never fire (a no-op once
+        it has fired).
+
+        Its callbacks are dropped, so whatever waited on it is no longer
+        kept alive by it; waiting on it afterwards raises
+        :class:`SimulationError`.  The heap entry stays where it is and
+        the dispatch loops skip it without advancing the clock.
+        """
+        if not isinstance(timeout, Timeout):
+            raise SimulationError(f"cannot cancel {timeout!r}: not a timeout")
+        if timeout.callbacks is not None:
+            timeout.callbacks = _CANCELLED
+
+    def step(self) -> None:
+        """Process exactly one event (advancing the clock to it).
+
+        Cancelled timeouts on the way are skipped, not counted.
+        """
+        queue = self._queue
+        while True:
+            if not queue:
+                raise SimulationError("step() on an empty event queue")
+            when, _prio, _seq, event = heappop(queue)
+            callbacks = event.callbacks
+            if callbacks is not _CANCELLED:
+                break
+        self._now = when
+        event.callbacks = None
+        event._processed = True
+        for callback in callbacks:
+            callback(event)
+        if not event._ok and not event._defused:
+            # Nobody handled the failure: surface it to the caller of run().
+            exc = event._value
+            raise exc
+
+    def run(self, until: Optional[float | Event] = None) -> Any:
+        """Run the simulation.
+
+        ``until`` may be ``None`` (run to exhaustion), a time (run until
+        the clock reaches it), or an :class:`Event` (run until it fires,
+        returning its value).
+        """
+        stop_event: Optional[Event] = None
+        stop_time = float("inf")
+        if isinstance(until, Event):
+            stop_event = until
+        elif until is not None:
+            stop_time = float(until)
+            if stop_time < self._now:
+                raise SimulationError(
+                    f"until={stop_time} is in the past (now={self._now})")
+
+        # The dispatch loop is the single hottest code in the package;
+        # it is inlined here (rather than calling step()) with the queue
+        # and heappop bound to locals.  Semantics match step() exactly.
+        queue = self._queue
+        pop = heappop
+        cancelled = _CANCELLED
+        if stop_event is None and stop_time == float("inf"):
+            # Run-to-exhaustion fast path: no stop checks per event.
+            while queue:
+                when, _prio, _seq, event = pop(queue)
+                callbacks = event.callbacks
+                if callbacks is cancelled:
+                    continue
+                self._now = when
+                event.callbacks = None
+                event._processed = True
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                else:
+                    for callback in callbacks:
+                        callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+            return None
+
+        while queue:
+            if stop_event is not None and stop_event._processed:
+                break
+            if queue[0][0] > stop_time:
+                self._now = stop_time
+                return None
+            when, _prio, _seq, event = pop(queue)
+            callbacks = event.callbacks
+            if callbacks is cancelled:
+                continue
+            self._now = when
+            event.callbacks = None
+            event._processed = True
+            if len(callbacks) == 1:
+                callbacks[0](event)
+            else:
+                for callback in callbacks:
+                    callback(event)
+            if not event._ok and not event._defused:
+                raise event._value
+
+        if stop_event is not None:
+            if not stop_event._processed:
+                raise SimulationError("run() ran out of events before `until` fired")
+            if not stop_event._ok:
+                raise stop_event._value  # type: ignore[misc]
+            return stop_event._value
+        if until is not None and stop_time != float("inf"):
+            self._now = stop_time
+        return None
+
+# ------------------------------------------------------------ /verbatim
+
+HEAP_ONLY = (
+    (core, "_bootstrap", _bootstrap),
+    (Process, "interrupt", _HeapOnlyProcess.interrupt),
+    (Event, "succeed", _HeapOnlyEvent.succeed),
+    (Event, "fail", _HeapOnlyEvent.fail),
+    (Timeout, "__init__", _HeapOnlyTimeout.__init__),
+    (Environment, "timeout", _HeapOnlyEnvironment.timeout),
+    (Environment, "cancel", _HeapOnlyEnvironment.cancel),
+    (Environment, "step", _HeapOnlyEnvironment.step),
+    (Environment, "run", _HeapOnlyEnvironment.run),
+)
+
+
+def _dispatch(monkeypatch, program, heap_only, patches=()):
+    """Run ``program(env)`` on one engine: its result, the dispatched
+    ``(time, priority, seq)`` stream, the final ``_seq`` and clock, and
+    the number of heap compactions."""
+    popped = []
+    compactions = []
+
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        if entry[3].callbacks is not _CANCELLED:
+            popped.append(entry[:3])
+        return entry
+
+    class Lane(collections.deque):
+        def popleft(self):
+            entry = super().popleft()
+            if entry[3].callbacks is not _CANCELLED:
+                popped.append(entry[:3])
+            return entry
+
+    def heapify(heap):
+        compactions.append(len(heap))
+        heapq.heapify(heap)
+
+    with monkeypatch.context() as m:
+        if heap_only:
+            for owner, name, fn in HEAP_ONLY:
+                m.setattr(owner, name, fn)
+            m.setattr(sys.modules[__name__], "heappop", pop)
+        else:
+            m.setattr(core, "heappop", pop)
+            m.setattr(core, "deque", Lane)
+            m.setattr(core, "heapify", heapify)
+        for owner, name, fn in patches:
+            m.setattr(owner, name, fn)
+        env = Environment()
+        result = program(env)
+    assert not env._urgent and not env._normal
+    return (result, popped, env._seq, env.now), len(compactions)
+
+
+DELAYS = (0, 0, 0.5, 1.0, 1.0, 2.5)
+
+
+class _Deadline(Chain):
+    """Test chain: a reply raced against a far deadline, which is
+    cancelled when the reply wins (the client round trip's pattern)."""
+
+    __slots__ = ("log", "ident", "delay", "deadline")
+
+    def __init__(self, env, log, ident, delay):
+        self.env = env
+        self.log = log
+        self.ident = ident
+        self.delay = delay
+        self._start(self._send)
+
+    def _send(self, _event):
+        env = self.env
+        self.deadline = env.timeout(50.0)
+        reply = env.timeout(self.delay)
+        env.any_of([reply, self.deadline]).callbacks.append(self._reply)
+
+    def _reply(self, event):
+        won = self.deadline not in event.value
+        self.env.cancel(self.deadline)
+        self.deadline = None
+        self.log.append(("reply", self.ident, self.env.now, won))
+        self._end()
+
+
+def _random_program(env, rng, log):
+    """Workers drawing one scheduling path per step, sleepers to
+    interrupt, and clients firing deadline chains.  Only a started
+    process is interrupted, and again only once it has caught the last
+    interrupt (either way it would be resumed twice)."""
+    procs = {}
+    idents = []
+    started = set()
+    interrupted = set()
+    signals = [env.event() for _ in range(3)]
+
+    def sleeper(ident):
+        started.add(ident)
+        try:
+            yield env.timeout(rng.choice(DELAYS))
+            yield Timeout(env, rng.choice(DELAYS))
+            log.append(("slept", ident, env.now))
+        except Interrupt as irq:
+            interrupted.discard(ident)
+            log.append(("interrupted", ident, env.now, irq.cause))
+        return ident
+
+    def client(ident):
+        for n in range(rng.randint(20, 40)):
+            _Deadline(env, log, (ident, n),
+                      rng.choice((0, 0.5, 0.5, 1.0, 1.0, 60.0)))
+            yield env.timeout(rng.choice((0, 0.5)))
+
+    def worker(ident):
+        started.add(ident)
+        for step in range(rng.randint(3, 8)):
+            kind = rng.randrange(9)
+            value = None
+            try:
+                if kind == 0:
+                    value = yield env.timeout(rng.choice(DELAYS), value=step)
+                elif kind == 1:
+                    a = env.timeout(rng.choice(DELAYS))
+                    b = Timeout(env, rng.choice(DELAYS))
+                    fired = yield env.any_of([a, b])
+                    loser = b if a in fired else a
+                    if not loser.processed:
+                        env.cancel(loser)
+                    value = a in fired
+                elif kind == 2:
+                    members = [env.timeout(rng.choice(DELAYS))
+                               for _ in range(rng.randint(1, 3))]
+                    value = len((yield env.all_of(members)))
+                elif kind == 3:
+                    ev = env.event()
+                    if rng.random() < 0.5:
+                        ev.succeed(step)
+                    else:
+                        ev.fail(ValueError(step))
+                        ev.defuse()  # an interrupt may leave it unwaited
+                    value = yield ev
+                elif kind == 4:
+                    i = rng.randrange(len(signals))
+                    signals[i].succeed(ident)
+                    signals[i] = env.event()
+                elif kind == 5:
+                    i = rng.randrange(len(signals))
+                    fired = yield env.any_of(
+                        [signals[i], env.timeout(rng.choice(DELAYS))])
+                    value = sorted(map(str, fired.values()))
+                elif kind == 6:
+                    child = procs[ident, step] = env.process(
+                        sleeper((ident, step)))
+                    idents.append((ident, step))
+                    if rng.random() < 0.5:
+                        value = yield child
+                elif kind == 7:
+                    victim = rng.choice(idents)
+                    if (victim != ident and victim in started
+                            and victim not in interrupted
+                            and procs[victim].is_alive):
+                        interrupted.add(victim)
+                        procs[victim].interrupt(ident)
+                else:
+                    env.spawn(client((ident, step)))
+            except Interrupt as irq:
+                interrupted.discard(ident)
+                value = ("interrupted", irq.cause)
+            except ValueError as exc:
+                value = ("failed", exc.args)
+            log.append((env.now, ident, step, kind, value))
+        return ident
+
+    workers = []
+    for i in range(rng.randint(3, 7)):
+        procs[i] = proc = env.process(worker(i))
+        idents.append(i)
+        workers.append(proc)
+    env.spawn(client("main"))
+    return workers
+
+
+def _drive(env, rng, targets):
+    """Drive with a random mix of ``step()``, ``run(until=time)`` and
+    ``run(until=event)``, then ``run()`` to exhaustion."""
+    while True:
+        how = rng.randrange(5)
+        try:
+            if how == 0:
+                env.step()
+            elif how == 1:
+                env.run(until=env.now + rng.choice((0, 0.5, 1.0, 3.0)))
+            elif how == 2:
+                env.run(until=rng.choice(targets))
+            elif how == 3:
+                env.run(until=env.now + 0.25)
+                env.step()
+            else:
+                env.run()
+                return
+        except SimulationError:  # step() or until=event on an empty queue
+            return
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lanes_and_compaction_dispatch_like_the_heap_only_engine(
+        monkeypatch, seed):
+    def program(env):
+        log = []
+        targets = _random_program(env, random.Random(seed), log)
+        _drive(env, random.Random(seed + 1000), targets)
+        return log
+
+    reference, _ = _dispatch(monkeypatch, program, heap_only=True)
+    lanes, compactions = _dispatch(monkeypatch, program, heap_only=False)
+    assert lanes == reference
+    assert len(reference[1]) > 100 and len(reference[0]) > 30
+    assert compactions > 0
+
+
+def test_compaction_keeps_cancelled_entries_at_most_half_the_heap(
+        monkeypatch):
+    """Right after every ``cancel``, at most half the heap is cancelled
+    entries, and the dispatch is the heap-only engine's."""
+    cancel = Environment.cancel
+    sizes = []
+
+    def checked(env, timeout):
+        cancel(env, timeout)
+        dead = sum(entry[3].callbacks is _CANCELLED for entry in env._queue)
+        assert 2 * dead <= len(env._queue)
+        sizes.append(len(env._queue))
+
+    def program(env):
+        log = []
+        rng = random.Random(5)
+
+        def client(ident):
+            for n in range(200):
+                _Deadline(env, log, (ident, n), rng.choice((0, 0.5, 1.0)))
+                yield env.timeout(rng.choice((0, 0.25)))
+
+        for i in range(4):
+            env.spawn(client(i))
+        env.run()
+        return log
+
+    reference, _ = _dispatch(monkeypatch, program, heap_only=True)
+    lanes, compactions = _dispatch(monkeypatch, program, heap_only=False,
+                                   patches=[(Environment, "cancel", checked)])
+    assert lanes == reference
+    assert len(sizes) > 500 and compactions > 10
+    # Without compaction the heap would hold every far deadline.
+    assert max(sizes) < len(sizes) // 4
