@@ -1,10 +1,10 @@
-"""Observability overhead benchmarks (tracing tiers, span slab).
+"""Observability overhead benchmarks (tracing tiers).
 
 Unlike the ``benchmarks/test_*`` accuracy benchmarks (which compare
 simulated numbers against the paper), this package times the
 simulator's telemetry: ``obs_bench`` runs one cell with each
-observability tier and ``span_bench`` times the span slab.  Simulator
-speed itself is measured by ``perfbench/`` (see perfbench/README.md).
+observability tier.  Simulator speed itself is measured by
+``perfbench/`` (see perfbench/README.md).
 
 Usage::
 

@@ -10,8 +10,7 @@ disabled case is the one every experiment runs: each instrumented site
 must cost one attribute load and a ``None`` test.  The
 ``obs_timeline`` tier bounds the marginal cost of the timeline ticker
 over ``obs_full``: outside ``--quick`` the command fails if it exceeds
-10 percentage points.  The span slab row (``span_bench``) is printed
-last.
+10 percentage points.
 
 Methodology: tiers are **interleaved** round-robin and each overhead
 is the *median of per-round ratios* against the obs-off run of the
@@ -42,8 +41,6 @@ from repro.pfs.cluster import Cluster
 from repro.units import KiB, MiB
 from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
-
-from . import span_bench
 
 #: Largest marginal overhead (percentage points) the timeline ticker may
 #: add over the spans+metrics tier in a full run.
@@ -97,7 +94,7 @@ def run_all(quick: bool = False) -> Dict[str, Any]:
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="benchmarks.perf.obs_bench",
-        description="Time the observability tiers and the span slab.")
+        description="Time the observability tiers.")
     parser.add_argument("--quick", action="store_true",
                         help="tiny sizes (CI smoke; no overhead gate)")
     args = parser.parse_args(argv)
@@ -112,12 +109,6 @@ def main(argv: Optional[list] = None) -> int:
     for name, label in labels.items():
         print(f"  {name:14s} {obs[name]['seconds']:.3f}s "
               f"({obs[name]['overhead_pct']:+.1f}%, {label})")
-    span_row = span_bench.span_alloc_bench(quick=args.quick)
-    print(f"  {'span_alloc':14s} unsampled "
-          f"{span_row['unsampled_ops_per_s']:,.0f} ops/s, "
-          f"1-in-{span_row['sample_n']} sampled "
-          f"{span_row['sampled_ops_per_s']:,.0f} ops/s "
-          f"({span_row['sampled_speedup']:.2f}x)")
 
     # The timeline ticker rides the obs_full stack; its *marginal* cost
     # over obs_full must stay small (quick sizes are too noisy for a

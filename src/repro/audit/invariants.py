@@ -86,9 +86,6 @@ class ManagerAuditor:
         self._emit = runtime.trace.emit
         self._env = runtime.env
         self._server_id = manager.server_id
-        cfg = runtime.config
-        self._coherence = cfg.check_coherence
-        self._conservation = cfg.check_conservation
         # Independent payload ledgers (bytes).
         self.client_write_bytes = 0     # accepted write payload
         self.disk_write_bytes = 0       # served at the disk (foreground)
@@ -171,8 +168,6 @@ class ManagerAuditor:
         self.read_served_bytes += ssd_bytes + disk_bytes
         self._trace("read", requested=requested, ssd=ssd_bytes,
                     disk=disk_bytes, readahead=readahead_bytes)
-        if not self._conservation:
-            return
         if ssd_bytes + disk_bytes != requested:
             self._fail(
                 "read-conservation",
@@ -240,12 +235,10 @@ class ManagerAuditor:
             0 if log is None else len(log.segments)
             + (ftl.audit_size if ftl is not None else 0))
 
-        if self._conservation:
-            self._check_dirty_ledger(event, dirty)
-            self._check_dirty_counter(event, dirty)
-        if self._coherence:
-            self._check_coherence(event, entries, by_kind, ret_by_kind,
-                                  lbns, live_by_seg)
+        self._check_dirty_ledger(event, dirty)
+        self._check_dirty_counter(event, dirty)
+        self._check_coherence(event, entries, by_kind, ret_by_kind,
+                              lbns, live_by_seg)
 
     def _screen(self, entries: Sequence[CacheEntry],
                 moved: Optional[Tuple[int, int]],
@@ -299,13 +292,10 @@ class ManagerAuditor:
                     self._kind_bytes[new[0]] += new[1]
                     self._kind_ret[new[0]] += new[2]
 
-        if self._conservation:
-            ledger = (self.ssd_redirect_bytes - self.writeback_bytes
-                      - self.superseded_bytes - self.forfeited_bytes)
-            if ledger != self._dirty or mgr.mapping.dirty_bytes != self._dirty:
-                return False
-        if not self._coherence:
-            return True
+        ledger = (self.ssd_redirect_bytes - self.writeback_bytes
+                  - self.superseded_bytes - self.forfeited_bytes)
+        if ledger != self._dirty or mgr.mapping.dirty_bytes != self._dirty:
+            return False
 
         part = mgr.partition
         for kind in _KINDS:
@@ -546,8 +536,6 @@ class ManagerAuditor:
     def final_check(self) -> None:
         """End-of-run conservation (call after the manager drained)."""
         self.check("final")
-        if not self._conservation:
-            return
         dirty = self.manager.mapping.recount_dirty_bytes()
         if dirty != 0:
             self._fail(

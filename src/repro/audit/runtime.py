@@ -34,7 +34,7 @@ class AuditRuntime:
     def __init__(self, env: "Environment", config: AuditConfig) -> None:
         self.env = env
         self.config = config
-        self.trace = EventTrace(config.trace_path, config.trace_limit)
+        self.trace = EventTrace(config.trace_path)
         self.violations: List[Dict] = []
         self.watchdog = (LivelockWatchdog(env, self, config.watchdog_window)
                          if config.watchdog else None)

@@ -319,16 +319,6 @@ class AuditConfig:
     #: When False, violations are recorded on the runtime (and traced)
     #: but the run continues — useful for surveying a misbehaving run.
     strict: bool = True
-    #: Check after every mutation that the MappingTable, LogStore,
-    #: PartitionManager, ``_by_lbn`` index and FTL accounts agree.  Each
-    #: check re-reads only what its mutation touched, against shadow
-    #: state the auditor keeps; a mismatch, an explicit check, a phase
-    #: boundary or the amortised cadence runs a full recount
-    #: (docs/AUDITING.md).
-    check_coherence: bool = True
-    #: Track payload bytes end-to-end and assert conservation per read
-    #: and at end-of-run drain.
-    check_conservation: bool = True
     #: Run the livelock/stall watchdog process.
     watchdog: bool = True
     #: Simulated seconds without a single block-request completion
@@ -338,14 +328,10 @@ class AuditConfig:
     #: Write the structured event trace to this JSONL file (None = keep
     #: an in-memory ring only).
     trace_path: Optional[str] = None
-    #: Events kept in the in-memory ring buffer.
-    trace_limit: int = 4096
 
     def validate(self) -> None:
         if self.watchdog_window <= 0:
             raise ConfigError("watchdog_window must be positive")
-        if self.trace_limit < 0:
-            raise ConfigError("trace_limit must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -374,11 +360,6 @@ class ObsConfig:
     trace_path: Optional[str] = None
     #: Append metrics JSONL here at end of run (None = in-memory only).
     metrics_path: Optional[str] = None
-    #: Write the final Prometheus-text metrics snapshot here at end of
-    #: run (None = off).  Overwritten per cluster — exposition text has
-    #: one series per line, so unlike JSONL it cannot append; the file
-    #: always holds the latest cluster's final state, scrape-style.
-    metrics_text_path: Optional[str] = None
     #: Stream spans to ``trace_path`` incrementally: after this many
     #: span closures the pending batch is appended and fsync-flushed, so
     #: traces from aborted / OOM-killed / budget-killed runs survive up
@@ -396,19 +377,17 @@ class ObsConfig:
     #: sequence numbers, so this knob is part of the cache key via
     #: ObsConfig.
     timeline_dt: float = 0.0
-    #: Timeline rows retained in the ring buffer (oldest evicted first).
-    timeline_limit: int = 100_000
     #: Append timeline JSONL here at end of run (None = in-memory only).
     timeline_path: Optional[str] = None
     #: 1-in-N root-trace sampling: only parent requests whose trace id
     #: is divisible by N keep their span trees; the other N-1 traces
-    #: allocate recycled (slab) spans that are dropped at close.  The
-    #: decision is a pure function of the trace id, so it propagates
-    #: down the whole request tree (client → network → server → block
-    #: layer) without any extra wire state, and every *retained* trace
-    #: is complete — the critical-path analyzer's per-kind breakdowns
-    #: still sum exactly to root latency.  ``1`` (default) samples
-    #: everything and is bit-identical to the pre-sampling tracer.
+    #: build no span at all (their root is ``None``).  The decision is
+    #: a pure function of the trace id, so it propagates down the whole
+    #: request tree (client → network → server → block layer) without
+    #: any extra wire state, and every *retained* trace is complete —
+    #: the critical-path analyzer's per-kind breakdowns still sum
+    #: exactly to root latency.  ``1`` (default) samples everything and
+    #: is bit-identical to the pre-sampling tracer.
     trace_sample_n: int = 1
 
     def validate(self) -> None:
@@ -422,8 +401,6 @@ class ObsConfig:
             raise ConfigError("trace_sample_n must be >= 1")
         if self.timeline_dt < 0:
             raise ConfigError("timeline_dt must be non-negative")
-        if self.timeline_limit < 0:
-            raise ConfigError("timeline_limit must be non-negative")
         if self.timeline_dt > 0 and not self.metrics:
             raise ConfigError("the timeline recorder samples the metrics "
                               "registry; timeline_dt > 0 needs metrics=True")
@@ -453,9 +430,8 @@ class RetryConfig:
     max_retries: int = 4
     #: First retry is delayed by this much ...
     backoff_base: float = 0.01
-    #: ... doubling (``backoff_factor``) per attempt, capped at
-    #: ``backoff_cap`` — the classic capped exponential backoff.
-    backoff_factor: float = 2.0
+    #: ... doubling per attempt, capped at ``backoff_cap`` — the
+    #: classic capped exponential backoff.
     backoff_cap: float = 2.0
     #: Total simulated seconds a sub-request may spend retrying before
     #: the client gives up, regardless of how many attempts remain.
@@ -474,15 +450,12 @@ class RetryConfig:
             raise ConfigError("max_retries must be non-negative")
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise ConfigError("backoff bounds must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("backoff_factor must be >= 1")
         if self.total_timeout is not None and self.total_timeout <= 0:
             raise ConfigError("total_timeout must be positive (or None)")
 
     def backoff(self, attempt: int) -> float:
         """Delay before retry ``attempt`` (0-based), capped exponential."""
-        return min(self.backoff_base * self.backoff_factor ** attempt,
-                   self.backoff_cap)
+        return min(self.backoff_base * 2.0 ** attempt, self.backoff_cap)
 
 
 @dataclass(frozen=True)

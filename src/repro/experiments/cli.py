@@ -49,57 +49,13 @@ def _profiled(runner, kwargs, limit: int = 25):
     return result
 
 
-def cache_main(argv: List[str]) -> int:
-    """``ibridge-experiment cache stats|prune`` — result-cache upkeep."""
-    from .cache_tools import cache_stats, parse_age, parse_size, prune_cache
-
-    parser = argparse.ArgumentParser(
-        prog="ibridge-experiment cache",
-        description="Inspect or prune the on-disk result cache.")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help=f"cache location (default "
-                             f"{default_cache_dir()!r})")
-    sub = parser.add_subparsers(dest="action", required=True)
-    sub.add_parser("stats", help="entry count, bytes, age range")
-    prune = sub.add_parser("prune", help="evict by age and/or LRU size cap")
-    prune.add_argument("--max-bytes", metavar="SIZE", default=None,
-                       help="shrink the cache to at most SIZE "
-                            "(e.g. 500M, 2G), evicting least-recently-"
-                            "used entries first")
-    prune.add_argument("--max-age", metavar="AGE", default=None,
-                       help="drop entries not touched for AGE "
-                            "(e.g. 7d, 12h)")
-    prune.add_argument("--dry-run", action="store_true",
-                       help="report what would be removed; remove nothing")
-    args = parser.parse_args(argv)
-
-    if args.action == "stats":
-        print(cache_stats(args.cache_dir).format())
-        return 0
-    if args.max_bytes is None and args.max_age is None:
-        parser.error("prune needs --max-bytes and/or --max-age")
-    report = prune_cache(
-        args.cache_dir,
-        max_bytes=None if args.max_bytes is None else parse_size(args.max_bytes),
-        max_age=None if args.max_age is None else parse_age(args.max_age),
-        dry_run=args.dry_run)
-    print(("[dry-run] " if args.dry_run else "") + report.format())
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The cache subcommand has its own grammar; dispatch before the
-    # experiment parser claims the positional.
-    if argv and argv[0] == "cache":
-        return cache_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="ibridge-experiment",
-        description="Reproduce a table/figure from the iBridge paper "
-                    "(or maintain the result cache: see "
-                    "'ibridge-experiment cache --help').")
+        description="Reproduce a table/figure from the iBridge paper.")
     parser.add_argument("name", nargs="?", default=None,
                         help="experiment name, or 'all'")
     parser.add_argument("--scale", type=float, default=DEFAULT_SCALE,
@@ -138,9 +94,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="sample time-series metrics (queue depths, "
                              "SSD log occupancy, admission counters) to a "
                              "JSONL file")
-    parser.add_argument("--metrics-text", metavar="PATH", default=None,
-                        help="write the final metrics snapshot as "
-                             "Prometheus exposition text")
     parser.add_argument("--timeline-out", metavar="PATH", default=None,
                         help="record the continuous sim-time series "
                              "(gauges sampled every --timeline-dt "
@@ -190,16 +143,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.timeline_dt <= 0:
         parser.error("--timeline-dt must be positive")
 
-    if (args.trace_out or args.metrics_out or args.metrics_text
-            or args.timeline_out):
+    if args.trace_out or args.metrics_out or args.timeline_out:
         # Like the audit trace, obs files are appended per cluster;
-        # truncate each once per CLI invocation.  (--metrics-text is
-        # overwrite-per-cluster by nature; no truncation needed.)
+        # truncate each once per CLI invocation.
         for path in (args.trace_out, args.metrics_out, args.timeline_out):
             if path:
                 open(path, "w", encoding="utf-8").close()
         metrics_on = (args.metrics_out is not None
-                      or args.metrics_text is not None
                       or args.timeline_out is not None)
         set_default_obs(ObsConfig(
             enabled=True,
@@ -207,7 +157,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             metrics=metrics_on,
             trace_path=args.trace_out,
             metrics_path=args.metrics_out,
-            metrics_text_path=args.metrics_text,
             timeline_dt=(args.timeline_dt if args.timeline_out else 0.0),
             timeline_path=args.timeline_out))
 
@@ -216,10 +165,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # trace coherent by running the matrix in-process.
         print("note: --audit-trace forces --jobs 1 (single trace writer)")
         args.jobs = 1
-    if (args.trace_out or args.metrics_out or args.metrics_text
+    if (args.trace_out or args.metrics_out
             or args.timeline_out) and args.jobs > 1:
-        print("note: --trace-out/--metrics-out/--metrics-text/"
-              "--timeline-out force --jobs 1 (single trace writer)")
+        print("note: --trace-out/--metrics-out/--timeline-out force "
+              "--jobs 1 (single trace writer)")
         args.jobs = 1
     if args.profile and args.jobs > 1:
         args.jobs = 1
@@ -265,8 +214,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit_trace_outputs(args.trace_out, args.timeline_out)
     if args.metrics_out:
         print(f"metrics written to {args.metrics_out}")
-    if args.metrics_text:
-        print(f"metrics exposition written to {args.metrics_text}")
     if args.timeline_out:
         print(f"timeline written to {args.timeline_out}")
     if args.report:

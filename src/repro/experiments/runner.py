@@ -219,12 +219,6 @@ class ResultCache:
             # anything (ValueError, EOFError, AttributeError...); any
             # unreadable entry is simply a miss and will be rewritten.
             return False, None
-        try:
-            # Touch on hit so `ibridge-experiment cache prune` can evict
-            # least-recently-used entries by mtime.
-            os.utime(self._path(key))
-        except OSError:
-            pass
         return True, value
 
     def put(self, key: str, value: Any) -> None:

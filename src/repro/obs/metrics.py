@@ -24,7 +24,6 @@ why the observability config is part of the experiment-matrix cache key
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, Any], ...]
@@ -32,44 +31,6 @@ LabelKey = Tuple[Tuple[str, Any], ...]
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted(labels.items()))
-
-
-# ----------------------------------------------- Prometheus exposition
-def _prom_name(name: str) -> str:
-    """Sanitize a metric/label name to the Prometheus charset."""
-    out = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-    if not out or out[0].isdigit():
-        out = "_" + out
-    return out
-
-
-def _prom_value(value: float) -> str:
-    """Render a sample value (Prometheus uses Go-style floats)."""
-    if value != value:  # NaN
-        return "NaN"
-    if value in (float("inf"), float("-inf")):
-        return "+Inf" if value > 0 else "-Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def _prom_labels(labels: Dict[str, Any],
-                 extra: Optional[Dict[str, str]] = None) -> str:
-    """Render a ``{k="v",...}`` label block ('' when empty)."""
-    items: List[Tuple[str, str]] = []
-    for k, v in sorted(labels.items()):
-        key = re.sub(r"[^a-zA-Z0-9_]", "_", str(k))
-        if not key or key[0].isdigit():
-            key = "_" + key
-        val = str(v).replace("\\", r"\\").replace('"', r"\"") \
-                    .replace("\n", r"\n")
-        items.append((key, val))
-    for k, v in (extra or {}).items():
-        items.append((k, v))
-    if not items:
-        return ""
-    return "{" + ",".join(f'{k}="{v}"' for k, v in items) + "}"
 
 
 class Counter:
@@ -209,50 +170,6 @@ class MetricsRegistry:
                 fh.write("\n")
         return len(rows)
 
-    def to_prometheus_text(self) -> str:
-        """Render the registry's *current* state as Prometheus text.
-
-        OpenMetrics-style exposition: one ``# TYPE`` line per metric
-        family, labels rendered ``{k="v"}``, histograms exported as
-        cumulative ``_bucket{le="..."}`` series plus ``_sum`` and
-        ``_count``.  Gauges read their callbacks at render time, so
-        this is a live snapshot; the CLI's ``--metrics-text`` writes the
-        final snapshot of a run.  :func:`parse_prometheus_text`
-        round-trips it (asserted by tests/test_metrics_text.py).
-        """
-        lines: List[str] = []
-        families: Dict[str, str] = {}
-
-        def family(name: str, kind: str) -> str:
-            pname = _prom_name(name)
-            if families.get(pname) is None:
-                families[pname] = kind
-                lines.append(f"# TYPE {pname} {kind}")
-            return pname
-
-        for counter in self._counters.values():
-            pname = family(counter.name, "counter")
-            lines.append(f"{pname}{_prom_labels(counter.labels)} "
-                         f"{_prom_value(counter.value)}")
-        for gauge in self._gauges.values():
-            pname = family(gauge.name, "gauge")
-            lines.append(f"{pname}{_prom_labels(gauge.labels)} "
-                         f"{_prom_value(gauge.read())}")
-        for hist in self._histograms.values():
-            pname = family(hist.name, "histogram")
-            cumulative = 0
-            for bound, count in zip(hist.bounds, hist.counts):
-                cumulative += count
-                le = _prom_labels(hist.labels,
-                                  {"le": _prom_value(float(bound))})
-                lines.append(f"{pname}_bucket{le} {cumulative}")
-            le = _prom_labels(hist.labels, {"le": "+Inf"})
-            lines.append(f"{pname}_bucket{le} {hist.count}")
-            lab = _prom_labels(hist.labels)
-            lines.append(f"{pname}_sum{lab} {_prom_value(hist.sum)}")
-            lines.append(f"{pname}_count{lab} {hist.count}")
-        return "\n".join(lines) + "\n"
-
     def clear(self) -> None:
         """Drop samples and reset instruments (measurement reset)."""
         self.samples.clear()
@@ -273,46 +190,6 @@ def load_metrics_jsonl(path: str) -> List[Dict[str, Any]]:
             if line:
                 rows.append(json.loads(line))
     return rows
-
-
-_SAMPLE_RE = re.compile(
-    r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)'
-    r'(?:\{(?P<labels>[^}]*)\})?\s+(?P<value>\S+)\s*$')
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-def parse_prometheus_text(text: str):
-    """Parse Prometheus exposition text back into plain data.
-
-    Returns ``(types, samples)``: ``types`` maps family name to its
-    declared type, ``samples`` maps ``(name, ((label, value), ...))``
-    to the float sample.  Label values come back as strings (the wire
-    format is untyped) — the round-trip test compares accordingly.
-    Raises ``ValueError`` on a malformed sample line.
-    """
-    types: Dict[str, str] = {}
-    samples: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                types[parts[2]] = parts[3]
-            continue
-        m = _SAMPLE_RE.match(line)
-        if m is None:
-            raise ValueError(f"malformed exposition line: {line!r}")
-        labels = tuple(sorted(
-            (k, v.replace(r"\n", "\n").replace(r"\"", '"')
-              .replace(r"\\", "\\"))
-            for k, v in _LABEL_RE.findall(m.group("labels") or "")))
-        raw = m.group("value")
-        value = float("nan") if raw == "NaN" else float(
-            raw.replace("+Inf", "inf").replace("-Inf", "-inf"))
-        samples[(m.group("name"), labels)] = value
-    return types, samples
 
 
 #: Default benefit-value histogram buckets (seconds of saved service

@@ -56,8 +56,7 @@ class ObsRuntime:
         #: Sim-time series recorder (None unless timeline_dt > 0): the
         #: continuous-telemetry sibling of the one-shot registry sample.
         self.timeline: Optional[TimelineRecorder] = (
-            TimelineRecorder(self.registry, config.timeline_dt,
-                             config.timeline_limit)
+            TimelineRecorder(self.registry, config.timeline_dt)
             if self.registry is not None and config.timeline_dt > 0
             else None)
         #: Fault-injector record list (attached by the cluster after the
@@ -67,9 +66,9 @@ class ObsRuntime:
         self._finished = False
         # Incremental span streaming (config.flush_spans > 0): closed
         # spans buffer here and hit the JSONL file every flush_spans
-        # closures, so an aborted / budget-killed / OOM-killed episode
-        # still leaves its trace prefix on disk instead of losing
-        # everything export-at-finish would have written.
+        # closures, so an aborted or killed run still leaves its trace
+        # prefix on disk instead of losing everything export-at-finish
+        # would have written.
         self._stream_buf: list = []
         self._events_streamed = 0
         self._streaming = bool(self.tracer is not None
@@ -211,9 +210,9 @@ class ObsRuntime:
         """Write buffered closed spans (+ new instant events) to the
         trace path now; returns the number of rows appended.
 
-        No-op unless streaming is on.  Safe to call at any time — the
-        chaos episode runner calls it after catching a typed abort so
-        the failure's trace survives for the reproducer.
+        No-op unless streaming is on.  Called every ``flush_spans``
+        closures and by :meth:`finish_run`, so a traced run that aborts
+        or is killed keeps the spans flushed before it stopped.
         """
         if not self._streaming:
             return 0
@@ -274,10 +273,6 @@ class ObsRuntime:
             self.registry.stop()
             if self.config.metrics_path:
                 self.registry.export_jsonl(self.config.metrics_path)
-            if self.config.metrics_text_path:
-                with open(self.config.metrics_text_path, "w",
-                          encoding="utf-8") as fh:
-                    fh.write(self.registry.to_prometheus_text())
         if self.tracer is not None and self.config.trace_path:
             if self._streaming:
                 # Everything closed already streamed; drain the tail.

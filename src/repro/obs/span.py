@@ -25,22 +25,13 @@ what a traced run builds down:
   read.  An audit event stores the audit ring's own record (``name``
   is ``None``) and strips ``t``/``kind`` from it on read, so a record
   exists once however many telemetry sinks see it.
-* **Slab/freelist + 1-in-N sampling.**  With ``sample_n > 1`` only
-  traces whose id is divisible by N are retained.  :meth:`Tracer.root`
-  returns ``None`` for the others, and because every instrumented site
-  hangs child spans off a non-``None`` parent, an unsampled trace
-  costs one modulo — no span object is ever built for it.  Spans of
-  unsampled traces that *are* opened directly via :meth:`Tracer.start`
-  are recycled through a bounded freelist once they close, so they
-  cost slot writes instead of an allocation.  The sampling decision is
-  a pure function of the trace id and therefore constant down the
-  whole request tree — every retained trace is complete.  Caveat: a
-  recycled span object may still be referenced
-  by a straggler (e.g. a late duplicate RPC attempt under fault
-  injection reading ``sub.span``); such a reference sees the recycled
-  span's *new* identity.  This only mislabels telemetry of unsampled
-  traces on faulted runs — never retained data — and ``sample_n == 1``
-  (the default) never recycles anything.
+* **1-in-N sampling.**  With ``sample_n > 1`` only traces whose id is
+  divisible by N are retained.  :meth:`Tracer.root` returns ``None``
+  for the others, and because every instrumented site hangs child
+  spans off a non-``None`` parent, an unsampled trace costs one
+  modulo — no span object is ever built for it.  The sampling decision
+  is a pure function of the trace id and therefore constant down the
+  whole request tree — every retained trace is complete.
 """
 
 from __future__ import annotations
@@ -93,7 +84,7 @@ class Span:
     """One timed operation; ``end is None`` while still open."""
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "kind",
-                 "start", "end", "attrs", "sampled")
+                 "start", "end", "attrs")
 
     def __init__(self, trace_id: int, span_id: int, parent_id: Optional[int],
                  name: str, kind: str, start: float,
@@ -106,7 +97,6 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.attrs = attrs if attrs else EMPTY_ATTRS
-        self.sampled = True
 
     @property
     def duration(self) -> float:
@@ -156,17 +146,10 @@ class Tracer:
     affected because it is fed from the same list before clearing).
 
     ``sample_n`` enables 1-in-N root-trace sampling (see the module
-    docstring): unsampled spans are neither retained nor streamed, and
-    their objects are recycled through a freelist at :meth:`finish`.
+    docstring): :meth:`root` opens no span for an unsampled trace.
     """
 
-    #: Freelist depth: enough to cover the spans in flight at any
-    #: instant on a deep cluster; past this, finished unsampled spans
-    #: fall to the garbage collector like before.
-    FREELIST_CAP = 4096
-
     def __init__(self, max_spans: int = 200_000, sample_n: int = 1) -> None:
-        self.enabled = True
         self.max_spans = max_spans
         self.sample_n = max(1, int(sample_n))
         self.spans: List[Span] = []
@@ -174,27 +157,19 @@ class Tracer:
         #: in compact form; :attr:`events` builds their dicts.
         self._events: List[EventEntry] = []
         self.dropped = 0
-        #: Work discarded by the 1-in-N sampler: whole trees pruned at
-        #: :meth:`root` plus individual spans recycled at
-        #: :meth:`finish` (distinct from ``dropped``, which counts
-        #: retention-cap overflow of *sampled* spans).
+        #: Trees pruned at :meth:`root` by the 1-in-N sampler (distinct
+        #: from ``dropped``, which counts retention-cap overflow).
         self.unsampled = 0
         self._ids = itertools.count(1)
-        self._free: List[Span] = []
         #: Called with each span as it closes (see
         #: :meth:`~repro.obs.runtime.ObsRuntime.flush_spans`): the hook
         #: incremental streaming hangs off.  Closure-driven rather than a
         #: sim process, so enabling it cannot perturb event schedules.
         #: Note it fires even for spans past the retention cap — the
         #: streamed file is complete where the in-memory list is partial.
-        #: It never fires for unsampled spans.
         self.sink: Optional[Callable[[Span], None]] = None
 
     # ------------------------------------------------------------- spans
-    def sampled(self, trace_id: int) -> bool:
-        """Whether a trace id falls in the retained 1-in-N sample."""
-        return self.sample_n <= 1 or trace_id % self.sample_n == 0
-
     def root(self, name: str, kind: str, trace_id: int, start: float,
              **attrs: Any) -> Optional[Span]:
         """Open a trace's root span — or ``None`` when the trace falls
@@ -203,9 +178,7 @@ class Tracer:
         This is the hot-path form of sampling: instrumented sites hang
         child spans off a non-``None`` parent, so returning ``None``
         here prunes the *entire* tree of an unsampled trace before a
-        single span object is touched.  The per-span freelist in
-        :meth:`start`/:meth:`finish` still covers callers that open
-        unsampled spans directly.
+        single span object is touched.
         """
         if self.sample_n > 1 and trace_id % self.sample_n:
             self.unsampled += 1
@@ -218,44 +191,18 @@ class Tracer:
         """Open a span; pass either a parent span or an explicit id."""
         if parent is not None:
             parent_id = parent.span_id
-        sample_n = self.sample_n
-        keep = sample_n <= 1 or trace_id % sample_n == 0
-        free = self._free
-        if free:
-            # Slab path: refill a recycled span object slot by slot
-            # instead of allocating.  Recycled spans only come from unsampled
-            # finishes, so nothing retained/streamed aliases them.
-            span = free.pop()
-            span.trace_id = trace_id
-            span.span_id = next(self._ids)
-            span.parent_id = parent_id
-            span.name = name
-            span.kind = kind
-            span.start = start
-            span.end = None
-            span.attrs = attrs if attrs else EMPTY_ATTRS
+        span = Span(trace_id, next(self._ids), parent_id, name, kind,
+                    start, attrs if attrs else None)
+        if len(self.spans) < self.max_spans:
+            self.spans.append(span)
         else:
-            span = Span(trace_id, next(self._ids), parent_id, name, kind,
-                        start, attrs if attrs else None)
-        span.sampled = keep
-        if keep:
-            if len(self.spans) < self.max_spans:
-                self.spans.append(span)
-            else:
-                self.dropped += 1
+            self.dropped += 1
         return span
 
     def finish(self, span: Span, end: float) -> None:
         span.end = end
-        if span.sampled:
-            if self.sink is not None:
-                self.sink(span)
-            return
-        self.unsampled += 1
-        free = self._free
-        if len(free) < self.FREELIST_CAP:
-            span.attrs = EMPTY_ATTRS  # drop attr references early
-            free.append(span)
+        if self.sink is not None:
+            self.sink(span)
 
     # ------------------------------------------------------------- events
     def event(self, name: str, time: float, **attrs: Any) -> None:

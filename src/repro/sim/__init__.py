@@ -8,16 +8,15 @@ resources, stores, and barriers.  Everything else in the reproduction
 of this engine.
 """
 
-from .core import Chain, Environment, Interrupt, Process
+from .core import Chain, Environment, Process
 from .events import AllOf, AnyOf, Event, Timeout
 from .resources import Request, Resource, Store
-from .sync import Barrier, CountdownLatch
+from .sync import Barrier
 
 __all__ = [
     "Environment",
     "Process",
     "Chain",
-    "Interrupt",
     "Event",
     "Timeout",
     "AllOf",
@@ -26,5 +25,4 @@ __all__ = [
     "Request",
     "Store",
     "Barrier",
-    "CountdownLatch",
 ]

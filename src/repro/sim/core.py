@@ -32,8 +32,9 @@ failures differ, in that an exception raised by a step leaves
 
 Hot-path notes (see docs/PERFORMANCE.md): an entry due at the current
 time goes to a FIFO lane, not through the heap (see
-:class:`Environment`); :meth:`Environment.run` inlines the dispatch
-loop (``step()`` remains for single-stepping), the bootstrap entry is a
+:class:`Environment`; the urgent lane holds only process and chain
+starts); :meth:`Environment.run` inlines the dispatch loop (``step()``
+remains for single-stepping), the bootstrap entry is a
 bare pre-triggered event built without the ``Event.__init__``
 trampoline, and resumes go through a cached bound ``send`` method.  A
 finished process drops its cached resume callback, so neither it nor
@@ -70,14 +71,6 @@ class _Cancelled(tuple):
 #: Shared marker for cancelled timeouts; the dispatch loops test for it
 #: by identity.
 _CANCELLED = _Cancelled()
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 def _bootstrap(env: "Environment", callback) -> None:
@@ -139,8 +132,7 @@ class Process(Event):
     the exception is thrown into the generator (which may catch it).
     """
 
-    __slots__ = ("_generator", "_send", "_resume_cb", "_target", "_detached",
-                 "name")
+    __slots__ = ("_generator", "_send", "_resume_cb", "_detached", "name")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator,
                  name: Optional[str] = None) -> None:
@@ -161,7 +153,6 @@ class Process(Event):
         self._processed = False
         self._defused = False
         self._generator = generator
-        self._target: Optional[Event] = None
         self._detached = False
         self.name = name or getattr(generator, "__name__", "process")
         # ``self._resume`` builds a fresh bound method on every access;
@@ -177,34 +168,12 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        wakeup = Event.__new__(Event)
-        wakeup.env = self.env
-        wakeup.callbacks = [self._resume_cb]
-        wakeup._value = Interrupt(cause)
-        wakeup._ok = False
-        wakeup._triggered = True
-        wakeup._processed = False
-        wakeup._defused = True
-        env = self.env
-        env._seq = seq = env._seq + 1
-        env._urgent.append((env._now, PRIORITY_URGENT, seq, wakeup))
-
     def _resume(self, event: Event) -> None:
         env = self.env
         # A loop, not recursion: yielding an already-processed event
         # resumes on the spot, and a process may do that any number of
         # times in a row.
         while True:
-            self._target = None
             try:
                 if event._ok:
                     target = self._send(event._value)
@@ -231,7 +200,6 @@ class Process(Event):
                 event = target
                 continue
             callbacks.append(self._resume_cb)
-            self._target = target
             return
 
         exc = SimulationError(
@@ -273,7 +241,7 @@ class Environment:
 
     Pending entries ``(time, priority, seq, event)`` live in three
     containers.  One due at the current time is appended to a FIFO
-    lane, ``_urgent`` (process starts and interrupts) or ``_normal``
+    lane, ``_urgent`` (process and chain starts) or ``_normal``
     (``succeed``, ``fail``, zero-delay timeouts); a later one is pushed
     onto the heap ``_queue``.  Every lane entry has time ``_now`` and
     each lane is in seq order, so the next entry is the smaller of the

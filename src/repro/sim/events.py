@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 Callback = Callable[["Event"], None]
 
-#: Scheduling priorities.  URGENT is used for interrupt-style wakeups,
+#: Scheduling priorities.  URGENT is used for process and chain starts,
 #: NORMAL for ordinary event processing.  Lower sorts first.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1

@@ -8,7 +8,7 @@ device command slot); ``Store`` is an unbounded producer/consumer queue
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List
+from typing import Any, Deque, List
 
 from ..errors import SimulationError
 from .core import Environment
@@ -23,13 +23,6 @@ class Request(Event):
     def __init__(self, env: Environment, resource: "Resource") -> None:
         super().__init__(env)
         self.resource = resource
-
-    # Context-manager sugar: ``with res.request() as req: yield req``
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.resource.release(self)
 
 
 class Resource:
@@ -78,12 +71,6 @@ class Resource:
             nxt = self._waiters.popleft()
             self._users.append(nxt)
             nxt.succeed()
-
-    def acquire(self) -> Generator[Event, Any, Request]:
-        """Process-style helper: ``req = yield from res.acquire()``."""
-        req = self.request()
-        yield req
-        return req
 
 
 class StoreGet(Event):

@@ -1,4 +1,4 @@
-"""Synchronization helpers: barriers and latches for simulated MPI ranks."""
+"""Synchronization helper: a cyclic barrier for simulated MPI ranks."""
 
 from __future__ import annotations
 
@@ -46,26 +46,3 @@ class Barrier:
                 waiter.succeed(gen)
         return ev
 
-
-class CountdownLatch:
-    """Fires its :attr:`done` event after ``count`` calls to :meth:`arrive`."""
-
-    def __init__(self, env: Environment, count: int) -> None:
-        if count < 0:
-            raise SimulationError(f"latch count must be >= 0, got {count}")
-        self.env = env
-        self._remaining = count
-        self.done = Event(env)
-        if count == 0:
-            self.done.succeed(0)
-
-    @property
-    def remaining(self) -> int:
-        return self._remaining
-
-    def arrive(self, value: object = None) -> None:
-        if self._remaining <= 0:
-            raise SimulationError("arrive() on an exhausted latch")
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.done.succeed(value)

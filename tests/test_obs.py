@@ -467,7 +467,7 @@ def test_flush_spans_zero_restores_export_at_finish(tmp_path):
     assert len(spans) == 5
 
 
-# ------------------------------------------- span slab + 1-in-N sampling
+# ------------------------------------ empty-attrs sentinel + 1-in-N sampling
 def test_empty_attrs_sentinel_is_shared_and_copied_on_write():
     from repro.obs.span import EMPTY_ATTRS
 
@@ -487,29 +487,6 @@ def test_empty_attrs_sentinel_is_shared_and_copied_on_write():
     assert a.attrs == {"server": 3, "route": "ssd"}
 
 
-def test_unsampled_spans_recycle_through_the_freelist():
-    tracer = Tracer(sample_n=2)
-    kept = tracer.start("kept", "client", 0, 0.0)  # 0 % 2 == 0: retained
-    tracer.finish(kept, 1.0)
-    dropped = tracer.start("dropped", "client", 1, 0.0)
-    dropped.annotate(big="x" * 64)
-    tracer.finish(dropped, 1.0)
-    assert tracer.unsampled == 1 and tracer.spans == [kept]
-    # The next start reuses the recycled object with a fresh identity
-    # and without the old attrs.
-    reused = tracer.start("reused", "client", 2, 2.0)
-    assert reused is dropped
-    assert reused.name == "reused" and reused.end is None
-    assert not reused.attrs
-    # sample_n=1 (the default) never recycles: full-fidelity tracing
-    # allocates a fresh object per span.
-    plain = Tracer()
-    s1 = plain.start("s1", "client", 1, 0.0)
-    plain.finish(s1, 1.0)
-    assert plain.start("s2", "client", 2, 1.0) is not s1
-    assert plain.unsampled == 0
-
-
 def test_trace_sampling_keeps_retained_traces_exact():
     """sample_n=4 must retain every 4th trace *completely*: same spans,
     same critical-path attribution as the unsampled run."""
@@ -517,17 +494,22 @@ def test_trace_sampling_keeps_retained_traces_exact():
         cfg = ClusterConfig(num_servers=4, client_jitter=0.0).with_obs(
             metrics=False, trace_sample_n=sample_n)
         cluster = Cluster(cfg)
-        run_workload(cluster, MpiIoTest(nprocs=4, request_size=65 * KiB,
-                                        file_size=2 * MiB))
-        return cluster.obs.tracer, \
+        result = run_workload(cluster, MpiIoTest(nprocs=4,
+                                                 request_size=65 * KiB,
+                                                 file_size=2 * MiB))
+        return cluster.obs.tracer, result.requests, \
             [s for s in cluster.obs.tracer.spans if s.end is not None]
 
-    full_tracer, full = _spans(1)
-    sampled_tracer, sampled = _spans(4)
+    full_tracer, _, full = _spans(1)
+    sampled_tracer, parents, sampled = _spans(4)
     assert full_tracer.unsampled == 0
+    # Only roots are pruned: one per parent request outside the sample,
+    # and no instrumented site opened a span of an unsampled trace.
+    assert sampled_tracer.unsampled == sum(1 for p in parents if p.id % 4)
     assert sampled_tracer.unsampled > 0
     assert 0 < len(sampled) < len(full)
     assert all(s.trace_id % 4 == 0 for s in sampled)
+    assert all(s.trace_id % 4 == 0 for s in sampled_tracer.spans)
 
     # Trace ids come from the process-global request-id counter, which
     # keeps counting across the two runs, so run 2's ids are run 1's

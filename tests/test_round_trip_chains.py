@@ -5,8 +5,9 @@ The client request, the client's retry loop and attempts, the network
 message legs, the server job and the block-queue runner run as
 :class:`~repro.sim.Chain` steps.  The functions between the
 ``verbatim`` markers are the generator bodies those chains replaced,
-copied unchanged (with the ``submit``/``send`` entry points that
-spawned them and the ``BlockQueue.__init__`` that started the runner);
+copied unchanged but for the slot release noted in ``_job`` (with the
+``submit``/``send`` entry points that spawned them and the
+``BlockQueue.__init__`` that started the runner);
 :func:`_install_generators` puts them back on their classes.  Every
 cell below runs once on the chains and once on the generators,
 recording each popped entry by wrapping ``repro.sim.core.heappop`` and
@@ -328,7 +329,10 @@ class _ServerGenerators:
     def _job(self, sub: SubRequest, done: Event, epoch: int, span=None):
         env = self.env
         obs = self.obs
-        with self._slots.request() as slot:
+        # The original held the slot in a ``with`` block; try/finally
+        # releases it at the same points.
+        slot = self._slots.request()
+        try:
             if span is not None:
                 # Time spent waiting for a Trove I/O slot is queueing,
                 # not service — give it its own span.
@@ -349,6 +353,8 @@ class _ServerGenerators:
                 yield from unit.ibridge.handle(sub, span)
             else:
                 yield from self._stock_io(sub, span)
+        finally:
+            self._slots.release(slot)
         if span is not None:
             obs.finish(span, env.now)
         if self.crashed or self.epoch != epoch:

@@ -10,7 +10,7 @@ from typing import Any, Optional
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Chain, Environment, Event, Interrupt, Process, Timeout, core
+from repro.sim import Chain, Environment, Event, Timeout, core
 from repro.sim.core import _CANCELLED
 from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT
 
@@ -183,38 +183,6 @@ def test_any_of_fires_on_first():
     assert times == [1.0]
 
 
-def test_interrupt_wakes_process():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as i:
-            log.append((env.now, i.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [(1.0, "wake up")]
-
-
-def test_interrupt_finished_process_is_error():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0.1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
 def test_yield_non_event_is_error():
     env = Environment()
 
@@ -266,21 +234,14 @@ def test_run_until_past_time_is_error():
 # straightforward implementation it replaced.
 
 def _mixed_workload(env, log):
-    """Processes, timeouts, events and interrupts with many ties."""
+    """Processes, timeouts and events with many ties."""
 
     def worker(env, ident):
         for step in range(4):
             yield env.timeout(0.5 * (ident % 3))
             log.append((env.now, ident, step))
 
-    def poker(env, victim):
-        yield env.timeout(1.0)
-        if victim.is_alive:
-            victim.interrupt("poke")
-
-    workers = [env.process(worker(env, i)) for i in range(6)]
-    env.process(poker(env, workers[0]))
-    return workers
+    return [env.process(worker(env, i)) for i in range(6)]
 
 
 def test_schedule_snapshot_is_reproducible():
@@ -290,14 +251,11 @@ def test_schedule_snapshot_is_reproducible():
         env = Environment()
         log = []
 
-        def guarded(env, p):
-            try:
-                yield p
-            except Interrupt:
-                pass
+        def waiter(env, p):
+            yield p
 
         for p in _mixed_workload(env, log):
-            env.process(guarded(env, p))
+            env.process(waiter(env, p))
         # Snapshot mid-run: advance a few events, snapshot, finish.
         for _ in range(5):
             env.step()
@@ -475,19 +433,6 @@ def test_failing_spawned_process_raises_from_run():
     env.spawn(bad(env))
     with pytest.raises(ValueError, match="boom"):
         env.run()
-
-
-def test_interrupt_finished_spawned_process_is_error():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0.1)
-
-    p = env.spawn(quick(env))
-    env.run()
-    assert not p.is_alive
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_cancelled_timeout_never_fires_and_keeps_its_seq():
@@ -695,31 +640,6 @@ def _bootstrap(env: "Environment", callback) -> None:
     heappush(env._queue, (env._now, PRIORITY_URGENT, seq, init))
 
 
-class _HeapOnlyProcess:
-    """``Process``'s push site, verbatim."""
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        wakeup = Event.__new__(Event)
-        wakeup.env = self.env
-        wakeup.callbacks = [self._resume_cb]
-        wakeup._value = Interrupt(cause)
-        wakeup._ok = False
-        wakeup._triggered = True
-        wakeup._processed = False
-        wakeup._defused = True
-        env = self.env
-        env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now, PRIORITY_URGENT, seq, wakeup))
-
-
 class _HeapOnlyEvent:
     """``Event``'s push sites, verbatim."""
 
@@ -908,7 +828,6 @@ class _HeapOnlyEnvironment:
 
 HEAP_ONLY = (
     (core, "_bootstrap", _bootstrap),
-    (Process, "interrupt", _HeapOnlyProcess.interrupt),
     (Event, "succeed", _HeapOnlyEvent.succeed),
     (Event, "fail", _HeapOnlyEvent.fail),
     (Timeout, "__init__", _HeapOnlyTimeout.__init__),
@@ -991,25 +910,14 @@ class _Deadline(Chain):
 
 
 def _random_program(env, rng, log):
-    """Workers drawing one scheduling path per step, sleepers to
-    interrupt, and clients firing deadline chains.  Only a started
-    process is interrupted, and again only once it has caught the last
-    interrupt (either way it would be resumed twice)."""
-    procs = {}
-    idents = []
-    started = set()
-    interrupted = set()
+    """Workers drawing one scheduling path per step, sleepers, and
+    clients firing deadline chains."""
     signals = [env.event() for _ in range(3)]
 
     def sleeper(ident):
-        started.add(ident)
-        try:
-            yield env.timeout(rng.choice(DELAYS))
-            yield Timeout(env, rng.choice(DELAYS))
-            log.append(("slept", ident, env.now))
-        except Interrupt as irq:
-            interrupted.discard(ident)
-            log.append(("interrupted", ident, env.now, irq.cause))
+        yield env.timeout(rng.choice(DELAYS))
+        yield Timeout(env, rng.choice(DELAYS))
+        log.append(("slept", ident, env.now))
         return ident
 
     def client(ident):
@@ -1019,9 +927,8 @@ def _random_program(env, rng, log):
             yield env.timeout(rng.choice((0, 0.5)))
 
     def worker(ident):
-        started.add(ident)
         for step in range(rng.randint(3, 8)):
-            kind = rng.randrange(9)
+            kind = rng.randrange(8)
             value = None
             try:
                 if kind == 0:
@@ -1044,7 +951,6 @@ def _random_program(env, rng, log):
                         ev.succeed(step)
                     else:
                         ev.fail(ValueError(step))
-                        ev.defuse()  # an interrupt may leave it unwaited
                     value = yield ev
                 elif kind == 4:
                     i = rng.randrange(len(signals))
@@ -1056,33 +962,17 @@ def _random_program(env, rng, log):
                         [signals[i], env.timeout(rng.choice(DELAYS))])
                     value = sorted(map(str, fired.values()))
                 elif kind == 6:
-                    child = procs[ident, step] = env.process(
-                        sleeper((ident, step)))
-                    idents.append((ident, step))
+                    child = env.process(sleeper((ident, step)))
                     if rng.random() < 0.5:
                         value = yield child
-                elif kind == 7:
-                    victim = rng.choice(idents)
-                    if (victim != ident and victim in started
-                            and victim not in interrupted
-                            and procs[victim].is_alive):
-                        interrupted.add(victim)
-                        procs[victim].interrupt(ident)
                 else:
                     env.spawn(client((ident, step)))
-            except Interrupt as irq:
-                interrupted.discard(ident)
-                value = ("interrupted", irq.cause)
             except ValueError as exc:
                 value = ("failed", exc.args)
             log.append((env.now, ident, step, kind, value))
         return ident
 
-    workers = []
-    for i in range(rng.randint(3, 7)):
-        procs[i] = proc = env.process(worker(i))
-        idents.append(i)
-        workers.append(proc)
+    workers = [env.process(worker(i)) for i in range(rng.randint(3, 7))]
     env.spawn(client("main"))
     return workers
 

@@ -35,20 +35,6 @@ def test_resource_release_wakes_waiter():
     assert order == [("got", "a", 0.0), ("got", "b", 2.0)]
 
 
-def test_resource_context_manager_releases():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def user(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(1.0)
-
-    env.process(user(env))
-    env.run()
-    assert res.count == 0
-
-
 def test_resource_cancel_waiting_request():
     env = Environment()
     res = Resource(env, capacity=1)

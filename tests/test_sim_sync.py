@@ -1,9 +1,9 @@
-"""Unit tests for Barrier and CountdownLatch."""
+"""Unit tests for Barrier."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Barrier, CountdownLatch, Environment
+from repro.sim import Barrier, Environment
 
 
 def test_barrier_releases_all_when_full():
@@ -62,37 +62,3 @@ def test_barrier_invalid_parties():
     with pytest.raises(SimulationError):
         Barrier(env, parties=0)
 
-
-def test_latch_fires_after_count():
-    env = Environment()
-    latch = CountdownLatch(env, 3)
-    fired = []
-
-    def waiter(env):
-        yield latch.done
-        fired.append(env.now)
-
-    def arriver(env):
-        for _ in range(3):
-            yield env.timeout(1.0)
-            latch.arrive()
-
-    env.process(waiter(env))
-    env.process(arriver(env))
-    env.run()
-    assert fired == [3.0]
-    assert latch.remaining == 0
-
-
-def test_latch_zero_count_fires_immediately():
-    env = Environment()
-    latch = CountdownLatch(env, 0)
-    assert latch.done.triggered
-
-
-def test_latch_over_arrival_is_error():
-    env = Environment()
-    latch = CountdownLatch(env, 1)
-    latch.arrive()
-    with pytest.raises(SimulationError):
-        latch.arrive()
