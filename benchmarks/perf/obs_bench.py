@@ -1,16 +1,16 @@
 """Observability overhead micro-benchmark: tracing on vs off.
 
-Runs the same unaligned mpi-io-test cell five ways — obs disabled
+Runs the same unaligned mpi-io-test cell four ways — obs disabled
 (the default every experiment runs with), spans only, spans with
 1-in-4 trace sampling (the always-on configuration the ≤5% overhead
-target applies to), spans + metrics sampler, and the full stack plus
-the continuous timeline recorder at its default cadence — and reports
-each tier's median wall seconds plus its relative overhead.  The
-disabled case is the one every experiment runs: each instrumented site
-must cost one attribute load and a ``None`` test.  The
-``obs_timeline`` tier bounds the marginal cost of the timeline ticker
-over ``obs_full``: outside ``--quick`` the command fails if it exceeds
-10 percentage points.
+target applies to), and the full stack: spans plus the metrics
+registry and its sampler, the timeline recorder at its default cadence
+— and reports each tier's median wall seconds plus its relative
+overhead.  The disabled case is the one every experiment runs: each
+instrumented site must cost one attribute load and a ``None`` test.
+The gap between ``obs_full`` and ``obs_trace`` is the whole
+registry-plus-timeline cost: outside ``--quick`` the command fails if
+it exceeds 10 percentage points.
 
 Methodology: tiers are **interleaved** round-robin and each overhead
 is the *median of per-round ratios* against the obs-off run of the
@@ -42,8 +42,8 @@ from repro.units import KiB, MiB
 from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
 
-#: Largest marginal overhead (percentage points) the timeline ticker may
-#: add over the spans+metrics tier in a full run.
+#: Largest marginal overhead (percentage points) the metrics registry and
+#: its timeline sampler may add over the spans-only tier in a full run.
 TIMELINE_BUDGET_PCT = 10.0
 
 
@@ -68,7 +68,6 @@ def run_all(quick: bool = False) -> Dict[str, Any]:
         "obs_trace": base.with_obs(metrics=False),
         "obs_sampled": base.with_obs(metrics=False, trace_sample_n=4),
         "obs_full": base.with_obs(),
-        "obs_timeline": base.with_obs(timeline_dt=0.05),
     }
 
     times: Dict[str, list] = {name: [] for name in tiers}
@@ -79,7 +78,7 @@ def run_all(quick: bool = False) -> Dict[str, Any]:
     report: Dict[str, Any] = {
         "obs_off": {"seconds": statistics.median(times["obs_off"])}
     }
-    for name in ("obs_trace", "obs_sampled", "obs_full", "obs_timeline"):
+    for name in ("obs_trace", "obs_sampled", "obs_full"):
         ratios = [times[name][i] / times["obs_off"][i]
                   for i in range(rounds)]
         report[name] = {
@@ -87,7 +86,7 @@ def run_all(quick: bool = False) -> Dict[str, Any]:
             "overhead_pct": (statistics.median(ratios) - 1.0) * 100.0,
         }
     report["obs_sampled"]["sample_n"] = 4
-    report["obs_timeline"]["timeline_dt"] = 0.05
+    report["obs_full"]["timeline_dt"] = tiers["obs_full"].obs.timeline_dt
     return report
 
 
@@ -103,21 +102,20 @@ def main(argv: Optional[list] = None) -> int:
     print(f"  {'obs_off':14s} {obs['obs_off']['seconds']:.3f}s")
     labels = {"obs_trace": "spans",
               "obs_sampled": f"spans, 1-in-{obs['obs_sampled']['sample_n']}",
-              "obs_full": "spans+metrics",
-              "obs_timeline": "+timeline@"
-                              f"{obs['obs_timeline']['timeline_dt']:g}s"}
+              "obs_full": "spans+metrics, timeline@"
+                          f"{obs['obs_full']['timeline_dt']:g}s"}
     for name, label in labels.items():
         print(f"  {name:14s} {obs[name]['seconds']:.3f}s "
               f"({obs[name]['overhead_pct']:+.1f}%, {label})")
 
-    # The timeline ticker rides the obs_full stack; its *marginal* cost
-    # over obs_full must stay small (quick sizes are too noisy for a
-    # percentage-point gate).
-    marginal = (obs["obs_timeline"]["overhead_pct"]
-                - obs["obs_full"]["overhead_pct"])
+    # The registry and its timeline sampler ride the spans-only stack;
+    # their *marginal* cost over obs_trace must stay small (quick sizes
+    # are too noisy for a percentage-point gate).
+    marginal = (obs["obs_full"]["overhead_pct"]
+                - obs["obs_trace"]["overhead_pct"])
     if not args.quick and marginal > TIMELINE_BUDGET_PCT:
-        print(f"FAIL: timeline recorder adds {marginal:.1f}% over the "
-              f"spans+metrics tier (> {TIMELINE_BUDGET_PCT:g}% budget)",
+        print(f"FAIL: metrics registry + timeline add {marginal:.1f}% over "
+              f"the spans-only tier (> {TIMELINE_BUDGET_PCT:g}% budget)",
               file=sys.stderr)
         return 1
     return 0

@@ -347,19 +347,17 @@ class ObsConfig:
     enabled: bool = False
     #: Record request span trees (client → network → server → device).
     trace: bool = True
-    #: Run the metrics registry + sim-time sampler process.  Note the
-    #: sampler consumes event-heap sequence numbers, so enabling metrics
-    #: perturbs event schedules — this config is part of the experiment
-    #: cache key for exactly that reason.
+    #: Build the metrics registry and run its sampler, the timeline
+    #: recorder, every ``timeline_dt``.  The ticker adds heap entries
+    #: (moving ``_seq`` and the engine's event count) but never reorders
+    #: other events or changes a simulated result; this config is part
+    #: of the experiment cache key because it changes the ``obs_*`` and
+    #: ``timeline_*`` result extras.
     metrics: bool = True
-    #: Simulated seconds between metric samples.
-    sample_period: float = 0.05
     #: Spans retained in memory before counting drops.
     max_spans: int = 200_000
     #: Append span JSONL here at end of run (None = in-memory only).
     trace_path: Optional[str] = None
-    #: Append metrics JSONL here at end of run (None = in-memory only).
-    metrics_path: Optional[str] = None
     #: Stream spans to ``trace_path`` incrementally: after this many
     #: span closures the pending batch is appended and fsync-flushed, so
     #: traces from aborted / OOM-killed / budget-killed runs survive up
@@ -369,15 +367,12 @@ class ObsConfig:
     #: never perturbs event schedules.
     flush_spans: int = 256
     #: Sim-seconds between timeline ticks (:mod:`repro.obs.timeline`).
-    #: ``0`` (default) disables the recorder entirely — no process, no
-    #: ring buffer, no per-event cost.  When positive, a sim process
-    #: snapshots every registry gauge each tick (cumulative series are
-    #: additionally emitted as per-second rates) into a bounded ring
-    #: buffer; like the metrics sampler, the ticker consumes event-heap
-    #: sequence numbers, so this knob is part of the cache key via
-    #: ObsConfig.
-    timeline_dt: float = 0.0
-    #: Append timeline JSONL here at end of run (None = in-memory only).
+    #: Each tick snapshots every registry gauge and counter (cumulative
+    #: series as per-second rates) into a bounded ring buffer.  Unused
+    #: without ``metrics``.
+    timeline_dt: float = 0.05
+    #: Append timeline JSONL (samples, marks, then the registry's
+    #: histograms) here at end of run (None = in-memory only).
     timeline_path: Optional[str] = None
     #: 1-in-N root-trace sampling: only parent requests whose trace id
     #: is divisible by N keep their span trees; the other N-1 traces
@@ -391,19 +386,14 @@ class ObsConfig:
     trace_sample_n: int = 1
 
     def validate(self) -> None:
-        if self.sample_period <= 0:
-            raise ConfigError("sample_period must be positive")
+        if self.timeline_dt <= 0:
+            raise ConfigError("timeline_dt must be positive")
         if self.max_spans < 0:
             raise ConfigError("max_spans must be non-negative")
         if self.flush_spans < 0:
             raise ConfigError("flush_spans must be non-negative")
         if self.trace_sample_n < 1:
             raise ConfigError("trace_sample_n must be >= 1")
-        if self.timeline_dt < 0:
-            raise ConfigError("timeline_dt must be non-negative")
-        if self.timeline_dt > 0 and not self.metrics:
-            raise ConfigError("the timeline recorder samples the metrics "
-                              "registry; timeline_dt > 0 needs metrics=True")
         if self.enabled and not (self.trace or self.metrics):
             raise ConfigError("obs enabled with neither trace nor metrics")
 

@@ -90,16 +90,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "also writes a Chrome/Perfetto trace next to "
                              "it (PATH with a .chrome.json suffix) and "
                              "prints the critical-path straggler report")
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="sample time-series metrics (queue depths, "
-                             "SSD log occupancy, admission counters) to a "
-                             "JSONL file")
     parser.add_argument("--timeline-out", metavar="PATH", default=None,
                         help="record the continuous sim-time series "
                              "(gauges sampled every --timeline-dt "
                              "simulated seconds, counters as rates, "
-                             "fault/GC marks) to a JSONL file (.csv "
-                             "suffix switches to CSV); implies metrics")
+                             "fault/GC marks, then the final histograms) "
+                             "to a JSONL file (.csv suffix switches to "
+                             "CSV: samples and marks only); turns the "
+                             "metrics registry on")
     parser.add_argument("--timeline-dt", type=float, default=0.05,
                         metavar="SECONDS",
                         help="timeline sample cadence in simulated "
@@ -143,21 +141,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.timeline_dt <= 0:
         parser.error("--timeline-dt must be positive")
 
-    if args.trace_out or args.metrics_out or args.timeline_out:
+    if args.trace_out or args.timeline_out:
         # Like the audit trace, obs files are appended per cluster;
         # truncate each once per CLI invocation.
-        for path in (args.trace_out, args.metrics_out, args.timeline_out):
+        for path in (args.trace_out, args.timeline_out):
             if path:
                 open(path, "w", encoding="utf-8").close()
-        metrics_on = (args.metrics_out is not None
-                      or args.timeline_out is not None)
         set_default_obs(ObsConfig(
             enabled=True,
             trace=args.trace_out is not None,
-            metrics=metrics_on,
+            metrics=args.timeline_out is not None,
             trace_path=args.trace_out,
-            metrics_path=args.metrics_out,
-            timeline_dt=(args.timeline_dt if args.timeline_out else 0.0),
+            timeline_dt=args.timeline_dt,
             timeline_path=args.timeline_out))
 
     if args.audit_trace and args.jobs > 1:
@@ -165,10 +160,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # trace coherent by running the matrix in-process.
         print("note: --audit-trace forces --jobs 1 (single trace writer)")
         args.jobs = 1
-    if (args.trace_out or args.metrics_out
-            or args.timeline_out) and args.jobs > 1:
-        print("note: --trace-out/--metrics-out/--timeline-out force "
-              "--jobs 1 (single trace writer)")
+    if (args.trace_out or args.timeline_out) and args.jobs > 1:
+        print("note: --trace-out/--timeline-out force --jobs 1 "
+              "(single trace writer)")
         args.jobs = 1
     if args.profile and args.jobs > 1:
         args.jobs = 1
@@ -212,8 +206,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.trace_out:
         _emit_trace_outputs(args.trace_out, args.timeline_out)
-    if args.metrics_out:
-        print(f"metrics written to {args.metrics_out}")
     if args.timeline_out:
         print(f"timeline written to {args.timeline_out}")
     if args.report:
@@ -222,7 +214,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             (["--trace", args.trace_out] if args.trace_out else [])
             + (["--timeline", args.timeline_out] if args.timeline_out
                else [])
-            + (["--metrics", args.metrics_out] if args.metrics_out else [])
             + ["--format", "markdown", "--out", args.report])
         if rc != 0:
             return rc

@@ -87,10 +87,11 @@ def set_default_fault_plan(plan) -> None:
 
 
 #: Process-wide observability default applied by :func:`base_config` —
-#: set by the CLI's ``--trace-out``/``--metrics-out`` flags so every
-#: cluster in a run is traced without per-experiment plumbing.  Like the
-#: audit config, it perturbs event schedules (the metrics sampler is a
-#: sim process), so it is part of the runner's cache key.
+#: set by the CLI's ``--trace-out``/``--timeline-out`` flags so every
+#: cluster in a run is traced without per-experiment plumbing.  It is
+#: part of the runner's cache key because it changes a result's
+#: ``obs_*``/``timeline_*`` extras; the timeline ticker never changes a
+#: simulated result.
 _DEFAULT_OBS: Optional[ObsConfig] = None
 
 

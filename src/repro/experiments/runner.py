@@ -144,10 +144,11 @@ def _current_context() -> Tuple[Any, Any, Any]:
     """The process-wide defaults a cell's result depends on.
 
     The audit config changes event schedules (the watchdog process
-    consumes heap sequence numbers), the obs config likewise (the
-    metrics sampler is a sim process), and the fault plan changes
-    behaviour outright — all must be part of the cache key and must be
-    re-installed inside worker processes.
+    consumes heap sequence numbers), the obs config changes a result's
+    ``obs_*``/``timeline_*`` extras (its timeline ticker adds heap
+    entries but never reorders other events), and the fault plan
+    changes behaviour outright — all must be part of the cache key and
+    must be re-installed inside worker processes.
     """
     from . import common
     return (common._DEFAULT_AUDIT, common._DEFAULT_FAULT_PLAN,

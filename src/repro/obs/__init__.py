@@ -13,20 +13,21 @@ package makes that visible per request instead of only in aggregate:
   sub-request, attributes the parent's latency along the slowest path,
   and computes per-request magnification factors (straggler time over
   median sibling time) — Fig. 2's motivation, quantified per request.
-* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry
-  sampled on sim-time ticks with JSONL time-series export.
+* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry;
+  the timeline is its only sampler and its only export.
 * :mod:`repro.obs.export` — span JSONL and Chrome trace-event /
-  Perfetto JSON exporters (``--trace-out`` / ``--metrics-out``).
+  Perfetto JSON exporters (``--trace-out``).
 * :mod:`repro.obs.runtime` — per-cluster wiring plus the adapters that
   let :class:`~repro.audit.trace.EventTrace` and
   :class:`~repro.block.blktrace.BlockTracer` feed the same sink.
 * :mod:`repro.obs.timeline` — sim-time series recorder: samples every
-  registry gauge on a fixed cadence (``ObsConfig.timeline_dt``) into a
-  bounded ring buffer, differencing cumulative series into rates, with
-  event-driven marks for fault windows and GC storms.
+  registry gauge and counter on a fixed cadence
+  (``ObsConfig.timeline_dt``) into a bounded ring buffer, differencing
+  cumulative series into rates, with event-driven marks for fault
+  windows and GC storms; its JSONL export (``--timeline-out``) ends
+  with the registry's histograms.
 * :mod:`repro.obs.report` — the ``python -m repro.obs.report`` CLI that
-  joins trace + metrics + timeline into one console/markdown run
-  report.
+  joins trace + timeline into one console/markdown run report.
 
 Everything is flag-gated (``ObsConfig.enabled``) following the
 ``BlockTracer`` pattern: with observability off, instrumented sites

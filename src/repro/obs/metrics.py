@@ -1,4 +1,4 @@
-"""A small time-series metrics registry sampled on sim-time ticks.
+"""A small metrics registry: the instruments the timeline samples.
 
 Three instrument types, modelled on the Prometheus client surface:
 
@@ -9,21 +9,15 @@ Three instrument types, modelled on the Prometheus client surface:
 * :class:`Histogram` — bucketed distribution fed by ``observe`` (the
   Eq. 1/3 benefit values at decision time).
 
-A :class:`MetricsRegistry` owns the instruments and, when started on an
-environment, runs a sampler process that snapshots every counter and
-gauge each ``period`` simulated seconds into an in-memory time series
-exported as JSONL (one ``{"t", "name", "labels", "value"}`` row per
-sample).  Histograms are exported once, as their final bucket counts.
-
-The sampler consumes event-heap sequence numbers like the audit
-watchdog does, so enabling metrics perturbs event schedules; this is
-why the observability config is part of the experiment-matrix cache key
-(see :mod:`repro.experiments.runner`).
+A :class:`MetricsRegistry` only owns the instruments.  Its one sampler
+is the :class:`~repro.obs.timeline.TimelineRecorder`, which reads every
+counter and gauge each ``ObsConfig.timeline_dt`` simulated seconds and
+appends the histograms' final bucket counts (:meth:`final_rows`) to its
+JSONL export.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, Any], ...]
@@ -95,15 +89,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Instrument registry + sim-time sampler + JSONL export."""
+    """Get-or-create store of counters, gauges and histograms."""
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
-        #: Sampled time-series rows, in sample order.
-        self.samples: List[Dict[str, Any]] = []
-        self._stopped = False
 
     # -------------------------------------------------------- instruments
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -127,69 +118,19 @@ class MetricsRegistry:
             inst = self._histograms[key] = Histogram(name, labels, buckets)
         return inst
 
-    # ----------------------------------------------------------- sampling
-    def sample(self, t: float) -> None:
-        """Snapshot every counter and gauge at sim time ``t``."""
-        rows = self.samples
-        for counter in self._counters.values():
-            rows.append({"t": t, "name": counter.name,
-                         "labels": counter.labels, "value": counter.value})
-        for gauge in self._gauges.values():
-            rows.append({"t": t, "name": gauge.name,
-                         "labels": gauge.labels, "value": gauge.read()})
-
-    def start(self, env, period: float):
-        """Start the periodic sampler process on ``env``.
-
-        Stops at the next tick after :meth:`stop` — mirroring the audit
-        watchdog's lifecycle so ``env.run()`` (to exhaustion) can end.
-        """
-        if period <= 0:
-            return None
-        return env.process(self._sampler(env, period), name="obs-sampler")
-
-    def _sampler(self, env, period: float):
-        while not self._stopped:
-            self.sample(env.now)
-            yield env.timeout(period)
-
-    def stop(self) -> None:
-        self._stopped = True
-
     # ------------------------------------------------------------- export
     def final_rows(self) -> List[Dict[str, Any]]:
-        """Histogram summaries (appended after the time series)."""
+        """Histogram summaries (the timeline JSONL's trailing rows)."""
         return [h.to_row() for h in self._histograms.values()]
 
-    def export_jsonl(self, path: str, mode: str = "a") -> int:
-        """Append all samples + histogram rows to ``path``; row count."""
-        rows = list(self.samples) + self.final_rows()
-        with open(path, mode, encoding="utf-8") as fh:
-            for row in rows:
-                json.dump(row, fh, default=str)
-                fh.write("\n")
-        return len(rows)
-
     def clear(self) -> None:
-        """Drop samples and reset instruments (measurement reset)."""
-        self.samples.clear()
+        """Reset counters and histograms (measurement reset)."""
         for counter in self._counters.values():
             counter.value = 0.0
         for hist in self._histograms.values():
             hist.counts = [0] * (len(hist.bounds) + 1)
             hist.count = 0
             hist.sum = 0.0
-
-
-def load_metrics_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Read back a metrics JSONL file (tests/CI helpers)."""
-    rows: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
 
 
 #: Default benefit-value histogram buckets (seconds of saved service

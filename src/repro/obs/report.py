@@ -3,17 +3,17 @@
 Usage::
 
     python -m repro.obs.report --trace trace.jsonl \
-        --timeline timeline.jsonl [--metrics metrics.jsonl] \
+        --timeline timeline.jsonl \
         [--format console|markdown] [--out report.md]
 
-Joins the three telemetry artifacts a traced run leaves behind — the
-span JSONL (where did each request's latency go), the metrics JSONL
-(what was the final state), and the timeline JSONL (how did the run
-evolve) — into one report:
+Joins the two telemetry artifacts a traced run leaves behind — the
+span JSONL (where did each request's latency go) and the timeline JSONL
+(how did the run evolve, and the final histograms) — into one report:
 
 * the critical-path straggler table with a per-request magnification
   CDF (the paper's striping-magnification effect as percentiles);
-* one sparkline + min/mean/p99/last line per timeline series;
+* one sparkline + min/mean/p99/last line per timeline series, and each
+  histogram's observation count and sum;
 * fault-window and GC-storm annotations pulled from timeline marks.
 
 Every section is optional: the report renders whatever artifacts it is
@@ -29,8 +29,9 @@ from typing import Any, Dict, List, Optional
 
 from .critical_path import analyze
 from .export import load_spans_jsonl
-from .metrics import load_metrics_jsonl, percentile
-from .timeline import load_timeline_jsonl, sparkline, summarize_series
+from .metrics import percentile
+from .timeline import (load_timeline_jsonl, series_key, sparkline,
+                       summarize_series)
 
 #: Cap on distinct series rendered as sparklines (a 16-server cluster
 #: wires hundreds of labelled gauges; the report shows the busiest).
@@ -61,14 +62,15 @@ def trace_section(path: str) -> List[str]:
 
 def timeline_section(rows: List[Dict[str, Any]]) -> List[str]:
     samples = [r for r in rows if "series" in r]
+    hists = [f"histogram {series_key(h['name'], h.get('labels') or {})}: "
+             f"n={h['count']}, sum={h['sum']:.6g}"
+             for h in rows if h.get("type") == "histogram"]
     if not samples:
-        return ["(no timeline samples)"]
+        return ["(no timeline samples)"] + hists
     summary = summarize_series(samples)
     series: Dict[str, List[float]] = {}
     for row in samples:
-        labels = row.get("labels") or {}
-        inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-        key = f"{row['series']}{{{inner}}}" if inner else row["series"]
+        key = series_key(row["series"], row.get("labels") or {})
         series.setdefault(key, []).append(float(row["value"]))
     # Busiest (highest-variance-proxy: widest range) series first.
     ranked = sorted(summary, key=lambda k: -(summary[k]["max"]
@@ -84,7 +86,7 @@ def timeline_section(rows: List[Dict[str, Any]]) -> List[str]:
             f"p99 {s['p99']:.4g}  last {s['last']:.4g}")
     if len(ranked) > len(shown):
         lines.append(f"(+{len(ranked) - len(shown)} flat series elided)")
-    return lines
+    return lines + hists
 
 
 def marks_section(rows: List[Dict[str, Any]]) -> List[str]:
@@ -97,26 +99,6 @@ def marks_section(rows: List[Dict[str, Any]]) -> List[str]:
         inner = " ".join(f"{k}={attrs[k]}" for k in sorted(attrs))
         lines.append(f"t={m['t']:.6g} {m['name']}"
                      + (f" ({inner})" if inner else ""))
-    return lines
-
-
-def metrics_section(path: str) -> List[str]:
-    rows = load_metrics_jsonl(path)
-    hists = [r for r in rows if r.get("type") == "histogram"]
-    samples = [r for r in rows if "value" in r and "t" in r]
-    finals: Dict[str, float] = {}
-    for row in samples:  # last write wins: the final sample of a series
-        labels = row.get("labels") or {}
-        inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-        key = f"{row['name']}{{{inner}}}" if inner else row["name"]
-        finals[key] = float(row["value"])
-    lines = [f"{len(samples)} samples over {len(finals)} series"]
-    nonzero = {k: v for k, v in finals.items() if v}
-    for key in sorted(nonzero)[:16]:
-        lines.append(f"  final {key} = {nonzero[key]:.6g}")
-    for h in hists:
-        lines.append(f"  histogram {h['name']}: n={h['count']}, "
-                     f"sum={h['sum']:.6g}")
     return lines
 
 
@@ -141,18 +123,17 @@ def render(sections: List[tuple], markdown: bool) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
-        description="Render a unified run report from trace, metrics, "
-                    "and timeline artifacts.")
+        description="Render a unified run report from trace and "
+                    "timeline artifacts.")
     parser.add_argument("--trace", help="span JSONL (from --trace-out)")
-    parser.add_argument("--metrics", help="metrics JSONL")
     parser.add_argument("--timeline", help="timeline JSONL")
     parser.add_argument("--format", choices=("console", "markdown"),
                         default="console")
     parser.add_argument("--out", help="write the report here instead of "
                                       "stdout")
     args = parser.parse_args(argv)
-    if not (args.trace or args.metrics or args.timeline):
-        parser.error("give at least one of --trace/--metrics/--timeline")
+    if not (args.trace or args.timeline):
+        parser.error("give at least one of --trace/--timeline")
 
     sections: List[tuple] = []
     if args.trace:
@@ -161,8 +142,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         rows = load_timeline_jsonl(args.timeline)
         sections.append(("Timeline", timeline_section(rows)))
         sections.append(("Fault / GC windows", marks_section(rows)))
-    if args.metrics:
-        sections.append(("Metrics", metrics_section(args.metrics)))
 
     text = render(sections, markdown=args.format == "markdown")
     if args.out:

@@ -1,9 +1,10 @@
 """Per-cluster observability wiring: one telemetry spine per run.
 
-:class:`ObsRuntime` owns the run's :class:`~repro.obs.span.Tracer` and
-:class:`~repro.obs.metrics.MetricsRegistry` and attaches them to every
-instrumented component (clients, network, servers, iBridge managers,
-block queues) the way :class:`~repro.audit.runtime.AuditRuntime`
+:class:`ObsRuntime` owns the run's :class:`~repro.obs.span.Tracer`,
+:class:`~repro.obs.metrics.MetricsRegistry` and the registry's sampler,
+the :class:`~repro.obs.timeline.TimelineRecorder`, and attaches them to
+every instrumented component (clients, network, servers, iBridge
+managers, block queues) the way :class:`~repro.audit.runtime.AuditRuntime`
 attaches its auditors.  It also installs the sink adapters that make the
 two pre-existing telemetry sources — the audit
 :class:`~repro.audit.trace.EventTrace` and the per-disk
@@ -14,12 +15,13 @@ Lifecycle (mirrors the audit runtime):
 
 * built by :class:`~repro.pfs.cluster.Cluster` when
   ``config.obs.enabled``;
-* the metrics sampler runs as a sim process until :meth:`stop`
+* the timeline ticker runs as a sim process until :meth:`stop`
   (``Cluster.shutdown`` calls it, like the watchdog);
 * :meth:`finish_run` (called by the workload harness after the drain)
-  takes a final sample and exports spans/metrics to the configured
-  paths — appending, so multi-cluster experiments accumulate into one
-  file that the CLI truncated once up front (the ``--audit-trace``
+  takes a final timeline sample and exports spans and the timeline
+  (with the registry's histograms) to the configured paths —
+  appending, so multi-cluster experiments accumulate into one file
+  that the CLI truncated once up front (the ``--audit-trace``
   contract);
 * nothing resets telemetry between a workload's warm passes and its
   timed pass: :meth:`reset` exists but has no caller, so the spans,
@@ -43,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class ObsRuntime:
-    """Tracer + metrics registry + component wiring for one cluster."""
+    """Tracer + metrics registry + timeline + wiring for one cluster."""
 
     def __init__(self, env, config: "ObsConfig") -> None:
         self.env = env
@@ -53,12 +55,10 @@ class ObsRuntime:
                    sample_n=config.trace_sample_n) if config.trace else None)
         self.registry: Optional[MetricsRegistry] = (
             MetricsRegistry() if config.metrics else None)
-        #: Sim-time series recorder (None unless timeline_dt > 0): the
-        #: continuous-telemetry sibling of the one-shot registry sample.
+        #: The registry's sampler (None exactly when the registry is).
         self.timeline: Optional[TimelineRecorder] = (
             TimelineRecorder(self.registry, config.timeline_dt)
-            if self.registry is not None and config.timeline_dt > 0
-            else None)
+            if self.registry is not None else None)
         #: Fault-injector record list (attached by the cluster after the
         #: injector installs); converted to timeline marks at finish.
         self._fault_records = None
@@ -81,7 +81,6 @@ class ObsRuntime:
     def wire_cluster(self, cluster: "Cluster") -> None:
         """Attach the tracer/registry to every instrumented component."""
         tracer = self.tracer
-        reg = self.registry
         cluster.network.obs = tracer
         if tracer is not None and cluster.audit is not None:
             self.attach_event_trace(cluster.audit.trace)
@@ -100,8 +99,6 @@ class ObsRuntime:
                     self.attach_block_tracer(unit.tracer, unit.queue.name)
                 if unit.ibridge is not None:
                     self._wire_manager(unit.ibridge, server.id, d)
-        if reg is not None:
-            reg.start(self.env, self.config.sample_period)
         if self.timeline is not None:
             self.timeline.start(self.env)
 
@@ -226,9 +223,7 @@ class ObsRuntime:
 
     # ----------------------------------------------------------- lifecycle
     def stop(self) -> None:
-        """Stop the samplers (lets ``env.run()`` terminate)."""
-        if self.registry is not None:
-            self.registry.stop()
+        """Stop the timeline ticker (lets ``env.run()`` terminate)."""
         if self.timeline is not None:
             self.timeline.stop()
 
@@ -254,7 +249,8 @@ class ObsRuntime:
         self._events_streamed = 0
 
     def finish_run(self) -> None:
-        """Final sample + export to the configured paths (idempotent)."""
+        """Final timeline sample + export to the configured paths
+        (idempotent)."""
         if self._finished:
             return
         self._finished = True
@@ -268,11 +264,6 @@ class ObsRuntime:
                     self.timeline.export_csv(path)
                 else:
                     self.timeline.export_jsonl(path)
-        if self.registry is not None:
-            self.registry.sample(self.env.now)
-            self.registry.stop()
-            if self.config.metrics_path:
-                self.registry.export_jsonl(self.config.metrics_path)
         if self.tracer is not None and self.config.trace_path:
             if self._streaming:
                 # Everything closed already streamed; drain the tail.

@@ -1,11 +1,11 @@
 """Sim-time series recorder: how the system evolved over the run.
 
-The metrics registry (:mod:`repro.obs.metrics`) answers "what was the
-final state"; the critical-path analyzer answers "where did one
-request's latency go".  The :class:`TimelineRecorder` answers the
-question in between — *how did the run evolve* — by snapshotting every
-registry gauge on a fixed sim-time cadence (``ObsConfig.timeline_dt``)
-into a bounded ring buffer:
+The critical-path analyzer answers "where did one request's latency
+go".  The :class:`TimelineRecorder` answers *how did the run evolve*:
+it is the only sampler of the metrics registry
+(:mod:`repro.obs.metrics`), snapshotting every registry gauge and
+counter on a fixed sim-time cadence (``ObsConfig.timeline_dt``) into a
+bounded ring buffer:
 
 * plain gauges (queue depth, SSD log occupancy, partition shares,
   ``ssd_gc_active``, write amplification, outstanding sub-requests)
@@ -19,13 +19,15 @@ into a bounded ring buffer:
   fault injector feed them through :class:`~repro.obs.runtime.ObsRuntime`.
 
 Export is JSONL (one ``{"t", "series", "labels", "value"}`` row per
-sample, marks as ``{"type": "mark", ...}`` rows) or CSV, with every
-export prefixed by a ``{"type": "timeline_begin", ...}`` segment header
-so multi-cluster appends stay checkable (timestamps must be
-nondecreasing within a segment — ``python -m repro.obs.validate``
-enforces this).  :func:`summarize_series` reduces a series list to
-min/mean/p99/last — the flat form workers attach to results and the
-run-report CLI renders as sparklines.
+sample, marks as ``{"type": "mark", ...}`` rows, then the registry's
+histograms as ``{"type": "histogram", ...}`` rows with their final
+bucket counts) or CSV (samples and marks only), with every export
+prefixed by a ``{"type": "timeline_begin", ...}`` segment header so
+multi-cluster appends stay checkable (timestamps must be nondecreasing
+within a segment — ``python -m repro.obs.validate`` enforces this).
+:func:`summarize_series` reduces a series list to min/mean/p99/last —
+the flat form workers attach to results and the run-report CLI renders
+as sparklines.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ CUMULATIVE_SERIES = frozenset({
 })
 
 #: Every series name the obs wiring can produce, raw or differenced —
-#: the whitelist ``python -m repro.obs.validate`` checks timeline (and
-#: metrics) JSONL against.  Extend this set when wiring a new gauge.
+#: the whitelist ``python -m repro.obs.validate`` checks timeline JSONL
+#: against.  Extend this set when wiring a new gauge.
 KNOWN_SERIES = frozenset({
     "queue_depth",
     "ssd_gc_active",
@@ -70,6 +72,9 @@ KNOWN_SERIES = frozenset({
 KNOWN_MARKS = frozenset({
     "gc_storm_begin", "gc_storm_end", "fault_begin", "fault_end",
 })
+
+#: Histogram names the wiring can produce (the Eq. 1/3 returns).
+KNOWN_HISTOGRAMS = frozenset({"ibridge_benefit"})
 
 
 def series_key(name: str, labels: Dict[str, Any]) -> str:
@@ -105,8 +110,6 @@ class TimelineRecorder:
     # ------------------------------------------------------------ sampling
     def sample(self, t: float) -> None:
         """Record one tick: every gauge, counters/cumulatives as rates."""
-        rows = self.rows
-        at_cap = rows.maxlen is not None and len(rows) == rows.maxlen
         prev = self._prev
         dt = (t - self._prev_t) if self._prev_t is not None else None
         for gauge in self.registry._gauges.values():
@@ -114,12 +117,8 @@ class TimelineRecorder:
             if gauge.name in CUMULATIVE_SERIES:
                 self._rate_row(t, dt, gauge.name, gauge.labels, value, prev)
             else:
-                if at_cap:
-                    self.evicted += 1
-                rows.append({"t": t, "series": gauge.name,
-                             "labels": gauge.labels, "value": value})
-                at_cap = (rows.maxlen is not None
-                          and len(rows) == rows.maxlen)
+                self._append({"t": t, "series": gauge.name,
+                              "labels": gauge.labels, "value": value})
         for counter in self.registry._counters.values():
             self._rate_row(t, dt, counter.name, counter.labels,
                            counter.value, prev)
@@ -134,10 +133,14 @@ class TimelineRecorder:
         prev[key] = value
         if last is None or dt is None or dt <= 0:
             return  # first tick: no interval to rate over
-        if len(self.rows) == self.rows.maxlen and self.rows.maxlen:
+        self._append({"t": t, "series": f"{name}_rate",
+                      "labels": labels, "value": (value - last) / dt})
+
+    def _append(self, row: Dict[str, Any]) -> None:
+        """Append one sample row, counting the row a full ring evicts."""
+        if len(self.rows) == self.rows.maxlen:
             self.evicted += 1
-        self.rows.append({"t": t, "series": f"{name}_rate",
-                          "labels": labels, "value": (value - last) / dt})
+        self.rows.append(row)
 
     def mark(self, name: str, t: float, **attrs: Any) -> None:
         """Record one event-driven mark (fault window edge, GC storm)."""
@@ -145,9 +148,13 @@ class TimelineRecorder:
 
     # ----------------------------------------------------------- lifecycle
     def start(self, env):
-        """Run the ticker as a sim process (mirrors the metrics sampler:
-        consumes heap sequence numbers, stops at the tick after
-        :meth:`stop` so ``env.run()`` to exhaustion can end)."""
+        """Run the ticker as a sim process until the tick after
+        :meth:`stop` (so ``env.run()`` to exhaustion can end).
+
+        Its timeouts add heap entries, which moves ``env._seq`` and the
+        engine's event count, but a tick only reads instruments: it
+        never reorders other events or changes a simulated result.
+        """
         return env.process(self._ticker(env), name="obs-timeline")
 
     def _ticker(self, env):
@@ -177,8 +184,9 @@ class TimelineRecorder:
         return out
 
     def export_jsonl(self, path: str, mode: str = "a") -> int:
-        """Append a segment header + all rows to ``path``; row count."""
-        rows = self.merged_rows()
+        """Append a segment header, the samples and marks, then the
+        registry's histogram rows to ``path``; row count."""
+        rows = self.merged_rows() + self.registry.final_rows()
         header = {"type": "timeline_begin", "dt": self.dt,
                   "rows": len(rows), "evicted": self.evicted}
         with open(path, mode, encoding="utf-8") as fh:

@@ -3,20 +3,20 @@
 Usage::
 
     python -m repro.obs.validate spans.jsonl [trace.chrome.json] \
-        [--metrics metrics.jsonl] [--timeline timeline.jsonl]
+        [--timeline timeline.jsonl]
 
 Checks the span JSONL for structural soundness — every span parented to
 a span of the same trace (or a root), no negative durations, every
 parent span covering its children, every instant event named and
 timed, with audit events carrying their record's fields but not its
 ``t``/``kind`` — and, when given, that the Chrome
-export parses and matches the trace-event schema.  ``--metrics`` and
-``--timeline`` additionally check the JSONL time series: timestamps
-nondecreasing (within a file for metrics, within a ``timeline_begin``
-segment for timelines — multi-cluster appends restart the sim clock at
-a segment boundary), every series name on the known-series whitelist,
-and no NaN values.  Exits non-zero with a per-problem listing on
-failure; prints a one-line summary on success.
+export parses and matches the trace-event schema.  ``--timeline``
+additionally checks the JSONL time series: timestamps nondecreasing
+within a ``timeline_begin`` segment (multi-cluster appends restart the
+sim clock at a segment boundary), every series, mark and histogram name
+on its whitelist, and no NaN values or histogram counts/sums.  Exits
+non-zero with a per-problem listing on failure; prints a one-line
+summary on success.
 """
 
 from __future__ import annotations
@@ -28,14 +28,7 @@ from typing import Any, Dict, List
 from .critical_path import EPS, analyze
 from .export import load_spans_jsonl, validate_chrome_trace
 from .span import Span
-from .timeline import KNOWN_MARKS, KNOWN_SERIES
-
-#: Metric families the run wiring can emit into a metrics JSONL (raw
-#: names; the timeline's ``_rate`` forms are in
-#: :data:`repro.obs.timeline.KNOWN_SERIES`).
-KNOWN_METRICS = frozenset({
-    name for name in KNOWN_SERIES if not name.endswith("_rate")
-}) | frozenset({"ibridge_benefit"})
+from .timeline import KNOWN_HISTOGRAMS, KNOWN_MARKS, KNOWN_SERIES
 
 
 def validate_events(events: List[Dict[str, Any]]) -> List[str]:
@@ -102,46 +95,13 @@ def _bad_value(value: Any) -> bool:
         return True
 
 
-def validate_metrics_rows(rows: List[Dict[str, Any]]) -> List[str]:
-    """Well-formedness checks over metrics JSONL rows.
-
-    Timestamps must be nondecreasing — except that a multi-cluster
-    experiment appends each cluster's series to one file and every
-    cluster's sim clock starts over, so a decrease is allowed when it
-    rewinds to (or before) the file's very first timestamp.
-    """
-    problems: List[str] = []
-    prev_t = None
-    first_t = None
-    for i, row in enumerate(rows):
-        if row.get("type") == "histogram":
-            if _bad_value(row.get("count")) or _bad_value(row.get("sum")):
-                problems.append(f"row {i}: histogram with bad count/sum")
-            continue
-        name = row.get("name")
-        if name not in KNOWN_METRICS:
-            problems.append(f"row {i}: unknown metric {name!r}")
-        if _bad_value(row.get("value")):
-            problems.append(f"row {i}: bad value {row.get('value')!r}")
-        t = row.get("t")
-        if not isinstance(t, (int, float)) or t != t:
-            problems.append(f"row {i}: bad timestamp {t!r}")
-            continue
-        if first_t is None:
-            first_t = t
-        if prev_t is not None and t < prev_t and t > first_t:
-            problems.append(f"row {i}: timestamp went backwards "
-                            f"({prev_t} -> {t}) mid-run")
-        prev_t = t
-    return problems
-
-
 def validate_timeline_rows(rows: List[Dict[str, Any]]) -> List[str]:
     """Well-formedness checks over timeline JSONL rows.
 
     Every export is prefixed by a ``timeline_begin`` segment header;
     timestamps must be nondecreasing *within* a segment (each segment
-    is one cluster's run, so its clock never rewinds).
+    is one cluster's run, so its clock never rewinds).  Histogram rows
+    close a segment and carry no timestamp.
     """
     problems: List[str] = []
     if rows and rows[0].get("type") != "timeline_begin":
@@ -153,6 +113,13 @@ def validate_timeline_rows(rows: List[Dict[str, Any]]) -> List[str]:
             prev_t = None  # new segment: fresh sim clock
             if _bad_value(row.get("dt")) or row.get("dt", 0) <= 0:
                 problems.append(f"row {i}: segment header with bad dt")
+            continue
+        if kind == "histogram":
+            if row.get("name") not in KNOWN_HISTOGRAMS:
+                problems.append(f"row {i}: unknown histogram "
+                                f"{row.get('name')!r}")
+            if _bad_value(row.get("count")) or _bad_value(row.get("sum")):
+                problems.append(f"row {i}: histogram with bad count/sum")
             continue
         if kind == "mark":
             if row.get("name") not in KNOWN_MARKS:
@@ -177,20 +144,17 @@ def validate_timeline_rows(rows: List[Dict[str, Any]]) -> List[str]:
 
 def main(argv: List[str]) -> int:
     positional: List[str] = []
-    metrics_path = None
     timeline_path = None
     it = iter(argv)
     for arg in it:
-        if arg == "--metrics":
-            metrics_path = next(it, None)
-        elif arg == "--timeline":
+        if arg == "--timeline":
             timeline_path = next(it, None)
         else:
             positional.append(arg)
-    if not positional and not metrics_path and not timeline_path:
+    if not positional and not timeline_path:
         print("usage: python -m repro.obs.validate spans.jsonl "
-              "[trace.chrome.json] [--metrics metrics.jsonl] "
-              "[--timeline timeline.jsonl]", file=sys.stderr)
+              "[trace.chrome.json] [--timeline timeline.jsonl]",
+              file=sys.stderr)
         return 2
 
     problems: List[str] = []
@@ -206,16 +170,11 @@ def main(argv: List[str]) -> int:
         if len(positional) > 1:
             problems += [f"chrome: {p}"
                          for p in validate_chrome_trace(positional[1])]
-    nrows = {"metrics": 0, "timeline": 0}
-    if metrics_path:
-        from .metrics import load_metrics_jsonl
-        rows = load_metrics_jsonl(metrics_path)
-        nrows["metrics"] = len(rows)
-        problems += [f"metrics: {p}" for p in validate_metrics_rows(rows)]
+    nrows = 0
     if timeline_path:
         from .timeline import load_timeline_jsonl
         rows = load_timeline_jsonl(timeline_path)
-        nrows["timeline"] = len(rows)
+        nrows = len(rows)
         problems += [f"timeline: {p}" for p in validate_timeline_rows(rows)]
     if problems:
         for p in problems:
@@ -229,10 +188,8 @@ def main(argv: List[str]) -> int:
                        f"{report.count} complete traces, "
                        f"mean magnification "
                        f"{report.mean_magnification:.2f}x")
-    if metrics_path:
-        summary.append(f"{nrows['metrics']} metrics rows")
     if timeline_path:
-        summary.append(f"{nrows['timeline']} timeline rows")
+        summary.append(f"{nrows} timeline rows")
     print("OK: " + "; ".join(summary))
     return 0
 

@@ -66,11 +66,6 @@ def run_workload(cluster: Cluster, workload: Workload, drain: bool = True,
     if warm_runs and reset_after_warm:
         _reset_measurement_state(cluster)
 
-    if cluster.obs is not None and cluster.obs.registry is not None:
-        # Align the sample clock with the measured pass so warm-run
-        # drift does not offset the time series.
-        cluster.obs.registry.sample(cluster.env.now)
-
     start = cluster.env.now
     run = MPIRun(cluster, workload.nprocs, client_nodes=workload.client_nodes)
     run.run_to_completion(workload.body)
@@ -87,7 +82,7 @@ def run_workload(cluster: Cluster, workload: Workload, drain: bool = True,
         ssd_fraction=stats.ssd_fraction if stats else 0.0,
     )
     if cluster.obs is not None:
-        # Export spans/metrics (when paths are configured) and carry the
+        # Export spans/timeline (when paths are configured) and carry the
         # headline critical-path numbers on the result.
         cluster.obs.finish_run()
         if cluster.obs.tracer is not None:

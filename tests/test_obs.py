@@ -15,12 +15,12 @@ from repro.block.blktrace import BlockTracer
 from repro.config import ClusterConfig, ObsConfig
 from repro.devices.base import Op
 from repro.errors import ConfigError
-from repro.obs import MetricsRegistry, Tracer, analyze, build_trees
+from repro.obs import (MetricsRegistry, TimelineRecorder, Tracer, analyze,
+                       build_trees, load_timeline_jsonl)
 from repro.obs.critical_path import EPS, analyze_trace
 from repro.obs.export import (append_spans, chrome_path_for,
                               load_spans_jsonl, validate_chrome_trace,
                               write_chrome_trace)
-from repro.obs.metrics import load_metrics_jsonl
 from repro.obs.validate import validate_spans
 from repro.pfs.cluster import Cluster
 from repro.sim import Environment
@@ -190,7 +190,7 @@ def test_gc_stall_emits_spans_critical_path_attributes_them():
 def test_ftl_gauges_registered_and_sampled():
     cfg = ClusterConfig(num_servers=2, client_jitter=0.0).with_ibridge(
         ssd_partition=2 * 1024 * KiB).with_ftl(
-        capacity=8 * 1024 * KiB).with_obs(sample_period=0.01)
+        capacity=8 * 1024 * KiB).with_obs(timeline_dt=0.01)
     cluster = Cluster(cfg)
     client = cluster.client(0)
     done = [client.write(cluster.create_file(64 * 65 * KiB), i * 65 * KiB,
@@ -198,12 +198,14 @@ def test_ftl_gauges_registered_and_sampled():
     cluster.env.run(until=cluster.env.all_of(done))
     cluster.drain()
     cluster.shutdown()
-    names = {row["name"] for row in cluster.obs.registry.samples}
-    for gauge in ("ssd_gc_active", "ssd_write_amplification",
-                  "ssd_gc_free_fraction", "ssd_gc_stall_seconds"):
-        assert gauge in names, f"{gauge} never sampled"
-    wa = [row["value"] for row in cluster.obs.registry.samples
-          if row["name"] == "ssd_write_amplification"]
+    rows = cluster.obs.timeline.rows
+    names = {row["series"] for row in rows}
+    # The cumulative stall gauge is sampled into its per-second rate.
+    for series in ("ssd_gc_active", "ssd_write_amplification",
+                   "ssd_gc_free_fraction", "ssd_gc_stall_seconds_rate"):
+        assert series in names, f"{series} never sampled"
+    wa = [row["value"] for row in rows
+          if row["series"] == "ssd_write_amplification"]
     assert all(v >= 1.0 for v in wa)
 
 
@@ -274,39 +276,21 @@ def test_metrics_registry_counters_gauges_histograms():
     assert row["count"] == 4
     assert row["buckets"] == {"le_0": 1, "le_0.5": 1, "le_inf": 2}
 
-    reg.sample(1.0)
-    names = {(s["name"], s["t"]) for s in reg.samples}
+    # The timeline samples the registry: gauges as-is, counters as
+    # rates from the second tick on.
+    timeline = TimelineRecorder(reg, dt=1.0)
+    timeline.sample(0.0)
+    timeline.sample(1.0)
+    names = {(s["series"], s["t"]) for s in timeline.rows}
     assert ("queue_depth", 1.0) in names
-    assert ("ibridge_admissions", 1.0) in names
-
-
-def test_metrics_sampler_runs_on_sim_ticks_and_exports(tmp_path):
-    env = Environment()
-    reg = MetricsRegistry()
-    ticks = []
-    reg.gauge("noop", lambda: len(ticks))
-    reg.start(env, period=0.5)
-
-    def spin(env):
-        yield env.timeout(2.0)
-
-    env.run(until=env.process(spin(env)))
-    reg.stop()
-    times = sorted({s["t"] for s in reg.samples})
-    assert times[0] == pytest.approx(0.0)
-    assert len(times) >= 4  # samples at 0, 0.5, 1.0, 1.5, ...
-
-    path = str(tmp_path / "metrics.jsonl")
-    reg.export_jsonl(path)
-    rows = load_metrics_jsonl(path)
-    assert len(rows) == len(reg.samples) + len(reg.final_rows())
+    assert ("ibridge_admissions_rate", 1.0) in names
 
 
 def test_traced_workload_exports_files(tmp_path):
     trace_path = str(tmp_path / "trace.jsonl")
-    metrics_path = str(tmp_path / "metrics.jsonl")
+    timeline_path = str(tmp_path / "timeline.jsonl")
     cfg = ClusterConfig(num_servers=2, client_jitter=0.0).with_obs(
-        trace_path=trace_path, metrics_path=metrics_path)
+        trace_path=trace_path, timeline_path=timeline_path)
     cluster = Cluster(cfg)
     workload = MpiIoTest(nprocs=2, request_size=65 * KiB,
                          file_size=8 * 65 * KiB, op=Op.WRITE)
@@ -316,7 +300,7 @@ def test_traced_workload_exports_files(tmp_path):
     spans, _events = load_spans_jsonl(trace_path)
     assert validate_spans(spans) == []
     assert len(build_trees(spans)) == 8
-    assert load_metrics_jsonl(metrics_path)
+    assert load_timeline_jsonl(timeline_path)
     # finish_run is idempotent: a second call must not duplicate rows.
     before = sum(1 for _ in open(trace_path, encoding="utf-8"))
     cluster.obs.finish_run()
@@ -393,13 +377,13 @@ def test_traced_cluster_folds_audit_and_blk_events():
 # ------------------------------------------------------------- config
 def test_obs_config_validation():
     with pytest.raises(ConfigError):
-        ObsConfig(sample_period=0.0).validate()
+        ObsConfig(timeline_dt=0.0).validate()
     with pytest.raises(ConfigError):
         ObsConfig(max_spans=-1).validate()
     with pytest.raises(ConfigError):
         ObsConfig(enabled=True, trace=False, metrics=False).validate()
-    cfg = ClusterConfig(num_servers=2).with_obs(sample_period=0.1)
-    assert cfg.obs.enabled and cfg.obs.sample_period == 0.1
+    cfg = ClusterConfig(num_servers=2).with_obs(timeline_dt=0.1)
+    assert cfg.obs.enabled and cfg.obs.timeline_dt == 0.1
     cfg.validate()
 
 

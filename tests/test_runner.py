@@ -169,8 +169,8 @@ def test_cache_key_includes_obs_context(tmp_path):
     from repro.config import ObsConfig
     cells = [cell(PROBE, a=7)]
     run_cells(cells, jobs=1, cache=True, cache_dir=str(tmp_path))
-    # Flipping the process-wide obs default must miss the cache (the
-    # metrics sampler is a sim process, consuming heap seq numbers).
+    # Flipping the process-wide obs default must miss the cache (it
+    # changes a result's obs_*/timeline_* extras).
     old = exp_common._DEFAULT_OBS
     exp_common.set_default_obs(ObsConfig(enabled=True))
     try:

@@ -2,10 +2,11 @@
 
 Covers the `repro.obs.timeline` recorder (sampling, rate differencing,
 ring-buffer retention, marks), the JSONL/CSV exports and their
-validators (`repro.obs.validate --timeline/--metrics`), the Perfetto
-counter-track round trip, the summary/sparkline helpers, the run-report
-CLI (`python -m repro.obs.report`), and the end-to-end wiring through a
-real cluster run with `ObsConfig.timeline_dt` on.
+validator (`repro.obs.validate --timeline`), the Perfetto counter-track
+round trip, the summary/sparkline helpers, the run-report CLI
+(`python -m repro.obs.report`), the end-to-end wiring through a real
+cluster run, and the fact that sampling never changes a simulated
+result.
 """
 
 import json
@@ -14,13 +15,16 @@ import math
 import pytest
 
 from repro.config import ClusterConfig
+from repro.devices.base import Op
+from repro.experiments.common import base_config
 from repro.obs.export import validate_chrome_trace, write_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import (CUMULATIVE_SERIES, KNOWN_SERIES,
                                 TimelineRecorder, load_timeline_jsonl,
                                 series_key, sparkline, summarize_series)
-from repro.obs.validate import (validate_metrics_rows,
-                                validate_timeline_rows)
+from repro.obs.validate import validate_timeline_rows
+from repro.pfs.cluster import Cluster
+from repro.sim.parallel import run_digest
 from repro.units import KiB, MiB
 from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
@@ -87,6 +91,21 @@ def test_ring_buffer_bounds_retention_and_counts_evictions():
     assert not rec.rows and rec.evicted == 0 and rec.ticks == 0
 
 
+def test_evictions_counted_when_a_rate_row_fills_the_ring_regression():
+    # A rate row that fills the ring used to leave the next plain row's
+    # eviction uncounted: this order read 12 evictions instead of 13.
+    reg = MetricsRegistry()
+    reg.gauge("queue_depth", lambda: 1.0, dev="hdd0")
+    reg.gauge("ibridge_redirected_writes", lambda: 0.0, disk=0)
+    reg.gauge("queue_depth", lambda: 2.0, dev="ssd")
+    rec = TimelineRecorder(reg, dt=1.0, limit=4)
+    for i in range(6):
+        rec.sample(float(i))
+    # 6 ticks x 2 plain rows + 5 rate rows = 17 appended, 4 kept.
+    assert len(rec.rows) == 4
+    assert rec.evicted == 13
+
+
 def test_marks_merge_time_ordered():
     reg, _, _ = _registry()
     rec = TimelineRecorder(reg, dt=1.0)
@@ -129,6 +148,25 @@ def test_jsonl_export_round_trips_and_validates(tmp_path):
     assert validate_timeline_rows(rows) == []
 
 
+def test_jsonl_export_ends_with_the_registry_histograms(tmp_path):
+    rec = _recorded(tmp_path)
+    hist = rec.registry.histogram("ibridge_benefit", (0.0, 0.01), server=0)
+    for value in (-0.5, 0.005, 0.2):
+        hist.observe(value)
+    path = tmp_path / "timeline.jsonl"
+    n = rec.export_jsonl(str(path))
+    rows = load_timeline_jsonl(str(path))
+    assert rows[0]["rows"] == n == len(rec.merged_rows()) + 1
+    assert rows[1:-1] == rec.merged_rows()
+    assert rows[-1] == hist.to_row()
+    assert rows[-1]["count"] == 3
+    assert validate_timeline_rows(rows) == []
+    # CSV carries samples and marks only.
+    csv_path = tmp_path / "timeline.csv"
+    assert rec.export_csv(str(csv_path), mode="w") == len(rec.merged_rows())
+    assert "ibridge_benefit" not in csv_path.read_text(encoding="utf-8")
+
+
 def test_multi_segment_append_restarts_the_clock(tmp_path):
     # Two clusters appending to one file: the second segment's sim
     # clock restarts at zero, which is legal *across* a segment header
@@ -166,28 +204,34 @@ def test_timeline_validator_flags_bad_rows():
     assert any("bad dt" in p for p in problems)
 
 
-def test_metrics_validator_accepts_restart_flags_regression():
+def test_timeline_validator_checks_histograms_and_retired_names():
+    header = {"type": "timeline_begin", "dt": 0.5, "rows": 3}
     good = [
-        {"t": 0.0, "name": "queue_depth", "labels": {}, "value": 1.0},
-        {"t": 0.5, "name": "queue_depth", "labels": {}, "value": 2.0},
-        # next cluster's export appended: rewind to the file start.
-        {"t": 0.0, "name": "queue_depth", "labels": {}, "value": 0.0},
+        header,
+        {"t": 0.0, "series": "queue_depth", "labels": {}, "value": 1.0},
+        {"t": 0.5, "series": "queue_depth", "labels": {}, "value": 2.0},
         {"type": "histogram", "name": "ibridge_benefit",
          "count": 3, "sum": 0.5},
     ]
-    assert validate_metrics_rows(good) == []
-    problems = validate_metrics_rows([
-        {"t": 0.0, "name": "queue_depth", "labels": {}, "value": 1.0},
-        {"t": 2.0, "name": "mystery_metric", "labels": {}, "value": 1.0},
+    assert validate_timeline_rows(good) == []
+    problems = validate_timeline_rows([
+        header,
+        {"t": 0.0, "series": "queue_depth", "labels": {}, "value": 1.0},
+        {"t": 2.0, "series": "mystery_metric", "labels": {}, "value": 1.0},
         # a family of the deleted experiment service: nothing emits it.
-        {"t": 2.0, "name": "svc_jobs", "labels": {}, "value": 1.0},
-        {"t": 1.0, "name": "queue_depth", "labels": {},
+        {"t": 2.0, "series": "svc_jobs", "labels": {}, "value": 1.0},
+        {"t": 2.5, "series": "queue_depth", "labels": {},
          "value": float("nan")},
+        {"type": "histogram", "name": "ibridge_benefit",
+         "count": 3, "sum": float("nan")},
+        {"type": "histogram", "name": "svc_latency", "count": 1, "sum": 1.0},
     ])
-    assert any("unknown metric" in p for p in problems)
-    assert "row 2: unknown metric 'svc_jobs'" in problems
-    assert any("bad value" in p for p in problems)
-    assert any("backwards" in p for p in problems)
+    assert "row 2: unknown series 'mystery_metric'" in problems
+    assert "row 3: unknown series 'svc_jobs'" in problems
+    assert "row 4: bad value nan" in problems
+    assert "row 5: histogram with bad count/sum" in problems
+    assert "row 6: unknown histogram 'svc_latency'" in problems
+    assert len(problems) == 5
 
 
 def test_csv_export_writes_samples_and_marks(tmp_path):
@@ -247,11 +291,15 @@ def test_report_cli_renders_timeline_and_marks(tmp_path, capsys):
     from repro.obs import report
 
     rec = _recorded(tmp_path)
+    hist = rec.registry.histogram("ibridge_benefit", (0.0,), server=0)
+    hist.observe(0.25)
+    hist.observe(0.5)
     path = tmp_path / "timeline.jsonl"
     rec.export_jsonl(str(path))
     assert report.main(["--timeline", str(path)]) == 0
     out = capsys.readouterr().out
     assert "queue_depth" in out and "fault_begin" in out
+    assert "histogram ibridge_benefit{server=0}: n=2, sum=0.75" in out
 
     md = tmp_path / "report.md"
     assert report.main(["--timeline", str(path), "--format", "markdown",
@@ -271,7 +319,6 @@ def test_report_cli_requires_an_input():
 def _traced_run(tmp_path, **obs_kwargs):
     cfg = ClusterConfig(num_servers=2, client_jitter=0.0) \
         .with_obs(timeline_dt=0.05, **obs_kwargs)
-    from repro.pfs.cluster import Cluster
     cluster = Cluster(cfg)
     result = run_workload(cluster, MpiIoTest(
         nprocs=4, request_size=65 * KiB, file_size=1 * MiB))
@@ -304,8 +351,32 @@ def test_finish_run_exports_validating_timeline(tmp_path):
     assert sum("series" in r for r in rows) > 0
 
 
-def test_timeline_requires_metrics():
-    from repro.config import ObsConfig
-    from repro.errors import ConfigError
-    with pytest.raises(ConfigError):
-        ObsConfig(enabled=True, metrics=False, timeline_dt=0.05).validate()
+def _digest_without_obs_extras(result):
+    result.extra = {k: v for k, v in result.extra.items()
+                    if not k.startswith(("obs_", "timeline_"))}
+    return run_digest(result)
+
+
+@pytest.mark.parametrize("ibridge", [False, True], ids=["stock", "ibridge"])
+def test_sampling_changes_no_simulated_result(ibridge):
+    # The timeline ticker adds heap entries (moving _seq and the event
+    # count) but only reads instruments, so it never reorders other
+    # events: with its extras dropped, a traced and sampled run digests
+    # exactly like a run with obs off.
+    size = 65 * KiB
+    cfg = base_config(num_servers=4)
+    op, warm = Op.READ, 0
+    if ibridge:
+        cfg = cfg.with_ibridge(ssd_partition=4 * MiB)
+        op, warm = Op.WRITE, 1
+    digests = []
+    for obs in (False, True):
+        run_cfg = cfg.with_obs(trace=True, timeline_dt=0.01) if obs else cfg
+        cluster = Cluster(run_cfg)
+        result = run_workload(cluster, MpiIoTest(
+            nprocs=8, request_size=size, file_size=8 * size * 4, op=op),
+            warm_runs=warm)
+        if obs:
+            assert cluster.obs.timeline.ticks > 1
+        digests.append(_digest_without_obs_extras(result))
+    assert digests[0] == digests[1]
