@@ -67,8 +67,8 @@ class CFQScheduler(Scheduler):
         self._active: Optional[int] = None
         self._idle_until: Optional[float] = None
         self._position = 0
-        #: Every queued dispatch, by start and by end: a merge scan that
-        #: could not merge is skipped in O(1).
+        #: Every queued dispatch, by start and by end: the merges look
+        #: their candidates up here instead of scanning the queues.
         self._index = _MergeIndex()
         self.insert_merges = 0
 
@@ -93,34 +93,55 @@ class CFQScheduler(Scheduler):
 
     def _try_insert_merge(self, req: BlockRequest) -> bool:
         """Linux elv_merge: absorb ``req`` into a contiguous queued
-        dispatch (any stream when global_merge, else same stream)."""
+        dispatch (any stream when global_merge, else same stream).
+
+        Takes the first that can merge in stream-queue order, then in
+        dispatch order, visiting only the dispatches the index lists as
+        ending at ``req``'s start or starting at its end.
+        """
         index = self._index
         op = req.op
-        if ((op, req.lbn) not in index.ends
-                and (op, req.lbn + req.nbytes) not in index.starts):
+        backs = index.ends.get((op, req.lbn))
+        fronts = index.starts.get((op, req.lbn + req.nbytes))
+        if backs is None and fronts is None:
             return False
         limit = self.config.max_merge_bytes
         window = self.config.merge_window
-        queues = (self._queues.values() if self.config.global_merge
-                  else [q for s, q in self._queues.items() if s == req.stream])
-        for q in queues:
-            for dispatch in q.dispatches:
-                if not dispatch.within_merge_window(req, window):
+        queues = self._queues
+        stream = None if self.config.global_merge else req.stream
+        best = best_q = best_key = None
+        for group in (backs, fronts):
+            for dispatch in group or ():
+                if (dispatch.nbytes + req.nbytes > limit
+                        or not dispatch.within_merge_window(req, window)):
                     continue
-                if dispatch.can_back_merge(req, limit):
-                    index.discard(dispatch)
-                    dispatch.back_merge(req)
-                    index.add(dispatch)
-                    return True
-                if dispatch.can_front_merge(req, limit):
-                    index.discard(dispatch)
-                    dispatch.front_merge(req)
-                    index.add(dispatch)
-                    # Front merge moves the dispatch's start; re-sort.
-                    q.dispatches.remove(dispatch)
-                    q.add(dispatch)
-                    return True
-        return False
+                # A queued dispatch sits in its first member's stream queue.
+                q = queues[dispatch.members[0].stream]
+                if stream is not None and q.stream != stream:
+                    continue
+                if best is None:
+                    best, best_q = dispatch, q
+                    continue
+                if best_key is None:
+                    order = list(queues)
+                    best_key = (order.index(best_q.stream),
+                                best_q.dispatches.index(best))
+                key = (order.index(q.stream), q.dispatches.index(dispatch))
+                if key < best_key:
+                    best, best_q, best_key = dispatch, q, key
+        if best is None:
+            return False
+        index.discard(best)
+        if best.end == req.lbn:
+            best.back_merge(req)
+            index.add(best)
+        else:
+            best.front_merge(req)
+            index.add(best)
+            # Front merge moves the dispatch's start; re-sort.
+            best_q.dispatches.remove(best)
+            best_q.add(best)
+        return True
 
     # ------------------------------------------------------------- dispatch
     def _rotate_to_next(self) -> Optional[_StreamQueue]:
@@ -176,30 +197,45 @@ class CFQScheduler(Scheduler):
         window = self.config.merge_window
 
         # Late merge within the active stream: absorb queued dispatches
-        # contiguous with the one being issued.  A pass is skipped when
-        # no queued dispatch starts where it ends or ends where it
-        # starts, as it could not merge.
+        # contiguous with the one being issued.  A pass over the queue
+        # absorbs each dispatch contiguous with the grown dispatch when
+        # reached, so the next one a pass absorbs is the earliest
+        # candidate in the queue at or after the last one absorbed;
+        # passes repeat until one absorbs nothing.
+        dispatches = active_q.dispatches
+        stream = active_q.stream
+        op = dispatch.op
+        born = dispatch.born
         merged = True
-        while merged and ((dispatch.op, dispatch.end) in index.starts
-                          or (dispatch.op, dispatch.lbn) in index.ends):
+        while merged:
             merged = False
-            for other in list(active_q.dispatches):
-                if abs(other.born - dispatch.born) > window:
-                    continue
-                if (dispatch.op is other.op
-                        and other.lbn == dispatch.end
-                        and dispatch.nbytes + other.nbytes <= limit):
-                    active_q.dispatches.remove(other)
-                    index.discard(other)
-                    dispatch.absorb(other)
-                    merged = True
-                elif (dispatch.op is other.op
-                        and other.end == dispatch.lbn
-                        and dispatch.nbytes + other.nbytes <= limit):
-                    active_q.dispatches.remove(other)
-                    index.discard(other)
-                    dispatch.absorb_front(other)
-                    merged = True
+            pos = 0
+            while True:
+                backs = index.starts.get((op, dispatch.end))
+                fronts = index.ends.get((op, dispatch.lbn))
+                if backs is None and fronts is None:
+                    break
+                best = None
+                best_i = 0
+                for group in (backs, fronts):
+                    for other in group or ():
+                        if (other.members[0].stream != stream
+                                or abs(other.born - born) > window
+                                or dispatch.nbytes + other.nbytes > limit):
+                            continue
+                        i = dispatches.index(other)
+                        if i >= pos and (best is None or i < best_i):
+                            best, best_i = other, i
+                if best is None:
+                    break
+                del dispatches[best_i]
+                index.discard(best)
+                if best.lbn == dispatch.end:
+                    dispatch.absorb(best)
+                else:
+                    dispatch.absorb_front(best)
+                merged = True
+                pos = best_i
 
         self._pending -= len(dispatch.members)
         self._position = dispatch.end

@@ -13,7 +13,8 @@ import abc
 from bisect import insort
 from collections import deque
 from operator import attrgetter
-from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
+from typing import (Callable, Deque, Dict, Iterable, List, Optional, Tuple,
+                    Union)
 
 from ..config import SchedulerConfig
 from ..devices.base import Op
@@ -21,6 +22,9 @@ from ..errors import StorageError
 from .request import BlockRequest, Dispatch
 
 SelectResult = Tuple[Optional[Dispatch], Optional[float]]
+#: What a :class:`_MergeIndex` lists: queued requests (noop, deadline)
+#: or queued dispatches (CFQ).
+Queued = Union[BlockRequest, Dispatch]
 
 
 class Scheduler(abc.ABC):
@@ -48,31 +52,39 @@ class Scheduler(abc.ABC):
 
 
 class _MergeIndex:
-    """Queued requests counted by ``(op, lbn)`` and by ``(op, end)``.
+    """Queued requests listed by ``(op, lbn)`` and by ``(op, end)``.
 
     Mirrors its scheduler's queue exactly (updated on every add and
-    removal), so a merge pass that cannot merge is skipped in O(1).
+    removal; each list in insertion order, a key dropped with its last
+    request), so a merge pass that cannot merge is skipped in O(1) and
+    the requests it could merge with are found without a scan.
     """
 
     __slots__ = ("starts", "ends")
 
     def __init__(self) -> None:
-        self.starts: Dict[Tuple[Op, int], int] = {}
-        self.ends: Dict[Tuple[Op, int], int] = {}
+        self.starts: Dict[Tuple[Op, int], List[Queued]] = {}
+        self.ends: Dict[Tuple[Op, int], List[Queued]] = {}
 
-    def add(self, req: BlockRequest) -> None:
+    def add(self, req: Queued) -> None:
         op, lbn = req.op, req.lbn
-        for counts, key in ((self.starts, (op, lbn)),
-                            (self.ends, (op, lbn + req.nbytes))):
-            counts[key] = counts.get(key, 0) + 1
+        for lists, key in ((self.starts, (op, lbn)),
+                           (self.ends, (op, lbn + req.nbytes))):
+            found = lists.get(key)
+            if found is None:
+                lists[key] = [req]
+            else:
+                found.append(req)
 
-    def discard(self, req: BlockRequest) -> None:
+    def discard(self, req: Queued) -> None:
         op, lbn = req.op, req.lbn
-        for counts, key in ((self.starts, (op, lbn)),
-                            (self.ends, (op, lbn + req.nbytes))):
-            n = counts.pop(key) - 1
-            if n:
-                counts[key] = n
+        for lists, key in ((self.starts, (op, lbn)),
+                           (self.ends, (op, lbn + req.nbytes))):
+            found = lists[key]
+            if len(found) == 1:
+                del lists[key]
+            else:
+                found.remove(req)
 
 
 def _merge_contiguous(dispatch: Dispatch, candidates: Iterable[BlockRequest],

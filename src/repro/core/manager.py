@@ -19,7 +19,7 @@ moves real data (this is a timing simulation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..block.queue import BlockQueue
 from ..config import ClusterConfig
@@ -44,6 +44,14 @@ BACKGROUND_STREAM = -1
 #: Bytes charged per dirty mapping-table entry persisted with a write
 #: (the paper persists dirty table entries on the SSD immediately).
 TABLE_ENTRY_BYTES = 512
+
+#: A file range's device ``(lbn, size)`` ranges, as ``LocalStore`` maps it.
+Ranges = List[Tuple[int, int]]
+
+
+def _home_lbn(planned: Tuple[CacheEntry, Ranges]) -> int:
+    """Sort key of a planned flush: its entry's disk home LBN."""
+    return planned[1][0][0]
 
 
 @dataclass
@@ -506,7 +514,7 @@ class IBridgeManager:
                 return True
             dirty_victims = [v for v in victims if v.dirty]
             if dirty_victims:
-                yield from self._flush_batch(dirty_victims)
+                yield from self._flush_batch(self._flush_plan(dirty_victims))
             live = {e.id for e in self.mapping.entries}
             for victim in victims:
                 if victim.id in live:
@@ -580,10 +588,16 @@ class IBridgeManager:
                 continue
             yield from self._flush_some(self.mapping.dirty_entries())
 
-    def _home_lbn(self, entry: CacheEntry) -> int:
-        ranges = self.disk_store.ranges_for_write(entry.handle, entry.start,
-                                                  entry.nbytes)
-        return ranges[0][0]
+    def _flush_plan(self, entries: List[CacheEntry]) -> List[Tuple[CacheEntry, Ranges]]:
+        """The flushable ``entries`` (dirty, idle) with their disk ranges.
+
+        Computed once per flush: a busy entry is never trimmed, and its
+        disk home was allocated when it was admitted, so the ranges
+        cannot change before the flush writes them.
+        """
+        store = self.disk_store
+        return [(e, store.ranges_for_write(e.handle, e.start, e.nbytes))
+                for e in entries if e.dirty and not e.busy]
 
     def _flush_some(self, dirty: List[CacheEntry]):
         """Flush up to ``writeback_batch`` bytes, sorted by disk home LBN.
@@ -593,50 +607,51 @@ class IBridgeManager:
         not block every later entry, or ``flush_all`` livelocks.  When
         nothing fits the budget at all, the smallest flushable entry is
         written alone so each pass is guaranteed forward progress.
+
+        Returns the batch's flush generator, so no frame keeps the
+        plan's ranges alive while it runs.
         """
-        batch: List[CacheEntry] = []
+        plan = self._flush_plan(dirty)
+        batch = []
         budget = self.ib.writeback_batch
-        for entry in sorted(dirty, key=self._home_lbn):
-            if not entry.dirty or entry.busy:
-                continue
+        for entry, ranges in sorted(plan, key=_home_lbn):
             if entry.nbytes > budget:
                 continue
-            batch.append(entry)
+            batch.append((entry, ranges))
             budget -= entry.nbytes
-        if not batch:
-            flushable = [e for e in dirty if e.dirty and not e.busy]
-            if flushable:
-                batch = [min(flushable, key=lambda e: e.nbytes)]
-        yield from self._flush_batch(batch)
+        if not batch and plan:
+            batch = [min(plan, key=lambda p: p[0].nbytes)]
+        return self._flush_batch(batch)
 
-    def _flush_batch(self, batch: List[CacheEntry]):
-        """Pipelined flush of exactly ``batch`` (assumed dirty, idle)."""
-        batch = [e for e in batch if e.dirty and not e.busy]
-        batch.sort(key=self._home_lbn)
+    def _flush_batch(self, batch: List[Tuple[CacheEntry, Ranges]]):
+        """Pipelined flush of exactly ``batch``, a :meth:`_flush_plan`
+        made with no yield since."""
         if not batch:
             return
+        batch = sorted(batch, key=_home_lbn)
+        entries = [entry for entry, _ranges in batch]
         # Pipeline the whole batch: read everything from the SSD log,
         # then submit all disk writes together so the elevator sees one
         # LBN-sorted burst and dispatches it as a (near-)sequential
         # sweep — "as many long sequential accesses as possible".
-        for entry in batch:
+        for entry in entries:
             entry.busy = True
         reads = [self.ssd_queue.submit(Op.READ, e.ssd_lbn, e.nbytes,
                                        stream=BACKGROUND_STREAM)
-                 for e in batch]
+                 for e in entries]
         yield self.env.all_of([r.done for r in reads])
-        writes = []
-        for entry in batch:
-            for lbn, size in self.disk_store.ranges_for_write(
-                    entry.handle, entry.start, entry.nbytes):
-                writes.append(self.hdd_queue.submit(Op.WRITE, lbn, size,
-                                                    stream=BACKGROUND_STREAM))
+        writes = [self.hdd_queue.submit(Op.WRITE, lbn, size,
+                                        stream=BACKGROUND_STREAM)
+                  for _entry, ranges in batch for lbn, size in ranges]
+        # Submitted: the ranges need not outlive the writes' wait (an
+        # end-of-run flush holds every server's batch at once).
+        del batch
         if writes:
             self.model.observe_disk(Op.WRITE, writes[0].lbn,
                                     sum(w.nbytes for w in writes),
                                     self.hdd_queue.device.head)
             yield self.env.all_of([w.done for w in writes])
-        for entry in batch:
+        for entry in entries:
             entry.busy = False
             if entry.forfeited:
                 # Forfeited mid-flight by an SSD fail-stop: the bytes
@@ -647,7 +662,7 @@ class IBridgeManager:
             if self.audit:
                 self.audit.note_writeback(entry.nbytes)
         if self.audit:
-            self.audit.check("writeback_batch", entries=batch)
+            self.audit.check("writeback_batch", entries=entries)
 
     def flush_all(self):
         """Synchronously flush every dirty entry (end-of-run accounting).

@@ -10,10 +10,10 @@ sequential access on its disk.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import StorageError
-from ..util.intervals import IntervalMap
+from ..util.intervals import IntervalMap, Piece
 from .extents import ExtentAllocator
 
 
@@ -24,6 +24,26 @@ def _lbn_coalesce(left: Tuple[int, int, int], right: Tuple[int, int, int]):
     if lv + (le - ls) == rv:
         return lv
     return None
+
+
+def _device_ranges(pieces: List[Piece], start: int,
+                   end: int) -> Optional[List[Tuple[int, int]]]:
+    """Device (lbn, size) ranges of the file pieces covering
+    ``[start, end)``; None when the pieces leave a hole.
+
+    Adjacent pieces are never device-contiguous (``_lbn_coalesce``
+    merges them when they are mapped, and a store never overwrites a
+    mapping), so one logically contiguous range already maps to as few
+    device I/Os as possible.
+    """
+    out: List[Tuple[int, int]] = []
+    cursor = start
+    for cs, ce, lbn, delta in pieces:
+        if cs != cursor:
+            return None
+        cursor = ce
+        out.append((lbn + delta, ce - cs))
+    return out if cursor == end else None
 
 
 class LocalStore:
@@ -53,45 +73,40 @@ class LocalStore:
         fmap = self._files.get(handle)
         return fmap is not None and fmap.is_covered(offset, offset + nbytes)
 
-    def ensure(self, handle: int, offset: int, nbytes: int) -> None:
-        """Allocate backing extents for any holes in ``[offset, offset+nbytes)``."""
+    def ranges_for_write(self, handle: int, offset: int,
+                         nbytes: int) -> List[Tuple[int, int]]:
+        """Device (lbn, size) ranges for a write, allocating extents for
+        any holes in ``[offset, offset+nbytes)`` (in gap order)."""
         if nbytes <= 0:
             raise StorageError(f"size must be positive, got {nbytes}")
         fmap = self._file(handle)
-        for gap_start, gap_end in fmap.gaps(offset, offset + nbytes):
-            ext = self.allocator.allocate(gap_end - gap_start)
-            fmap.set(gap_start, gap_end, ext.lbn)
-
-    def ranges_for_write(self, handle: int, offset: int,
-                         nbytes: int) -> List[Tuple[int, int]]:
-        """Device (lbn, size) ranges for a write, allocating as needed."""
-        self.ensure(handle, offset, nbytes)
-        return self._ranges(handle, offset, nbytes)
+        end = offset + nbytes
+        pieces = fmap.get(offset, end)
+        ranges = _device_ranges(pieces, offset, end)
+        if ranges is None:
+            # Fill the holes left to right (an end sentinel closes the
+            # last one), then map the range again.
+            cursor = offset
+            for cs, ce, _lbn, _delta in pieces + [(end, end, None, 0)]:
+                if cs > cursor:
+                    ext = self.allocator.allocate(cs - cursor)
+                    fmap.set(cursor, cs, ext.lbn)
+                cursor = ce
+            ranges = _device_ranges(fmap.get(offset, end), offset, end)
+        return ranges
 
     def ranges_for_read(self, handle: int, offset: int,
                         nbytes: int) -> List[Tuple[int, int]]:
         """Device (lbn, size) ranges for a read of existing data."""
         fmap = self._files.get(handle)
-        if fmap is None or not fmap.is_covered(offset, offset + nbytes):
+        ranges = (None if fmap is None else
+                  _device_ranges(fmap.get(offset, offset + nbytes),
+                                 offset, offset + nbytes))
+        if ranges is None:
             raise StorageError(
                 f"read of unallocated range [{offset}, {offset + nbytes}) "
                 f"in handle {handle}")
-        return self._ranges(handle, offset, nbytes)
-
-    def _ranges(self, handle: int, offset: int, nbytes: int) -> List[Tuple[int, int]]:
-        fmap = self._files[handle]
-        out: List[Tuple[int, int]] = []
-        for cs, ce, lbn, delta in fmap.get(offset, offset + nbytes):
-            out.append((lbn + delta, ce - cs))
-        # Merge device-contiguous neighbouring pieces so one logically
-        # contiguous file range maps to as few device I/Os as possible.
-        merged: List[Tuple[int, int]] = []
-        for lbn, size in out:
-            if merged and merged[-1][0] + merged[-1][1] == lbn:
-                merged[-1] = (merged[-1][0], merged[-1][1] + size)
-            else:
-                merged.append((lbn, size))
-        return merged
+        return ranges
 
     def preallocate(self, handle: int, nbytes: int) -> None:
         """Lay out ``handle`` contiguously from offset 0 (benchmark files)."""

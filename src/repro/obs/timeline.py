@@ -100,7 +100,8 @@ class TimelineRecorder:
         self.rows: deque = deque(maxlen=limit or None)
         #: Event-driven marks ``{"t", "name", "attrs"}`` (same bound).
         self.marks: deque = deque(maxlen=limit or None)
-        #: Rows dropped by ring-buffer eviction (retention telemetry).
+        #: Rows and marks dropped by ring-buffer eviction (retention
+        #: telemetry).
         self.evicted = 0
         self._prev: Dict[Tuple[str, tuple], float] = {}
         self._prev_t: Optional[float] = None
@@ -117,8 +118,9 @@ class TimelineRecorder:
             if gauge.name in CUMULATIVE_SERIES:
                 self._rate_row(t, dt, gauge.name, gauge.labels, value, prev)
             else:
-                self._append({"t": t, "series": gauge.name,
-                              "labels": gauge.labels, "value": value})
+                self._append(self.rows, {"t": t, "series": gauge.name,
+                                         "labels": gauge.labels,
+                                         "value": value})
         for counter in self.registry._counters.values():
             self._rate_row(t, dt, counter.name, counter.labels,
                            counter.value, prev)
@@ -133,18 +135,20 @@ class TimelineRecorder:
         prev[key] = value
         if last is None or dt is None or dt <= 0:
             return  # first tick: no interval to rate over
-        self._append({"t": t, "series": f"{name}_rate",
-                      "labels": labels, "value": (value - last) / dt})
+        self._append(self.rows, {"t": t, "series": f"{name}_rate",
+                                 "labels": labels,
+                                 "value": (value - last) / dt})
 
-    def _append(self, row: Dict[str, Any]) -> None:
-        """Append one sample row, counting the row a full ring evicts."""
-        if len(self.rows) == self.rows.maxlen:
+    def _append(self, ring: deque, row: Dict[str, Any]) -> None:
+        """Append one row or mark to ``ring``, counting the one a full
+        ring evicts."""
+        if len(ring) == ring.maxlen:
             self.evicted += 1
-        self.rows.append(row)
+        ring.append(row)
 
     def mark(self, name: str, t: float, **attrs: Any) -> None:
         """Record one event-driven mark (fault window edge, GC storm)."""
-        self.marks.append({"t": t, "name": name, "attrs": attrs})
+        self._append(self.marks, {"t": t, "name": name, "attrs": attrs})
 
     # ----------------------------------------------------------- lifecycle
     def start(self, env):

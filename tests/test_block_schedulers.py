@@ -387,8 +387,15 @@ def assert_index_mirrors_queue(sched):
         queued = sched._queue
     else:
         queued = sched._sorted
-    assert sched._index.starts == Counter((r.op, r.lbn) for r in queued)
-    assert sched._index.ends == Counter((r.op, r.end) for r in queued)
+    # Each key lists exactly the queued objects there, by identity and
+    # with multiplicity, and no key is left with an empty list.
+    for lists, key_of in ((sched._index.starts, lambda r: (r.op, r.lbn)),
+                          (sched._index.ends, lambda r: (r.op, r.end))):
+        want = {}
+        for r in queued:
+            want.setdefault(key_of(r), Counter())[id(r)] += 1
+        assert {key: Counter(map(id, found))
+                for key, found in lists.items()} == want
 
 
 def same_result(got, want):
@@ -440,6 +447,202 @@ def test_merge_index_matches_scan(kind, seed):
     assert len(new) == 0 and new.select(now) == (None, None)
     if cfq_kind:
         assert new.insert_merges == old.insert_merges
+
+
+# --------------------------------------- CFQ merge lookup vs the scan
+def cfq_pair(**overrides):
+    """A lookup CFQ and the verbatim scan CFQ on one config."""
+    cfg = SchedulerConfig(kind="cfq", **overrides)
+    return CFQScheduler(cfg), ScanCFQScheduler(cfg)
+
+
+def feed(new, old, steps):
+    """Feed ``("add", req)`` and ``("select", now)`` steps to both
+    schedulers, comparing them after every step."""
+    for step, arg in steps:
+        if step == "add":
+            new.add(arg)
+            old.add(arg)
+        else:
+            same_result(new.select(arg), old.select(arg))
+        assert len(new) == len(old)
+        assert new.insert_merges == old.insert_merges
+        assert_index_mirrors_queue(new)
+
+
+def drain(new, old, now=0.0):
+    """Select from both until empty, comparing every dispatch."""
+    while len(old):
+        got, want = new.select(now), old.select(now)
+        same_result(got, want)
+        assert_index_mirrors_queue(new)
+        if got[0] is None:
+            assert got[1] is not None
+            now = got[1]
+    assert len(new) == 0
+
+
+def at(env, t, lbn, nbytes=UNIT, stream=0, op=Op.WRITE):
+    req = BlockRequest(env, op, lbn, nbytes, stream=stream)
+    req.submit_time = t
+    return req
+
+
+def queued_members(sched):
+    return [d.members for q in sched._queues.values() for d in q.dispatches]
+
+
+def test_cfq_lookup_takes_first_queue_among_two_streams():
+    # Streams 2 and 1 both queue a dispatch ending at 8K; stream 2's
+    # queue was created first, so the new request merges there.
+    env = Environment()
+    first, second = at(env, 0.0, UNIT, stream=2), at(env, 0.0, UNIT, stream=1)
+    req = at(env, 0.0, 2 * UNIT, stream=0)
+    new, old = cfq_pair(idle_window=0.0)
+    feed(new, old, [("add", first), ("add", second), ("add", req)])
+    assert queued_members(new) == [[first, req], [second]]
+    drain(new, old)
+
+
+def test_cfq_lookup_orders_recreated_queues_by_creation():
+    # Stream 0's queue drains and is deleted, then re-created behind
+    # stream 1's: the back candidate in stream 1 now comes first.
+    env = Environment()
+    new, old = cfq_pair(idle_window=0.0, quantum=1)
+    in1, in0 = at(env, 0.0, UNIT, stream=1), at(env, 0.0, UNIT, stream=0)
+    req = at(env, 0.0, 2 * UNIT, stream=3)
+    feed(new, old, [("add", at(env, 0.0, 0, stream=0)),
+                    ("add", at(env, 0.0, 64 * KiB, stream=1)),
+                    ("add", at(env, 0.0, 128 * KiB, stream=1)),
+                    ("select", 0.0),    # stream 0 drains
+                    ("select", 0.0),    # stream 1 served
+                    ("select", 0.0),    # rotation deletes stream 0's queue
+                    ("add", in1), ("add", in0), ("add", req)])
+    assert list(new._queues) == [1, 0]
+    assert queued_members(new) == [[in1, req], [in0]]
+    drain(new, old)
+
+
+@pytest.mark.parametrize("front_first", [False, True])
+def test_cfq_lookup_with_back_and_front_candidates(front_first):
+    # The request [8K, 12K) can back-merge into [4K, 8K) and front-merge
+    # into [12K, 16K); the earlier queue wins, whichever kind it is.
+    env = Environment()
+    back, front = at(env, 0.0, UNIT, stream=1), at(env, 0.0, 3 * UNIT, stream=2)
+    first, second = (front, back) if front_first else (back, front)
+    req = at(env, 0.0, 2 * UNIT, stream=0)
+    new, old = cfq_pair(idle_window=0.0)
+    feed(new, old, [("add", first), ("add", second), ("add", req)])
+    assert queued_members(new) == [[first, req], [second]]
+    drain(new, old)
+
+
+@pytest.mark.parametrize("blocker", ["window", "limit"])
+def test_cfq_lookup_falls_through_to_the_next_candidate(blocker):
+    # The first back candidate is too old or too big to merge: the
+    # request must go to the next one, in a later queue.
+    env = Environment()
+    if blocker == "window":
+        near, far = at(env, 0.0, 0, stream=1), at(env, WINDOW, 0, stream=2)
+        req = at(env, 1.5 * WINDOW, UNIT, stream=0)
+    else:
+        near = at(env, 0.0, 0, MERGE_LIMIT, stream=1)
+        far = at(env, 0.0, MERGE_LIMIT - UNIT, stream=2)
+        req = at(env, 0.0, MERGE_LIMIT, stream=0)
+    new, old = cfq_pair(idle_window=0.0, max_merge_bytes=MERGE_LIMIT,
+                        merge_window=WINDOW)
+    feed(new, old, [("add", near), ("add", far), ("add", req)])
+    assert queued_members(new) == [[near], [far, req]]
+    drain(new, old, 1.5 * WINDOW)
+
+
+def test_cfq_late_merge_takes_candidates_in_pass_order():
+    # Fillers grow R, P and D into the chain R-P-D-Q of queued
+    # dispatches.  Issuing D absorbs P (front), then Q (back, after P in
+    # the queue) in the first pass; R, contiguous only once P is
+    # absorbed but before P in the queue, waits for the second pass.
+    env = Environment()
+    r, p, d, q = (at(env, 0.0, i * UNIT) for i in (0, 2, 4, 6))
+    fill = [at(env, 0.0, i * UNIT) for i in (3, 5, 1)]
+    new, old = cfq_pair(idle_window=0.0)
+    feed(new, old, [("add", at(env, 0.0, 3 * UNIT, op=Op.READ)),
+                    ("select", 0.0),   # sweep position now at D
+                    ("add", r), ("add", p), ("add", d), ("add", q)]
+         + [("add", f) for f in fill])
+    assert queued_members(new) == [[r, fill[2]], [p, fill[0]],
+                                   [d, fill[1]], [q]]
+    issued, _ = new.select(0.0)
+    assert issued.members == [d, fill[1], p, fill[0], q, r, fill[2]]
+    same_result((issued, None), old.select(0.0))
+    drain(new, old)
+
+
+def test_cfq_writeback_burst_matches_scan_and_visits_only_candidates(monkeypatch):
+    # The writeback shape: a long LBN-sorted burst of 64 KiB writes into
+    # one stream at the default 512 KiB limit, with dispatches taken
+    # while it arrives.  The lookup checks the merge window of at most
+    # one candidate per request; the scan checks every queued dispatch.
+    env = Environment()
+    size = 64 * KiB
+    new, old = cfq_pair()
+    checks = {new: 0, old: 0}
+    counting = []
+    window_check = Dispatch.within_merge_window
+
+    def counted(self, req, window):
+        if counting:
+            checks[counting[0]] += 1
+        return window_check(self, req, window)
+
+    monkeypatch.setattr(Dispatch, "within_merge_window", counted)
+    for i in range(400):
+        req = at(env, 0.0, (1 << 30) + i * size, size, stream=-1)
+        for sched in (new, old):
+            counting.append(sched)
+            sched.add(req)
+            counting.clear()
+        if i % 37 == 36:
+            same_result(new.select(0.0), old.select(0.0))
+        assert new.insert_merges == old.insert_merges
+        assert_index_mirrors_queue(new)
+    drain(new, old)
+    assert checks[new] <= 400 < checks[old]
+    assert new.insert_merges == old.insert_merges == 400 - 50
+
+
+def dense_requests(rng, env, now):
+    """Requests on an 8-slot LBN grid from four streams: duplicate
+    ranges, chains either way, and several contiguous candidates for
+    one request, some outside the window or over the limit."""
+    reqs = []
+    for _ in range(rng.randint(1, 4)):
+        req = at(env, now - rng.choice((0.0, 0.0005, WINDOW * 0.9,
+                                        WINDOW * 1.1)),
+                 rng.randrange(8) * UNIT,
+                 rng.choice((UNIT, UNIT, 2 * UNIT, 3 * UNIT)),
+                 stream=rng.randrange(4),
+                 op=rng.choice((Op.READ, Op.WRITE, Op.WRITE)))
+        reqs.append(req)
+    return reqs
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("global_merge", [True, False])
+def test_cfq_lookup_matches_scan_on_dense_candidates(seed, global_merge):
+    rng = random.Random(1000 + seed)
+    env = Environment()
+    new, old = cfq_pair(max_merge_bytes=MERGE_LIMIT, merge_window=WINDOW,
+                        global_merge=global_merge, quantum=2,
+                        idle_window=rng.choice((0.0, 0.0005)))
+    steps, now = [], 0.0
+    for _ in range(150):
+        now += rng.choice((0.0, 0.0002, 0.001))
+        if rng.random() < 0.6:
+            steps.extend(("add", r) for r in dense_requests(rng, env, now))
+        else:
+            steps.append(("select", now))
+    feed(new, old, steps)
+    drain(new, old, now)
 
 
 # ---------------------------------------------------------------- CFQ

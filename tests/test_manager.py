@@ -5,8 +5,15 @@ hand-built sub-requests, so these cover the full redirect / cache /
 coherence / writeback machinery.
 """
 
+import random
+import types
+from typing import List
+
+import pytest
+
 from repro.config import ClusterConfig, ReturnPolicy
-from repro.core.mapping import CacheKind
+from repro.core.manager import BACKGROUND_STREAM
+from repro.core.mapping import CacheEntry, CacheKind
 from repro.core.service_model import TReport
 from repro.devices import HardDisk, Op, profile_device
 from repro.pfs.messages import SubRequest
@@ -238,3 +245,155 @@ def test_log_cleaning_relocates_live_data():
     log = server.ibridge._log
     assert log.live_bytes <= 64 * KiB
     drain(env, server)
+
+
+# ------------------------------------------- writeback maps each range once
+class HomeLbnFlush:
+    """The writeback flush before it mapped each entry's ranges once,
+    verbatim: every entry's disk ranges were computed for the sort in
+    ``_flush_some``, again for the re-sort in ``_flush_batch`` and again
+    for its disk writes."""
+
+    def _home_lbn(self, entry: CacheEntry) -> int:
+        ranges = self.disk_store.ranges_for_write(entry.handle, entry.start,
+                                                  entry.nbytes)
+        return ranges[0][0]
+
+    def _flush_some(self, dirty: List[CacheEntry]):
+        """Flush up to ``writeback_batch`` bytes, sorted by disk home LBN.
+
+        Entries larger than the *remaining* batch budget are skipped —
+        not a stop condition: an oversized entry early in LBN order must
+        not block every later entry, or ``flush_all`` livelocks.  When
+        nothing fits the budget at all, the smallest flushable entry is
+        written alone so each pass is guaranteed forward progress.
+        """
+        batch: List[CacheEntry] = []
+        budget = self.ib.writeback_batch
+        for entry in sorted(dirty, key=self._home_lbn):
+            if not entry.dirty or entry.busy:
+                continue
+            if entry.nbytes > budget:
+                continue
+            batch.append(entry)
+            budget -= entry.nbytes
+        if not batch:
+            flushable = [e for e in dirty if e.dirty and not e.busy]
+            if flushable:
+                batch = [min(flushable, key=lambda e: e.nbytes)]
+        yield from self._flush_batch(batch)
+
+    def _flush_batch(self, batch: List[CacheEntry]):
+        """Pipelined flush of exactly ``batch`` (assumed dirty, idle)."""
+        batch = [e for e in batch if e.dirty and not e.busy]
+        batch.sort(key=self._home_lbn)
+        if not batch:
+            return
+        # Pipeline the whole batch: read everything from the SSD log,
+        # then submit all disk writes together so the elevator sees one
+        # LBN-sorted burst and dispatches it as a (near-)sequential
+        # sweep — "as many long sequential accesses as possible".
+        for entry in batch:
+            entry.busy = True
+        reads = [self.ssd_queue.submit(Op.READ, e.ssd_lbn, e.nbytes,
+                                       stream=BACKGROUND_STREAM)
+                 for e in batch]
+        yield self.env.all_of([r.done for r in reads])
+        writes = []
+        for entry in batch:
+            for lbn, size in self.disk_store.ranges_for_write(
+                    entry.handle, entry.start, entry.nbytes):
+                writes.append(self.hdd_queue.submit(Op.WRITE, lbn, size,
+                                                    stream=BACKGROUND_STREAM))
+        if writes:
+            self.model.observe_disk(Op.WRITE, writes[0].lbn,
+                                    sum(w.nbytes for w in writes),
+                                    self.hdd_queue.device.head)
+            yield self.env.all_of([w.done for w in writes])
+        for entry in batch:
+            entry.busy = False
+            if entry.forfeited:
+                # Forfeited mid-flight by an SSD fail-stop: the bytes
+                # were already accounted as lost, not written back.
+                continue
+            self.mapping.mark_clean(entry)
+            self.stats.writeback_bytes += entry.nbytes
+            if self.audit:
+                self.audit.note_writeback(entry.nbytes)
+        if self.audit:
+            self.audit.check("writeback_batch", entries=batch)
+
+
+def dirty_server(writeback_batch):
+    """A server with 24 dirty SSD entries on two preallocated files,
+    admitted in an order unrelated to their disk homes; one entry
+    straddles the end of file 1 and so maps to two disk ranges."""
+    env, server = make_server(writeback_batch=writeback_batch,
+                              writeback_idle=10.0)
+    mgr = server.ibridge
+    mgr.disk_store.preallocate(1, 256 * KiB)
+    mgr.disk_store.preallocate(2, 256 * KiB)
+    rng = random.Random(7)
+    slots = [(handle, i * 16 * KiB) for handle in (1, 2) for i in range(12)]
+    rng.shuffle(slots)
+    slots[5] = (1, 252 * KiB)
+    for handle, offset in slots:
+        size = 8 * KiB if offset == 252 * KiB else rng.choice((4, 8)) * KiB
+        serve(env, server, sub(offset=offset, size=size, random=True,
+                               handle=handle))
+    assert mgr.stats.ssd_redirected_writes == len(slots)
+    assert len(mgr.mapping.dirty_entries()) == len(slots)
+    return env, server
+
+
+def flush_once(env, server):
+    """One ``_flush_some`` pass over every dirty entry: the HDD writes it
+    submitted and the ``ranges_for_write`` calls it made."""
+    mgr = server.ibridge
+    writes, calls = [], []
+    submit = mgr.hdd_queue.submit
+    ranges_for_write = mgr.disk_store.ranges_for_write
+
+    def recording_submit(op, lbn, nbytes, **kw):
+        writes.append((op, lbn, nbytes, kw.get("stream")))
+        return submit(op, lbn, nbytes, **kw)
+
+    def counting_ranges(*args):
+        calls.append(args)
+        return ranges_for_write(*args)
+
+    mgr.hdd_queue.submit = recording_submit
+    mgr.disk_store.ranges_for_write = counting_ranges
+    env.run(until=env.process(mgr._flush_some(mgr.mapping.dirty_entries())))
+    return writes, calls
+
+
+@pytest.mark.parametrize("writeback_batch", [4 * MiB, 48 * KiB, 2 * KiB])
+def test_flush_maps_each_range_once_and_writes_like_home_lbn(writeback_batch):
+    env, server = dirty_server(writeback_batch)
+    writes, calls = flush_once(env, server)
+    old_env, old_server = dirty_server(writeback_batch)
+    old = old_server.ibridge
+    for name in ("_home_lbn", "_flush_some", "_flush_batch"):
+        setattr(old, name, types.MethodType(getattr(HomeLbnFlush, name), old))
+    old_writes, old_calls = flush_once(old_env, old_server)
+    mgr = server.ibridge
+    # Same disk writes (LBN, size, order), same state after the pass.
+    assert writes == old_writes and writes
+    if writeback_batch == 4 * MiB:
+        # The straddling entry's two ranges, in order at its home LBN:
+        # its last 4 KiB were allocated past file 2's data.
+        at = writes.index((Op.WRITE, 252 * KiB, 4 * KiB, BACKGROUND_STREAM))
+        assert writes[at + 1] == (Op.WRITE, 512 * KiB, 4 * KiB,
+                                  BACKGROUND_STREAM)
+    assert (mgr.stats.writeback_bytes, mgr.mapping.dirty_bytes) == \
+        (old.stats.writeback_bytes, old.mapping.dirty_bytes)
+    assert env.now == old_env.now
+    # One mapping per flushable entry, flushed or not; the old flush
+    # mapped every entry for the sort and each flushed one twice more.
+    flushed = sum(1 for e in mgr.mapping.entries if not e.dirty)
+    assert flushed >= 1
+    assert len(calls) == 24
+    assert len(old_calls) == 24 + 2 * flushed
+    if writeback_batch == 4 * MiB:
+        assert flushed == 24 and mgr.mapping.dirty_bytes == 0

@@ -106,6 +106,21 @@ def test_evictions_counted_when_a_rate_row_fills_the_ring_regression():
     assert rec.evicted == 13
 
 
+def test_evicted_marks_are_counted_regression(tmp_path):
+    # Marks share the ring bound; they used to be evicted uncounted, so
+    # three marks at limit 2 left ``evicted == 0`` and the header said so.
+    rec = TimelineRecorder(MetricsRegistry(), dt=1.0, limit=2)
+    for i in range(3):
+        rec.mark("fault_begin", float(i), dev="hdd0")
+    assert [m["t"] for m in rec.marks] == [1.0, 2.0]
+    assert rec.evicted == 1
+    path = tmp_path / "timeline.jsonl"
+    rec.export_jsonl(str(path))
+    with open(path, encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+    assert header["type"] == "timeline_begin" and header["evicted"] == 1
+
+
 def test_marks_merge_time_ordered():
     reg, _, _ = _registry()
     rec = TimelineRecorder(reg, dt=1.0)
