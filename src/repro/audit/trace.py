@@ -29,17 +29,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 
 class EventTrace:
     """Bounded in-memory ring + optional JSONL mirror.
 
     A record is never mutated after :meth:`emit` returns it: the audit
-    runtime's violation list and the obs layer's instant-event sink
-    (:meth:`~repro.obs.runtime.ObsRuntime.attach_event_trace`) keep
-    references to the ring's record instead of copies, and read it
-    later.
+    runtime's violation list keeps references to the ring's records
+    instead of copies, and reads them later.  The ring and the mirror
+    are the only home of audit records; the obs tracer keeps no copy.
     """
 
     def __init__(self, path: Optional[str] = None, limit: int = 4096) -> None:
@@ -51,14 +50,6 @@ class EventTrace:
         # mirror to the same path.  Whoever owns the path for a whole
         # invocation (e.g. the CLI) truncates it once up front.
         self._file = open(path, "a", encoding="utf-8") if path else None
-        #: Optional observer called with every record as it is emitted
-        #: (after ring/mirror bookkeeping).  The obs layer uses this to
-        #: fold audit events into the unified span/event stream.
-        self._sink: Optional[Callable[[Dict], None]] = None
-
-    def set_sink(self, sink: Optional[Callable[[Dict], None]]) -> None:
-        """Install (or clear, with ``None``) the per-record observer."""
-        self._sink = sink
 
     def emit(self, time: float, kind: str, **fields) -> Dict:
         """Record one event; returns the record dict (never mutate it)."""
@@ -72,8 +63,6 @@ class EventTrace:
                 # An invariant breach may abort the run; make sure the
                 # evidence reaches the disk before anything else happens.
                 self._file.flush()
-        if self._sink is not None:
-            self._sink(record)
         return record
 
     def records(self, kind: Optional[str] = None) -> List[Dict]:

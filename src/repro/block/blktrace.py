@@ -3,14 +3,16 @@
 The paper uses blktrace to show the *dispatched* request-size
 distributions (Figs. 2(c)–(e) and Fig. 5), in units of 512-byte
 sectors.  :class:`BlockTracer` records every dispatch the device runner
-issues; :meth:`size_histogram` reproduces the figures' data.
+issues; :meth:`size_histogram` reproduces the figures' data.  It is the
+only record of every dispatch: a traced run's ``blk.service`` spans
+(:mod:`repro.obs`) carry the dispatches of traced I/Os alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..devices.base import Op
 from ..units import to_sectors
@@ -32,25 +34,16 @@ class TraceRecord:
 
 
 class BlockTracer:
-    """Records dispatches; answers distribution queries."""
+    """Records dispatches; answers the size-histogram query."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.records: List[TraceRecord] = []
-        #: Optional observer called with every record (even when in-memory
-        #: retention is disabled); the obs layer uses this to fold block
-        #: dispatches into the unified trace stream.
-        self.sink = None
 
     def record(self, time: float, op: Op, lbn: int, nbytes: int,
                merged: int) -> None:
-        if not self.enabled and self.sink is None:
-            return
-        rec = TraceRecord(time, op, lbn, nbytes, merged)
         if self.enabled:
-            self.records.append(rec)
-        if self.sink is not None:
-            self.sink(rec)
+            self.records.append(TraceRecord(time, op, lbn, nbytes, merged))
 
     def clear(self) -> None:
         self.records.clear()
@@ -65,35 +58,3 @@ class BlockTracer:
             if op is None or rec.op is op:
                 counter[rec.sectors] += 1
         return dict(sorted(counter.items()))
-
-    def size_distribution(self, op: Optional[Op] = None) -> Dict[int, float]:
-        """{size_in_sectors: fraction of dispatches}."""
-        hist = self.size_histogram(op)
-        total = sum(hist.values())
-        if total == 0:
-            return {}
-        return {size: count / total for size, count in hist.items()}
-
-    def top_sizes(self, n: int = 5, op: Optional[Op] = None) -> List[Tuple[int, float]]:
-        """The ``n`` most frequent dispatch sizes, as (sectors, fraction)."""
-        dist = self.size_distribution(op)
-        return sorted(dist.items(), key=lambda kv: -kv[1])[:n]
-
-    def fraction_at_least(self, sectors: int, op: Optional[Op] = None) -> float:
-        """Fraction of dispatches of at least ``sectors`` sectors."""
-        dist = self.size_distribution(op)
-        return sum(frac for size, frac in dist.items() if size >= sectors)
-
-    def mean_size_sectors(self, op: Optional[Op] = None) -> float:
-        """Mean dispatch size in sectors."""
-        hist = self.size_histogram(op)
-        total = sum(hist.values())
-        if total == 0:
-            return 0.0
-        return sum(size * count for size, count in hist.items()) / total
-
-    def merged_fraction(self) -> float:
-        """Fraction of dispatches containing more than one request."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.merged > 1) / len(self.records)

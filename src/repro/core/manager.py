@@ -165,15 +165,9 @@ class IBridgeManager:
             return CacheKind.RANDOM
         return None
 
-    def _return_value(self, sub: SubRequest, kind: CacheKind,
-                      op: Op) -> float:
-        """Eq. 1/3 return of serving ``sub`` at the SSD."""
-        ranges = (self.disk_store.ranges_for_write(sub.handle, sub.local_offset,
-                                                   sub.nbytes)
-                  if op.is_write else
-                  self.disk_store.ranges_for_read(sub.handle, sub.local_offset,
-                                                  sub.nbytes))
-        lbn = ranges[0][0]
+    def _return_value(self, sub: SubRequest, kind: CacheKind, op: Op,
+                      lbn: int) -> float:
+        """Eq. 1/3 return of serving ``sub`` (disk home ``lbn``) at the SSD."""
         base = self.model.base_return(op, lbn, sub.nbytes,
                                       self.hdd_queue.device.head)
         if kind is CacheKind.FRAGMENT:
@@ -216,20 +210,26 @@ class IBridgeManager:
         if self.audit:
             self.audit.note_client_write(sub.nbytes)
         kind = self._classify(sub)
+        ranges = None
         if kind is not None and self._log is not None and self.ssd_available:
-            ret = self._return_value(sub, kind, Op.WRITE)
+            # Mapping allocates the write's disk home; a write that ends
+            # up on the disk reuses these ranges (a store never remaps
+            # an allocated byte).
+            ranges = self.disk_store.ranges_for_write(
+                sub.handle, sub.local_offset, sub.nbytes)
+            ret = self._return_value(sub, kind, Op.WRITE, ranges[0][0])
             self._observe_benefit(kind, Op.WRITE, ret)
             if span is not None:
                 span.annotate(kind=kind.name.lower(), ret=ret)
             if ret > 0 and self.partition.admissible(kind, sub.nbytes):
                 ok = yield from self._make_room(kind, sub.nbytes)
                 if ok:
-                    yield from self._ssd_write(sub, kind, ret, span)
+                    yield from self._ssd_write(sub, kind, ret, ranges, span)
                     return
                 self.stats.rejected_admissions += 1
             elif ret <= 0:
                 self.stats.negative_returns += 1
-        yield from self._disk_write(sub, span)
+        yield from self._disk_write(sub, ranges, span)
 
     def _observe_benefit(self, kind: CacheKind, op: Op, ret: float) -> None:
         """Feed an Eq. 1/3 return value into the metrics histogram."""
@@ -248,7 +248,7 @@ class IBridgeManager:
                             kind=kind.name.lower(), path=path).inc()
 
     def _ssd_write(self, sub: SubRequest, kind: CacheKind, ret: float,
-                   span=None):
+                   ranges: Ranges, span=None):
         """Redirect a write into the SSD log."""
         # A write supersedes any cached data overlapping its range.
         yield from self._invalidate_overlaps(sub.handle, sub.local_offset,
@@ -264,7 +264,7 @@ class IBridgeManager:
             ok = yield from self._make_room(kind, sub.nbytes)
             if not (ok and self.partition.fits(kind, sub.nbytes)):
                 self.stats.rejected_admissions += 1
-                yield from self._disk_write(sub, span)
+                yield from self._disk_write(sub, ranges, span)
                 return
         # The mapping-table entry is persisted alongside the data, so the
         # log allocation includes it — keeping successive appends exactly
@@ -272,7 +272,7 @@ class IBridgeManager:
         payload = sub.nbytes + TABLE_ENTRY_BYTES
         if not self._log.can_append(payload):
             self.stats.rejected_admissions += 1
-            yield from self._disk_write(sub, span)
+            yield from self._disk_write(sub, ranges, span)
             return
         lbn = self._log.append(payload)
         entry = CacheEntry(handle=sub.handle, start=sub.local_offset,
@@ -294,14 +294,18 @@ class IBridgeManager:
             self.audit.check("ssd_write", entries=(entry,))
         yield req.done
 
-    def _disk_write(self, sub: SubRequest, span=None):
-        """Serve a write at the disk, keeping SSD cache coherent."""
+    def _disk_write(self, sub: SubRequest, ranges: Optional[Ranges],
+                    span=None):
+        """Serve a write at the disk, keeping SSD cache coherent.  Its
+        disk home is ``ranges`` if admission mapped it, else mapped here,
+        after the invalidation, so holes keep their allocation order."""
         yield from self._invalidate_overlaps(sub.handle, sub.local_offset,
                                              sub.local_end, flush_uncovered=True,
                                              new_start=sub.local_offset,
                                              new_end=sub.local_end)
-        ranges = self.disk_store.ranges_for_write(sub.handle, sub.local_offset,
-                                                  sub.nbytes)
+        if ranges is None:
+            ranges = self.disk_store.ranges_for_write(
+                sub.handle, sub.local_offset, sub.nbytes)
         self.model.observe_disk(Op.WRITE, ranges[0][0], sub.nbytes,
                                 self.hdd_queue.device.head)
         if span is not None:
@@ -404,7 +408,9 @@ class IBridgeManager:
                 and self.ssd_available):
             kind = self._classify(sub)
             if kind is not None and self.partition.admissible(kind, sub.nbytes):
-                ret = self._return_value(sub, kind, Op.READ)
+                lbn = self.disk_store.ranges_for_read(
+                    sub.handle, sub.local_offset, sub.nbytes)[0][0]
+                ret = self._return_value(sub, kind, Op.READ, lbn)
                 self._observe_benefit(kind, Op.READ, ret)
                 if ret > 0:
                     self._fill_tasks.put((sub.handle, start, end, kind, ret))
@@ -515,9 +521,8 @@ class IBridgeManager:
             dirty_victims = [v for v in victims if v.dirty]
             if dirty_victims:
                 yield from self._flush_batch(self._flush_plan(dirty_victims))
-            live = {e.id for e in self.mapping.entries}
             for victim in victims:
-                if victim.id in live:
+                if victim in self.mapping:
                     self._drop_entry(victim)
         return self.partition.fits(kind, nbytes)
 

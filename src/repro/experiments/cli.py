@@ -227,21 +227,23 @@ def _emit_trace_outputs(trace_path: str,
     from ..obs.export import (chrome_path_for, load_spans_jsonl,
                               write_chrome_trace)
 
-    spans, events = load_spans_jsonl(trace_path)
+    spans = load_spans_jsonl(trace_path)
     if not spans:
         print(f"note: no spans recorded in {trace_path}")
         return
     report = analyze(spans)
     print(report.format())
-    counters = ()
+    marks, counters = (), ()
     if timeline_path and timeline_path.endswith(".jsonl"):
         # Timeline samples ride along as Perfetto counter tracks, so
-        # queue depth / SSD occupancy plot under the span lanes.
+        # queue depth / SSD occupancy plot under the span lanes, and
+        # its marks (fault windows, GC storms) as instant events.
         from ..obs.timeline import load_timeline_jsonl
-        counters = [r for r in load_timeline_jsonl(timeline_path)
-                    if "series" in r]
+        rows = load_timeline_jsonl(timeline_path)
+        marks = [r for r in rows if r.get("type") == "mark"]
+        counters = [r for r in rows if "series" in r]
     chrome_path = chrome_path_for(trace_path)
-    write_chrome_trace(chrome_path, spans, events, counters)
+    write_chrome_trace(chrome_path, spans, marks, counters)
     print(f"spans written to {trace_path} "
           f"(Chrome/Perfetto: {chrome_path} — open at https://ui.perfetto.dev)")
 

@@ -16,10 +16,12 @@ package makes that visible per request instead of only in aggregate:
 * :mod:`repro.obs.metrics` — a counters/gauges/histograms registry;
   the timeline is its only sampler and its only export.
 * :mod:`repro.obs.export` — span JSONL and Chrome trace-event /
-  Perfetto JSON exporters (``--trace-out``).
-* :mod:`repro.obs.runtime` — per-cluster wiring plus the adapters that
-  let :class:`~repro.audit.trace.EventTrace` and
-  :class:`~repro.block.blktrace.BlockTracer` feed the same sink.
+  Perfetto JSON exporters (``--trace-out``; the Chrome export takes the
+  timeline's marks as its instant events).
+* :mod:`repro.obs.runtime` — per-cluster wiring.  It copies no other
+  telemetry source: audit records stay in
+  :class:`~repro.audit.trace.EventTrace`, dispatches in
+  :class:`~repro.block.blktrace.BlockTracer`.
 * :mod:`repro.obs.timeline` — sim-time series recorder: samples every
   registry gauge and counter on a fixed cadence
   (``ObsConfig.timeline_dt``) into a bounded ring buffer, differencing

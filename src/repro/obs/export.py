@@ -2,8 +2,8 @@
 
 Two formats, one source of truth:
 
-* **JSONL** — one ``Span.to_dict()`` record per line, plus instant
-  events.  Appended per simulated cluster (mirroring the
+* **JSONL** — one ``Span.to_dict()`` record per line, spans only.
+  Appended per simulated cluster (mirroring the
   ``--audit-trace`` contract: the CLI truncates the file once per
   invocation, runs append).  This is the format the critical-path
   analyzer and CI validator read back.
@@ -11,13 +11,15 @@ Two formats, one source of truth:
   format understood by ``chrome://tracing`` and https://ui.perfetto.dev.
   Spans become ``ph="X"`` complete events with microsecond timestamps;
   each trace (parent request) becomes a ``pid`` with a metadata name
-  record so the UI groups a request's spans together.
+  record so the UI groups a request's spans together.  Instant events
+  (``ph="i"``) come from the timeline's marks (fault windows, GC
+  storms), which the CLI passes in.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .span import Span
 from .timeline import series_key
@@ -27,26 +29,18 @@ _US = 1e6
 
 
 # ----------------------------------------------------------------- JSONL
-def append_spans(path: str, spans: Sequence[Span],
-                 events: Sequence[Dict[str, Any]] = ()) -> int:
-    """Append span + event records to a JSONL file; returns row count."""
-    rows = 0
+def append_spans(path: str, spans: Sequence[Span]) -> int:
+    """Append span records to a JSONL file; returns row count."""
     with open(path, "a", encoding="utf-8") as fh:
         for span in spans:
             json.dump(span.to_dict(), fh, default=str)
             fh.write("\n")
-            rows += 1
-        for rec in events:
-            json.dump(rec, fh, default=str)
-            fh.write("\n")
-            rows += 1
-    return rows
+    return len(spans)
 
 
-def load_spans_jsonl(path: str) -> Tuple[List[Span], List[Dict[str, Any]]]:
-    """Read back a span JSONL file -> (spans, instant events)."""
+def load_spans_jsonl(path: str) -> List[Span]:
+    """Read back the spans of a span JSONL file."""
     spans: List[Span] = []
-    events: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -55,9 +49,7 @@ def load_spans_jsonl(path: str) -> Tuple[List[Span], List[Dict[str, Any]]]:
             rec = json.loads(line)
             if rec.get("type") == "span":
                 spans.append(Span.from_dict(rec))
-            else:
-                events.append(rec)
-    return spans, events
+    return spans
 
 
 # ------------------------------------------------------- Chrome / Perfetto
@@ -104,10 +96,12 @@ def chrome_trace(spans: Sequence[Span],
                  counters: Sequence[Dict[str, Any]] = ()) -> Dict[str, Any]:
     """Build a Chrome trace-event document from spans.
 
-    ``counters`` takes timeline sample rows (``{"t", "series",
-    "labels", "value"}`` — see :mod:`repro.obs.timeline`) and renders
-    each labelled series as a Perfetto *counter track* (``ph: "C"``) on
-    pid 0, so queue depth and SSD occupancy plot under the span lanes.
+    ``events`` takes ``{"name", "t", "attrs"}`` rows (timeline marks)
+    and renders each as a global instant event (``ph: "i"``) on pid 0.
+    ``counters`` takes timeline sample rows (``{"t", "series", "labels",
+    "value"}`` — see :mod:`repro.obs.timeline`) and renders each
+    labelled series as a Perfetto *counter track* (``ph: "C"``) on pid
+    0, so queue depth and SSD occupancy plot under the span lanes.
     """
     out: List[Dict[str, Any]] = []
     by_trace: Dict[int, List[Span]] = {}

@@ -49,14 +49,13 @@ def _magnification_cdf(mags: List[float]) -> List[str]:
 
 
 def trace_section(path: str) -> List[str]:
-    spans, events = load_spans_jsonl(path)
+    spans = load_spans_jsonl(path)
     report = analyze(spans)
     lines = [report.format()]
     mags = report.magnifications()
     if mags:
         lines.extend(_magnification_cdf(mags))
-    lines.append(f"({len(spans)} spans, {len(events)} instant events, "
-                 f"{report.count} complete traces)")
+    lines.append(f"({len(spans)} spans, {report.count} complete traces)")
     return lines
 
 

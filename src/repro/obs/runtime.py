@@ -5,11 +5,10 @@
 the :class:`~repro.obs.timeline.TimelineRecorder`, and attaches them to
 every instrumented component (clients, network, servers, iBridge
 managers, block queues) the way :class:`~repro.audit.runtime.AuditRuntime`
-attaches its auditors.  It also installs the sink adapters that make the
-two pre-existing telemetry sources — the audit
-:class:`~repro.audit.trace.EventTrace` and the per-disk
-:class:`~repro.block.blktrace.BlockTracer` — feed the same tracer as
-instant events, so one exported file carries the whole story of a run.
+attaches its auditors.  It copies no other telemetry source: audit
+records stay in the audit :class:`~repro.audit.trace.EventTrace` (and
+its ``--audit-trace`` JSONL), dispatches in the per-disk
+:class:`~repro.block.blktrace.BlockTracer`.
 
 Lifecycle (mirrors the audit runtime):
 
@@ -18,14 +17,15 @@ Lifecycle (mirrors the audit runtime):
 * the timeline ticker runs as a sim process until :meth:`stop`
   (``Cluster.shutdown`` calls it, like the watchdog);
 * :meth:`finish_run` (called by the workload harness after the drain)
-  takes a final timeline sample and exports spans and the timeline
-  (with the registry's histograms) to the configured paths —
+  takes a final timeline sample (fault windows become its marks) and
+  exports spans and the timeline (with the registry's histograms) to
+  the configured paths —
   appending, so multi-cluster experiments accumulate into one file
   that the CLI truncated once up front (the ``--audit-trace``
   contract);
 * nothing resets telemetry between a workload's warm passes and its
   timed pass: :meth:`reset` exists but has no caller, so the spans,
-  events, samples and the ``obs_*``/``timeline_last[...]`` result
+  marks, samples and the ``obs_*``/``timeline_last[...]`` result
   extras of a run with ``warm_runs`` cover the warm passes too.
 """
 
@@ -70,7 +70,6 @@ class ObsRuntime:
         # prefix on disk instead of losing everything export-at-finish
         # would have written.
         self._stream_buf: list = []
-        self._events_streamed = 0
         self._streaming = bool(self.tracer is not None
                                and config.trace_path
                                and config.flush_spans > 0)
@@ -82,8 +81,6 @@ class ObsRuntime:
         """Attach the tracer/registry to every instrumented component."""
         tracer = self.tracer
         cluster.network.obs = tracer
-        if tracer is not None and cluster.audit is not None:
-            self.attach_event_trace(cluster.audit.trace)
         for server in cluster.servers:
             server.obs = tracer
             if self.timeline is not None:
@@ -95,8 +92,6 @@ class ObsRuntime:
             self._wire_queue(server.ssd_queue, server.id, "ssd")
             for d, unit in enumerate(server.disks):
                 self._wire_queue(unit.queue, server.id, f"hdd{d}")
-                if tracer is not None:
-                    self.attach_block_tracer(unit.tracer, unit.queue.name)
                 if unit.ibridge is not None:
                     self._wire_manager(unit.ibridge, server.id, d)
         if self.timeline is not None:
@@ -169,34 +164,6 @@ class ObsRuntime:
                   (lambda m=manager: m.stats.rejected_admissions),
                   server=server_id, disk=disk)
 
-    # ------------------------------------------------------------ adapters
-    def attach_event_trace(self, trace) -> None:
-        """Mirror audit trace records into the tracer as instant events.
-
-        The tracer keeps a reference to the ring's record, not a copy;
-        :func:`~repro.obs.span.event_record` strips ``t``/``kind`` from
-        it when the event is read.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return
-        add = tracer.add_event
-        trace.set_sink(lambda record: add((None, None, record)))
-
-    def attach_block_tracer(self, block_tracer, dev: str) -> None:
-        """Mirror blktrace dispatch records into the tracer."""
-        tracer = self.tracer
-        if tracer is None:
-            return
-        add = tracer.add_event
-
-        def sink(rec) -> None:
-            add(("blk.dispatch", rec.time,
-                 {"dev": dev, "op": rec.op.name.lower(),
-                  "sectors": rec.sectors, "merged": rec.merged}))
-
-        block_tracer.sink = sink
-
     # ---------------------------------------------------------- streaming
     def _span_closed(self, span) -> None:
         self._stream_buf.append(span)
@@ -204,20 +171,16 @@ class ObsRuntime:
             self.flush_spans()
 
     def flush_spans(self) -> int:
-        """Write buffered closed spans (+ new instant events) to the
-        trace path now; returns the number of rows appended.
+        """Write buffered closed spans to the trace path now; returns the
+        number of rows appended.
 
         No-op unless streaming is on.  Called every ``flush_spans``
         closures and by :meth:`finish_run`, so a traced run that aborts
         or is killed keeps the spans flushed before it stopped.
         """
-        if not self._streaming:
+        if not self._streaming or not self._stream_buf:
             return 0
-        events = self.tracer.events_since(self._events_streamed)
-        self._events_streamed += len(events)
-        if not self._stream_buf and not events:
-            return 0
-        rows = append_spans(self.config.trace_path, self._stream_buf, events)
+        rows = append_spans(self.config.trace_path, self._stream_buf)
         self._stream_buf.clear()
         return rows
 
@@ -242,11 +205,8 @@ class ObsRuntime:
         if self.timeline is not None:
             self.timeline.clear()
             self._fault_marked = 0
-        # Anything still buffered belongs to the discarded passes, and
-        # tracer.clear() emptied the events list the stream index points
-        # into.
+        # Anything still buffered belongs to the discarded passes.
         self._stream_buf.clear()
-        self._events_streamed = 0
 
     def finish_run(self) -> None:
         """Final timeline sample + export to the configured paths
@@ -270,8 +230,7 @@ class ObsRuntime:
                 self.flush_spans()
             else:
                 closed = [s for s in self.tracer.spans if s.end is not None]
-                append_spans(self.config.trace_path, closed,
-                             self.tracer.events)
+                append_spans(self.config.trace_path, closed)
 
     def _mark_fault_windows(self) -> None:
         """Convert injector begin/end records into timeline marks."""

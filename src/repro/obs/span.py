@@ -6,11 +6,17 @@ links a span to its causal parent, and ``kind`` is the coarse category
 the critical-path analyzer attributes time to (``client``, ``rpc``,
 ``network``, ``server``, ``queue``, ``service``).
 
+The tracer records spans and nothing else.  Instant facts each have one
+home elsewhere: audit records in :class:`~repro.audit.trace.EventTrace`,
+dispatches in :class:`~repro.block.blktrace.BlockTracer` (a traced
+I/O's also in its ``blk.service`` span), fault windows and GC storms
+in the timeline's marks.
+
 The tracer follows the ``BlockTracer`` pattern: construction is cheap,
 and every instrumented site guards with ``if tracer is not None`` so a
 run without observability pays one attribute load per site and nothing
 else.  Spans are plain ``__slots__`` objects — a traced run allocates
-one per operation, the dominant tracing cost.  Three mitigations keep
+one per operation, the dominant tracing cost.  Two mitigations keep
 what a traced run builds down:
 
 * **Empty-attrs sentinel.**  Spans opened without attributes share one
@@ -18,13 +24,6 @@ what a traced run builds down:
   ``None``/a fresh dict; :meth:`Span.annotate` copies on first write.
   The sentinel is falsy, so every ``span.attrs or {}`` /
   ``if span.attrs:`` consumer behaves exactly as before.
-* **Compact instant events.**  :meth:`Tracer.event` and the sink
-  adapters store an instant event as a ``(name, t, attrs)`` tuple;
-  :func:`event_record` builds its ``{"type": "event", ...}`` wire dict
-  only when :attr:`Tracer.events` or :meth:`Tracer.events_since` is
-  read.  An audit event stores the audit ring's own record (``name``
-  is ``None``) and strips ``t``/``kind`` from it on read, so a record
-  exists once however many telemetry sinks see it.
 * **1-in-N sampling.**  With ``sample_n > 1`` only traces whose id is
   divisible by N are retained.  :meth:`Tracer.root` returns ``None``
   for the others, and because every instrumented site hangs child
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 #: Span kinds the critical-path analyzer knows how to attribute.
 KIND_CLIENT = "client"
@@ -53,31 +52,6 @@ KIND_SERVICE = "service"
 #: unchanged; :meth:`Span.annotate` swaps it for a private dict on the
 #: first write (copy-on-write).
 EMPTY_ATTRS: Dict[str, Any] = MappingProxyType({})
-
-
-#: One instant event as the tracer keeps it: ``(name, t, attrs)``; see
-#: :func:`event_record`.
-EventEntry = Tuple[Optional[str], Optional[float], Optional[Dict[str, Any]]]
-
-
-def event_record(name: Optional[str], t: Optional[float],
-                 attrs: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """The JSONL wire dict of one compact instant event.
-
-    ``name is None`` marks an audit event: ``attrs`` is then the
-    :class:`~repro.audit.trace.EventTrace` record itself, shared by
-    reference (records are never mutated after they are emitted), and
-    the event's name and time come from its ``kind`` and ``t``.
-    """
-    if name is None:
-        record = attrs
-        name = f"audit.{record.get('kind', 'event')}"
-        t = float(record.get("t", 0.0))
-        attrs = {k: v for k, v in record.items() if k not in ("t", "kind")}
-    rec = {"type": "event", "name": name, "t": t}
-    if attrs:
-        rec["attrs"] = attrs
-    return rec
 
 
 class Span:
@@ -137,7 +111,7 @@ class Span:
 
 
 class Tracer:
-    """Records spans (and instant events) for one simulated run.
+    """Records spans for one simulated run.
 
     Retention is bounded by ``max_spans``: past the cap new spans are
     counted in :attr:`dropped` but not retained (they are still useful
@@ -153,9 +127,6 @@ class Tracer:
         self.max_spans = max_spans
         self.sample_n = max(1, int(sample_n))
         self.spans: List[Span] = []
-        #: Instant events (fed by the EventTrace/BlockTracer adapters)
-        #: in compact form; :attr:`events` builds their dicts.
-        self._events: List[EventEntry] = []
         self.dropped = 0
         #: Trees pruned at :meth:`root` by the 1-in-N sampler (distinct
         #: from ``dropped``, which counts retention-cap overflow).
@@ -204,34 +175,10 @@ class Tracer:
         if self.sink is not None:
             self.sink(span)
 
-    # ------------------------------------------------------------- events
-    def event(self, name: str, time: float, **attrs: Any) -> None:
-        """Record an instant (zero-duration) telemetry event."""
-        self.add_event((name, time, attrs))
-
-    def add_event(self, entry: EventEntry) -> None:
-        """Record an instant event already in compact form (see
-        :func:`event_record`)."""
-        if len(self._events) < self.max_spans:
-            self._events.append(entry)
-        else:
-            self.dropped += 1
-
-    @property
-    def events(self) -> List[Dict[str, Any]]:
-        """Every retained instant event as a wire dict (built now)."""
-        return self.events_since(0)
-
-    def events_since(self, start: int) -> List[Dict[str, Any]]:
-        """Wire dicts of the retained instant events from index ``start``
-        on; only that slice is built."""
-        return [event_record(*entry) for entry in self._events[start:]]
-
     # ------------------------------------------------------------- misc
     def clear(self) -> None:
-        """Drop retained spans/events (measurement-state reset)."""
+        """Drop retained spans (measurement-state reset)."""
         self.spans.clear()
-        self._events.clear()
         self.dropped = 0
         self.unsampled = 0
 

@@ -7,9 +7,7 @@ Usage::
 
 Checks the span JSONL for structural soundness — every span parented to
 a span of the same trace (or a root), no negative durations, every
-parent span covering its children, every instant event named and
-timed, with audit events carrying their record's fields but not its
-``t``/``kind`` — and, when given, that the Chrome
+parent span covering its children — and, when given, that the Chrome
 export parses and matches the trace-event schema.  ``--timeline``
 additionally checks the JSONL time series: timestamps nondecreasing
 within a ``timeline_begin`` segment (multi-cluster appends restart the
@@ -29,25 +27,6 @@ from .critical_path import EPS, analyze
 from .export import load_spans_jsonl, validate_chrome_trace
 from .span import Span
 from .timeline import KNOWN_HISTOGRAMS, KNOWN_MARKS, KNOWN_SERIES
-
-
-def validate_events(events: List[Dict[str, Any]]) -> List[str]:
-    """Checks over exported instant events; returns a list of problems."""
-    problems: List[str] = []
-    for i, ev in enumerate(events):
-        name, t, attrs = ev.get("name"), ev.get("t"), ev.get("attrs", {})
-        where = f"event {i} ({name})"
-        if ev.get("type") != "event" or not isinstance(name, str) or not name:
-            problems.append(f"{where}: not a named instant event")
-        if not isinstance(t, (int, float)) or not math.isfinite(t) or t < 0:
-            problems.append(f"{where}: bad time {t!r}")
-        if not isinstance(attrs, dict):
-            problems.append(f"{where}: attrs is not an object")
-        elif str(name).startswith("audit.") and ("t" in attrs
-                                                 or "kind" in attrs):
-            problems.append(f"{where}: audit record fields t/kind leaked "
-                            f"into attrs")
-    return problems
 
 
 def validate_spans(spans: List[Span]) -> List[str]:
@@ -159,14 +138,12 @@ def main(argv: List[str]) -> int:
 
     problems: List[str] = []
     spans: List[Span] = []
-    events: List[Dict[str, Any]] = []
     if positional:
-        spans, events = load_spans_jsonl(positional[0])
+        spans = load_spans_jsonl(positional[0])
         if not spans:
             print(f"{positional[0]}: no spans found", file=sys.stderr)
             return 1
         problems += validate_spans(spans)
-        problems += validate_events(events)
         if len(positional) > 1:
             problems += [f"chrome: {p}"
                          for p in validate_chrome_trace(positional[1])]
@@ -184,7 +161,7 @@ def main(argv: List[str]) -> int:
     summary = []
     if spans:
         report = analyze(spans)
-        summary.append(f"{len(spans)} spans, {len(events)} events, "
+        summary.append(f"{len(spans)} spans, "
                        f"{report.count} complete traces, "
                        f"mean magnification "
                        f"{report.mean_magnification:.2f}x")

@@ -1,7 +1,5 @@
 """Unit tests for the blktrace-style dispatch tracer."""
 
-import pytest
-
 from repro.block import BlockTracer
 from repro.devices import Op
 from repro.units import KiB, SECTOR
@@ -21,41 +19,11 @@ def test_histogram_in_sectors():
     assert hist == {8: 1, 128: 2}
 
 
-def test_distribution_sums_to_one():
-    tracer = BlockTracer()
-    fill(tracer)
-    dist = tracer.size_distribution()
-    assert sum(dist.values()) == pytest.approx(1.0)
-
-
-def test_top_sizes_ordering():
-    tracer = BlockTracer()
-    fill(tracer)
-    top = tracer.top_sizes(n=1, op=Op.READ)
-    assert top[0][0] == 128
-
-
-def test_fraction_at_least():
-    tracer = BlockTracer()
-    fill(tracer)
-    assert tracer.fraction_at_least(128, Op.READ) == pytest.approx(2 / 3)
-    assert tracer.fraction_at_least(1000) == 0.0
-
-
-def test_mean_size_and_merged_fraction():
-    tracer = BlockTracer()
-    fill(tracer)
-    assert tracer.mean_size_sectors(Op.WRITE) == 16
-    assert tracer.merged_fraction() == pytest.approx(0.25)
-
-
 def test_disabled_tracer_records_nothing():
     tracer = BlockTracer(enabled=False)
     fill(tracer)
     assert len(tracer) == 0
-    assert tracer.size_distribution() == {}
-    assert tracer.mean_size_sectors() == 0.0
-    assert tracer.merged_fraction() == 0.0
+    assert tracer.size_histogram() == {}
 
 
 def test_clear():

@@ -58,7 +58,7 @@ def test_tracer_records_dispatches():
     assert len(tracer) == 2
     hist = tracer.size_histogram(Op.READ)
     assert hist == {16: 1}  # 8 KiB = 16 sectors, merged
-    assert tracer.merged_fraction() == pytest.approx(0.5)
+    assert sorted(r.merged for r in tracer.records) == [1, 2]
 
 
 def test_pending_and_idle_tracking():

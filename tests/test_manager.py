@@ -397,3 +397,54 @@ def test_flush_maps_each_range_once_and_writes_like_home_lbn(writeback_batch):
     assert len(old_calls) == 24 + 2 * flushed
     if writeback_batch == 4 * MiB:
         assert flushed == 24 and mgr.mapping.dirty_bytes == 0
+
+
+def test_candidate_write_on_disk_maps_its_range_once():
+    """A redirection candidate that ends up on the disk (no room, or a
+    non-positive return) reuses the range its admission mapped: no
+    ``ranges_for_write`` call repeats within one ``handle()``."""
+    env, server = make_server(ssd_partition=24 * KiB, writeback_idle=10.0)
+    mgr = server.ibridge
+    calls_of_step, repeats, handles = [None], [], []
+    ranges_for_write = mgr.disk_store.ranges_for_write
+
+    def recording(*args):
+        calls = calls_of_step[0]
+        if calls is not None:
+            if args in calls:
+                repeats.append(args)
+            calls.append(args)
+        return ranges_for_write(*args)
+
+    handle = mgr.handle
+
+    def stepping(s, span=None):
+        # Attribute the calls made while this handle() runs (and none
+        # made by the daemons between its steps) to it.
+        gen, calls, value = handle(s, span), [], None
+        handles.append(calls)
+        while True:
+            calls_of_step[0] = calls
+            try:
+                event = gen.send(value)
+            except StopIteration:
+                return
+            finally:
+                calls_of_step[0] = None
+            value = yield event
+
+    mgr.disk_store.ranges_for_write = recording
+    mgr.handle = stepping
+    rng = random.Random(3)
+    for i in range(64):
+        serve(env, server, sub(offset=i * 32 * KiB,
+                               size=rng.choice((4, 8, 16, 19)) * KiB,
+                               random=True))
+    st = mgr.stats
+    assert len(handles) == 64
+    # Every write is a candidate; the ones the full partition turned
+    # away were served at the disk.
+    assert st.randoms_seen == 64 and st.ssd_redirected_writes
+    assert st.ssd_redirected_writes + st.disk_served == 64
+    assert st.rejected_admissions and st.negative_returns
+    assert repeats == []

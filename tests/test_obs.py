@@ -3,7 +3,7 @@
 Covers the span model, the critical-path walk (on a hand-built tree
 with a known answer and on real traced clusters), the exporters
 (JSONL round-trip, Chrome/Perfetto schema), the metrics registry, the
-EventTrace/BlockTracer sink adapters, and the end-of-run lifecycle.
+audit EventTrace's mirror, and the end-of-run lifecycle.
 """
 
 import json
@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.audit.trace import EventTrace
-from repro.block.blktrace import BlockTracer
 from repro.config import ClusterConfig, ObsConfig
 from repro.devices.base import Op
 from repro.errors import ConfigError
@@ -226,18 +225,17 @@ def test_obs_disabled_components_stay_unwired():
 # ----------------------------------------------------------- exporters
 def test_jsonl_roundtrip_and_chrome_export(tmp_path):
     spans = _known_tree()
-    events = [{"type": "event", "name": "blk.dispatch", "t": 2.5,
-               "attrs": {"dev": "ds0-hdd0", "sectors": 8}}]
+    marks = [{"type": "mark", "t": 2.5, "name": "fault_begin",
+              "attrs": {"event": "device_slow", "server": 0}}]
     path = str(tmp_path / "trace.jsonl")
-    rows = append_spans(path, spans, events)
-    assert rows == len(spans) + 1
-    back_spans, back_events = load_spans_jsonl(path)
+    rows = append_spans(path, spans)
+    assert rows == len(spans)
+    back_spans = load_spans_jsonl(path)
     assert [s.to_dict() for s in back_spans] == [s.to_dict() for s in spans]
-    assert back_events == events
 
     assert chrome_path_for(path) == str(tmp_path / "trace.chrome.json")
     chrome = chrome_path_for(path)
-    count = write_chrome_trace(chrome, back_spans, back_events)
+    count = write_chrome_trace(chrome, back_spans, marks)
     assert count == len(spans) + 1 + 1  # + process_name metadata
     assert validate_chrome_trace(chrome) == []
     doc = json.loads(open(chrome, encoding="utf-8").read())
@@ -297,7 +295,7 @@ def test_traced_workload_exports_files(tmp_path):
     result = run_workload(cluster, workload)
     assert result.extra["obs_traces"] == 8.0
     assert result.extra["obs_spans"] > 0
-    spans, _events = load_spans_jsonl(trace_path)
+    spans = load_spans_jsonl(trace_path)
     assert validate_spans(spans) == []
     assert len(build_trees(spans)) == 8
     assert load_timeline_jsonl(timeline_path)
@@ -319,19 +317,7 @@ def test_tracer_bounds_retention():
     assert len(tracer) == 0 and tracer.dropped == 0
 
 
-# ------------------------------------------------------- sink adapters
-def test_event_trace_sink_receives_records():
-    trace = EventTrace()
-    seen = []
-    trace.set_sink(seen.append)
-    trace.emit(1.0, "ssd_write", server=0, nbytes=4096)
-    assert seen == [{"t": 1.0, "kind": "ssd_write", "server": 0,
-                     "nbytes": 4096}]
-    trace.set_sink(None)
-    trace.emit(2.0, "ssd_write", server=0, nbytes=4096)
-    assert len(seen) == 1
-
-
+# ------------------------------------------------- audit trace mirror
 def test_event_trace_context_manager_closes_mirror(tmp_path):
     path = tmp_path / "audit.jsonl"
     with pytest.raises(RuntimeError):
@@ -353,25 +339,6 @@ def test_event_trace_flushes_violations_immediately(tmp_path):
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines and lines[-1]["kind"] == "violation"
     trace.close()
-
-
-def test_block_tracer_sink_forwards_even_when_disabled():
-    bt = BlockTracer(enabled=False)
-    seen = []
-    bt.sink = seen.append
-    bt.record(1.0, Op.WRITE, lbn=8, nbytes=4096, merged=2)
-    assert len(bt.records) == 0  # retention still off
-    assert len(seen) == 1 and seen[0].sectors == 8 and seen[0].merged == 2
-
-
-def test_traced_cluster_folds_audit_and_blk_events():
-    cfg = ClusterConfig(num_servers=2, client_jitter=0.0).with_ibridge(
-        ssd_partition=8 * 1024 * KiB).with_audit().with_obs()
-    cluster = Cluster(cfg)
-    _run_unaligned(cluster, n=8)
-    names = {e["name"] for e in cluster.obs.tracer.events}
-    assert any(n.startswith("audit.") for n in names)
-    assert "blk.dispatch" in names
 
 
 # ------------------------------------------------------------- config
@@ -400,18 +367,15 @@ def test_span_streaming_flushes_batches_mid_run(tmp_path):
     import os
     assert not os.path.exists(path)  # first closure only buffers
     t.finish(t.start("b", "client", 2, 0.0), 1.5)
-    spans, _events = load_spans_jsonl(path)  # batch of 2 hit the disk
+    spans = load_spans_jsonl(path)  # batch of 2 hit the disk
     assert [s.name for s in spans] == ["a", "b"]
-    # The tail (one buffered span + an instant event) drains at finish.
+    # The tail (one buffered span) drains at finish.
     t.finish(t.start("c", "client", 3, 2.0), 2.5)
-    t.event("marker", 2.6)
     rt.finish_run()
-    spans, events = load_spans_jsonl(path)
+    spans = load_spans_jsonl(path)
     assert [s.name for s in spans] == ["a", "b", "c"]
-    assert [e["name"] for e in events] == ["marker"]
     rt.finish_run()  # idempotent: no duplicate rows
-    spans, events = load_spans_jsonl(path)
-    assert len(spans) == 3 and len(events) == 1
+    assert len(open(path, encoding="utf-8").readlines()) == 3
 
 
 def test_span_streaming_reset_drops_warm_run_buffer(tmp_path):
@@ -423,13 +387,11 @@ def test_span_streaming_reset_drops_warm_run_buffer(tmp_path):
     rt = ObsRuntime(Environment(), cfg)
     t = rt.tracer
     t.finish(t.start("warm", "client", 1, 0.0), 1.0)
-    t.event("warm-marker", 0.5)
     rt.reset()  # warm pass discarded before it ever flushed
     t.finish(t.start("measured", "client", 2, 2.0), 3.0)
     rt.finish_run()
-    spans, events = load_spans_jsonl(path)
+    spans = load_spans_jsonl(path)
     assert [s.name for s in spans] == ["measured"]
-    assert events == []
 
 
 def test_flush_spans_zero_restores_export_at_finish(tmp_path):
@@ -447,7 +409,7 @@ def test_flush_spans_zero_restores_export_at_finish(tmp_path):
     import os
     assert not os.path.exists(path)
     rt.finish_run()
-    spans, _events = load_spans_jsonl(path)
+    spans = load_spans_jsonl(path)
     assert len(spans) == 5
 
 

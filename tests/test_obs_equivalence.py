@@ -1,18 +1,20 @@
 """Telemetry equivalence: what the obs layer exports and reports is pinned.
 
-The tracer keeps instant events in a compact form and builds their
-``{"type": "event", ...}`` dicts only when read; audit events share the
-audit ring's record instead of copying it; the critical-path report
-walks span trees only when a caller reads per-trace results.  None of
-that may change a byte of output.  On one small traced, strict-audited
-cell (the GC study's stagger cell, shrunk) these tests pin:
+Each telemetry fact has one home: spans in the span JSONL, audit
+records in the audit ring and its ``--audit-trace`` JSONL, fault
+windows and GC storms in the timeline's marks.  The critical-path
+report walks span trees only when a caller reads per-trace results.
+None of that may change a byte of output.  On one small traced,
+strict-audited cell (the GC study's stagger cell, shrunk) these tests
+pin:
 
-* the exported span + event JSONL and the full :class:`RunReport` to
-  constants recorded before those representations changed;
+* the exported span JSONL, the audit trace and the full
+  :class:`RunReport` to constants recorded when the span export still
+  carried a copy of every audit record and HDD dispatch;
 * a streamed export (``flush_spans=256``) to the export written at the
   end of the run (``flush_spans=0``), row for row;
-* that a streamed run turns each instant event into a dict exactly once
-  over all its flushes.
+* that a fault window reaches the Chrome export as instant events taken
+  from the timeline's marks.
 """
 
 import dataclasses
@@ -25,7 +27,6 @@ import pytest
 import repro.block.request as block_request
 import repro.core.mapping as mapping
 import repro.net.network as network
-import repro.obs.span as span_mod
 import repro.pfs.messages as messages
 from repro.devices.base import Op
 from repro.experiments.common import base_config
@@ -35,11 +36,12 @@ from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
 
 
-def traced_cell(trace_path, flush_spans):
+def traced_cell(trace_path, flush_spans, audit_path=None):
     """Stagger cell with FTL, strict audit and full tracing, small
     enough to run in about a second: 8 ranks of unaligned 176 KiB
     writes (three or four pieces each, so the median sibling time is
-    taken over both an even and an odd count), one warm pass."""
+    taken over both an even and an odd count), one warm pass.
+    ``audit_path`` mirrors the audit records to a JSONL file."""
     partition, size = 2 * MiB, 176 * KiB
     wl = MpiIoTest(nprocs=8, request_size=size, file_size=8 * size * 4,
                    op=Op.WRITE)
@@ -49,7 +51,8 @@ def traced_cell(trace_path, flush_spans):
         cfg.ssd, capacity=2 * partition + 2 * MiB, ftl_enabled=True,
         ftl_over_provision=0.25, gc_low_watermark=0.30,
         gc_high_watermark=0.55, gc_mode="pause", gc_policy="stagger")
-    cfg = cfg.replace(ssd=ssd, seed=3).with_audit(strict=True).with_obs(
+    cfg = cfg.replace(ssd=ssd, seed=3).with_audit(
+        strict=True, trace_path=audit_path).with_obs(
         trace=True, metrics=False, trace_path=trace_path,
         flush_spans=flush_spans)
     return cfg, wl
@@ -62,11 +65,12 @@ ID_COUNTERS = ((messages, "_request_ids"), (block_request, "_ids"),
                (mapping, "_entry_ids"), (network, "_fault_ids"))
 
 
-def run_traced(monkeypatch, trace_path, flush_spans):
+def run_traced(monkeypatch, trace_path, flush_spans, audit_path=None):
     """Run the cell once -> (exported JSONL rows, RunReport, cluster)."""
     for module, name in ID_COUNTERS:
         monkeypatch.setattr(module, name, itertools.count(1))
-    cfg, wl = traced_cell(str(trace_path), flush_spans)
+    cfg, wl = traced_cell(str(trace_path), flush_spans,
+                          audit_path and str(audit_path))
     cluster = Cluster(cfg)
     run_workload(cluster, wl, warm_runs=1)
     with open(trace_path, encoding="utf-8") as fh:
@@ -90,13 +94,16 @@ def digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-# Recorded with flush_spans=0 before instant events went compact and
-# the critical-path report went lazy.
-PINNED_ROWS = 2573
+# Recorded with flush_spans=0 while the export still carried 528 audit
+# and 189 blk.dispatch instant events after its spans: the digest is
+# over the span rows alone, in export order.
 PINNED_SPANS = 1856
-PINNED_EVENTS = {"audit": 528, "blk": 189}
-PINNED_EXPORT_SHA256 = (
-    "a780c8aeb04d99a5aaf41ecf419d3413f7d221fd7d489d47306446f069940ac2")
+PINNED_SPAN_ROWS_SHA256 = (
+    "f9c79b8bd57d5db9be6b14acd9b04081dac1917a6f03fb61e2f4b19ced46ead7")
+# The --audit-trace lines of the same run: equal, line for line, to its
+# audit instant events rebuilt as {"t", "kind", **attrs} records.
+PINNED_AUDIT = (
+    528, "b53ccf7dc4faa5431fcdfea585665b11f64ab87f19bac01293ab372a951faea2")
 PINNED_REPORT = {
     "count": 64,
     "mean_magnification": 6.255984136038842,
@@ -113,16 +120,14 @@ PINNED_MAGNIFICATIONS = (
     64, "2d725d21286e6883453dd675439d1ae1d9dd75caa54e9f2f15e34aa8afd6679c")
 
 
-def split_rows(rows):
-    """(span rows keyed by span id, event rows in emission order)."""
-    spans, events = {}, []
+def spans_by_id(rows):
+    """Span rows keyed by span id (every row must be a span)."""
+    spans = {}
     for row in rows:
         rec = json.loads(row)
-        if rec["type"] == "span":
-            spans[rec["id"]] = row
-        else:
-            events.append(row)
-    return spans, events
+        assert rec["type"] == "span"
+        spans[rec["id"]] = row
+    return spans
 
 
 def check_report(report):
@@ -134,14 +139,8 @@ def check_report(report):
 
 def test_export_and_report_match_pinned(tmp_path, monkeypatch):
     rows, report, cluster = run_traced(monkeypatch, tmp_path / "t.jsonl", 0)
-    spans, events = split_rows(rows)
-    assert len(rows) == PINNED_ROWS and len(spans) == PINNED_SPANS
-    kinds = {}
-    for row in events:
-        prefix = json.loads(row)["name"].split(".")[0]
-        kinds[prefix] = kinds.get(prefix, 0) + 1
-    assert kinds == PINNED_EVENTS
-    assert digest(rows) == PINNED_EXPORT_SHA256
+    assert len(spans_by_id(rows)) == len(rows) == PINNED_SPANS
+    assert digest(rows) == PINNED_SPAN_ROWS_SHA256
     # report_fields reads count/magnifications (the one-pass summary)
     # before the walked per-trace fields ...
     check_report(report)
@@ -149,9 +148,6 @@ def test_export_and_report_match_pinned(tmp_path, monkeypatch):
     walked = cluster.obs.analyze()
     assert len(walked.traces) == PINNED_REPORT["count"]
     check_report(walked)
-    # The in-memory events read back as the exported rows.
-    assert [json.dumps(e, default=str) for e in cluster.obs.tracer.events] \
-        == events
 
 
 def test_streamed_export_equals_end_export(tmp_path, monkeypatch):
@@ -161,48 +157,58 @@ def test_streamed_export_equals_end_export(tmp_path, monkeypatch):
     assert cluster.obs._streaming
     assert len(streamed_rows) == len(end_rows)
     # Spans stream in closing order and export at the end in opening
-    # order; events keep emission order either way.
-    assert split_rows(streamed_rows) == split_rows(end_rows)
-
-
-def test_streamed_run_builds_each_event_dict_once(tmp_path, monkeypatch):
-    built = []
-    real = span_mod.event_record
-
-    def counting(name, t, attrs):
-        built.append(id(attrs))
-        return real(name, t, attrs)
-
-    monkeypatch.setattr(span_mod, "event_record", counting)
-    rows, _, cluster = run_traced(
-        monkeypatch, tmp_path / "streamed.jsonl", 256)
-    _, events = split_rows(rows)
-    assert len(rows) > 4 * 256  # several flushes, each with events
-    assert len(built) == len(events) == len(cluster.obs.tracer._events)
-    assert len(set(built)) == len(built)
+    # order.
+    assert spans_by_id(streamed_rows) == spans_by_id(end_rows)
 
 
 @pytest.mark.parametrize("flush_spans", [0, 256])
-def test_audit_events_share_the_ring_record(tmp_path, monkeypatch,
-                                            flush_spans):
-    """The tracer holds the audit ring's records, not copies."""
-    _, _, cluster = run_traced(monkeypatch, tmp_path / "t.jsonl", flush_spans)
-    ring = {id(r) for r in cluster.audit.trace.records()}
-    shared = [attrs for name, _t, attrs in cluster.obs.tracer._events
-              if name is None]
-    assert shared and {id(r) for r in shared} >= ring
+def test_span_export_holds_spans_and_audit_trace_holds_records(
+        tmp_path, monkeypatch, flush_spans):
+    """Each fact has one home: the span JSONL holds span rows only, the
+    audit records reach the --audit-trace file, and neither carries a
+    copy of the other."""
+    audit_path = tmp_path / "audit.jsonl"
+    rows, _, cluster = run_traced(monkeypatch, tmp_path / "t.jsonl",
+                                  flush_spans, audit_path)
+    assert [json.loads(r)["type"] for r in rows] == ["span"] * PINNED_SPANS
+    cluster.audit.trace.close()
+    lines = audit_path.read_text(encoding="utf-8").splitlines()
+    assert (len(lines), digest(lines)) == PINNED_AUDIT
+    assert [json.loads(line) for line in lines] == \
+        cluster.audit.trace.records()
 
 
-def test_validator_accepts_exported_events_and_flags_leaked_fields(
+def test_validator_accepts_exported_spans(tmp_path, monkeypatch, capsys):
+    from repro.obs.validate import main as validate_main
+
+    path = tmp_path / "t.jsonl"
+    run_traced(monkeypatch, path, 256)
+    assert validate_main([str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"OK: {PINNED_SPANS} spans, ")
+
+
+def test_fault_window_reaches_chrome_export_as_timeline_marks(
         tmp_path, monkeypatch):
-    from repro.obs.validate import validate_events
+    """A fault plan's window is a timeline mark, and the CLI's Chrome
+    export renders the marks as its instant events."""
+    from repro.experiments.cli import _emit_trace_outputs
+    from repro.faults import FaultPlan
 
-    rows, _, _ = run_traced(monkeypatch, tmp_path / "t.jsonl", 256)
-    events = [json.loads(r) for r in split_rows(rows)[1]]
-    assert validate_events(events) == []
-    audit = next(e for e in events if e["name"].startswith("audit."))
-    leaked = dict(audit, attrs=dict(audit["attrs"], kind="x"))
-    untimed = {"type": "event", "name": "blk.dispatch", "t": float("nan")}
-    problems = validate_events([leaked, untimed])
-    assert len(problems) == 2
-    assert "leaked" in problems[0] and "bad time" in problems[1]
+    trace, timeline = tmp_path / "t.jsonl", tmp_path / "timeline.jsonl"
+    cfg, wl = traced_cell(str(trace), 256)
+    cfg = cfg.with_obs(metrics=True, timeline_path=str(timeline))
+    plan = FaultPlan.from_dict({"name": "slow-disk", "events": [
+        {"kind": "device_slow", "server": 0, "device": "hdd", "disk": 0,
+         "start": 0.001, "duration": 0.01, "latency_mult": 6.0}]})
+    run_workload(Cluster(cfg, fault_plan=plan), wl, warm_runs=1)
+    _emit_trace_outputs(str(trace), str(timeline))
+    marks = [(r["name"], r["t"]) for r in
+             map(json.loads, timeline.read_text().splitlines())
+             if r.get("type") == "mark"]
+    assert {name for name, _t in marks} >= {"fault_begin", "fault_end"}
+    doc = json.loads((tmp_path / "t.chrome.json").read_text())
+    instants = [(e["name"], e["ts"]) for e in doc["traceEvents"]
+                if e["ph"] == "i"]
+    assert instants == [(name, t * 1e6) for name, t in marks]
+    assert all(json.loads(r)["type"] == "span"
+               for r in trace.read_text().splitlines())

@@ -454,7 +454,7 @@ class _QueueGenerators:
         # Zero-cost when tracing is off: skip the record() call frame
         # (and its TraceRecord build) on every dispatch.
         tracer = self.tracer
-        if tracer.enabled or tracer.sink is not None:
+        if tracer.enabled:
             tracer.record(env.now, dispatch.op, dispatch.lbn,
                           dispatch.nbytes, len(dispatch.members))
         obs = self.obs
