@@ -82,8 +82,9 @@ class ManagerAuditor:
     def __init__(self, manager: "IBridgeManager", runtime: "AuditRuntime") -> None:
         self.manager = manager
         self.runtime = runtime
-        # Bound once for _trace, which every note_* hook calls.
-        self._emit = runtime.trace.emit
+        # Bound once for the note_* hooks, which build each record as
+        # EventTrace.emit would and append it directly.
+        self._record = runtime.trace.record
         self._env = runtime.env
         self._server_id = manager.server_id
         # Independent payload ledgers (bytes).
@@ -127,38 +128,40 @@ class ManagerAuditor:
         self.runtime.violation(check, message,
                                server=self.manager.server_id, **context)
 
-    def _trace(self, kind: str, **fields) -> None:
-        self._emit(self._env.now, kind, server=self._server_id, **fields)
+    def _note(self, kind: str, nbytes: int) -> None:
+        """Trace one payload movement: ``{t, kind, server, nbytes}``."""
+        self._record({"t": round(self._env.now, 9), "kind": kind,
+                      "server": self._server_id, "nbytes": nbytes})
 
     # ----------------------------------------------------- write-side hooks
     def note_client_write(self, nbytes: int) -> None:
         self.client_write_bytes += nbytes
-        self._trace("client_write", nbytes=nbytes)
+        self._note("client_write", nbytes)
 
     def note_disk_write(self, nbytes: int) -> None:
         self.disk_write_bytes += nbytes
-        self._trace("disk_write", nbytes=nbytes)
+        self._note("disk_write", nbytes)
 
     def note_ssd_redirect(self, nbytes: int) -> None:
         self.ssd_redirect_bytes += nbytes
-        self._trace("ssd_write", nbytes=nbytes)
+        self._note("ssd_write", nbytes)
 
     def note_writeback(self, nbytes: int) -> None:
         self.writeback_bytes += nbytes
-        self._trace("writeback", nbytes=nbytes)
+        self._note("writeback", nbytes)
 
     def note_superseded(self, nbytes: int) -> None:
         self.superseded_bytes += nbytes
-        self._trace("superseded", nbytes=nbytes)
+        self._note("superseded", nbytes)
 
     def note_forfeited(self, nbytes: int) -> None:
         """Dirty payload lost to an SSD fail-stop (failure-aware ledger)."""
         self.forfeited_bytes += nbytes
-        self._trace("forfeited", nbytes=nbytes)
+        self._note("forfeited", nbytes)
 
     def note_fill(self, nbytes: int) -> None:
         self.fill_bytes += nbytes
-        self._trace("fill", nbytes=nbytes)
+        self._note("fill", nbytes)
 
     # ------------------------------------------------------ read-side hook
     def note_read(self, requested: int, ssd_bytes: int, disk_bytes: int,
@@ -166,8 +169,10 @@ class ManagerAuditor:
         """Per-read conservation, measured from the reported stats deltas."""
         self.read_requested_bytes += requested
         self.read_served_bytes += ssd_bytes + disk_bytes
-        self._trace("read", requested=requested, ssd=ssd_bytes,
-                    disk=disk_bytes, readahead=readahead_bytes)
+        self._record({"t": round(self._env.now, 9), "kind": "read",
+                      "server": self._server_id, "requested": requested,
+                      "ssd": ssd_bytes, "disk": disk_bytes,
+                      "readahead": readahead_bytes})
         if ssd_bytes + disk_bytes != requested:
             self._fail(
                 "read-conservation",
@@ -215,11 +220,12 @@ class ManagerAuditor:
         counted: Dict[int, tuple] = {}
         lbns: Dict[int, CacheEntry] = {}
         for e in entries:
-            by_kind[e.kind] += e.nbytes
-            ret_by_kind[e.kind] += e.ret
+            kind, nbytes, ret = e.kind, e.end - e.start, e.ret
+            by_kind[kind] += nbytes
+            ret_by_kind[kind] += ret
             if e.dirty:
-                dirty += e.nbytes
-            counted[e.id] = (e.kind, e.nbytes, e.ret, e.dirty, e.ssd_lbn)
+                dirty += nbytes
+            counted[e.id] = (kind, nbytes, ret, e.dirty, e.ssd_lbn)
             lbns[e.ssd_lbn] = e
         log = mgr._log
         extents = dict(log._extents) if log is not None else {}
@@ -253,13 +259,17 @@ class ManagerAuditor:
         (and words) what is reported.
         """
         mgr = self.manager
-        table = mgr.mapping._entries
+        mapping = mgr.mapping
+        table = mapping._entries
+        counted, lbn_entry = self._counted, self._lbn_entry
+        kind_bytes, kind_ret = self._kind_bytes, self._kind_ret
         lbns = set(moved) if moved is not None else set()
         present: List[CacheEntry] = []   # touched entries in the table
         left: List[CacheEntry] = []      # ... that left it since counted
         for e in entries:
-            old = self._counted.get(e.id)
-            new = ((e.kind, e.nbytes, e.ret, e.dirty, e.ssd_lbn)
+            # end - start is CacheEntry.nbytes without the property call.
+            old = counted.get(e.id)
+            new = ((e.kind, e.end - e.start, e.ret, e.dirty, e.ssd_lbn)
                    if e.id in table else None)
             if new is not None:
                 present.append(e)
@@ -268,94 +278,100 @@ class ManagerAuditor:
                 continue
             if old is not None:
                 lbns.add(old[4])
-                if self._lbn_entry.get(old[4]) is e:
-                    del self._lbn_entry[old[4]]
+                if lbn_entry.get(old[4]) is e:
+                    del lbn_entry[old[4]]
                 if old[3]:
                     self._dirty -= old[1]
             if new is not None:
-                if self._lbn_entry.setdefault(new[4], e) is not e:
+                if lbn_entry.setdefault(new[4], e) is not e:
                     return False  # two entries at one LBN
                 if new[3]:
                     self._dirty += new[1]
-                self._counted[e.id] = new
+                counted[e.id] = new
             else:
-                del self._counted[e.id]
+                del counted[e.id]
                 left.append(e)
             # Kind, size and return only move when the entry joins or
             # leaves, so a running return sum sees the partition's own
             # sequence of additions.
             if old is None or new is None or old[:3] != new[:3]:
                 if old is not None:
-                    self._kind_bytes[old[0]] -= old[1]
-                    self._kind_ret[old[0]] -= old[2]
+                    kind_bytes[old[0]] -= old[1]
+                    kind_ret[old[0]] -= old[2]
                 if new is not None:
-                    self._kind_bytes[new[0]] += new[1]
-                    self._kind_ret[new[0]] += new[2]
+                    kind_bytes[new[0]] += new[1]
+                    kind_ret[new[0]] += new[2]
 
+        dirty = self._dirty
         ledger = (self.ssd_redirect_bytes - self.writeback_bytes
                   - self.superseded_bytes - self.forfeited_bytes)
-        if ledger != self._dirty or mgr.mapping.dirty_bytes != self._dirty:
+        if ledger != dirty or mapping._dirty_bytes != dirty:
             return False
 
         part = mgr.partition
+        part_bytes, part_ret = part._bytes, part._ret_sum
         for kind in _KINDS:
-            if part._bytes[kind] != self._kind_bytes[kind]:
+            if part_bytes[kind] != kind_bytes[kind]:
                 return False
-            if not math.isclose(part._ret_sum[kind], self._kind_ret[kind],
-                                rel_tol=1e-9, abs_tol=1e-12):
+            # isclose holds whenever the sums are equal, as they are
+            # unless the partition drifted.
+            if part_ret[kind] != kind_ret[kind] and not math.isclose(
+                    part_ret[kind], kind_ret[kind],
+                    rel_tol=1e-9, abs_tol=1e-12):
                 return False
-        if part.used() > part.capacity:
+        if sum(part_bytes.values()) > part.capacity:
             return False
         if not mgr.ib.dynamic_partition and any(
                 part.used(k) > part.class_capacity(k) for k in _KINDS):
             return False
         by_lbn = mgr._by_lbn
-        if len(by_lbn) != len(self._lbn_entry):
+        if len(by_lbn) != len(lbn_entry):
             return False
         for lbn in lbns:
-            if by_lbn.get(lbn) is not self._lbn_entry.get(lbn):
+            if by_lbn.get(lbn) is not lbn_entry.get(lbn):
                 return False
 
         log = mgr._log
         if log is None:
             return True
         live = log._extents
+        extents, seg_live = self._extents, self._seg_live
         segs = {segment.index} if segment is not None else set()
         for lbn in lbns:
-            new_ext, old_ext = live.get(lbn), self._extents.get(lbn)
+            new_ext, old_ext = live.get(lbn), extents.get(lbn)
             if new_ext == old_ext:
                 continue
             if old_ext is not None:
-                self._seg_live[old_ext[0]] -= old_ext[1]
+                seg_live[old_ext[0]] -= old_ext[1]
                 segs.add(old_ext[0])
-                del self._extents[lbn]
+                del extents[lbn]
             if new_ext is not None:
-                self._seg_live[new_ext[0]] = (
-                    self._seg_live.get(new_ext[0], 0) + new_ext[1])
+                seg_live[new_ext[0]] = seg_live.get(new_ext[0], 0) + new_ext[1]
                 segs.add(new_ext[0])
-                self._extents[lbn] = new_ext
+                extents[lbn] = new_ext
         for e in present:
             info = live.get(e.ssd_lbn)
-            if info is None or info[1] != e.nbytes + TABLE_ENTRY_BYTES:
+            if info is None or info[1] != e.end - e.start + TABLE_ENTRY_BYTES:
                 return False
         for idx in segs:
             seg = log.segments[idx]
-            if seg.live_bytes != self._seg_live.get(idx, 0):
+            if seg.live_bytes != seg_live.get(idx, 0):
                 return False
             if not 0 <= seg.live_bytes <= seg.write_cursor <= seg.size:
                 return False
-            if ((seg.live_bytes or seg.write_cursor)
-                    and any(f is seg for f in log._free)):
-                return False
+            if seg.live_bytes or seg.write_cursor:
+                for free in log._free:
+                    if free is seg:
+                        return False
         ftl = self._ftl
         if ftl is not None:
             try:
                 ftl.verify_journal()
             except StorageError:
                 return False
-        coverage = mgr.mapping.coverage
+        coverage = mapping.coverage
         for e in present:
-            if coverage(e.handle, e.start, e.end) != e.nbytes:
+            if coverage(e.handle, e.start, e.end) != e.end - e.start:
                 return False
         for e in left:
             # Entries never overlap, so a range that just left the
@@ -432,8 +448,8 @@ class ManagerAuditor:
                         f"{cap}", event=event, kind=kind.value)
 
         # The _by_lbn index mirrors the mapping table exactly.
-        index = set(mgr._by_lbn)
-        if index != set(lbns):
+        if mgr._by_lbn.keys() != lbns.keys():
+            index = set(mgr._by_lbn)
             self._fail(
                 "lbn-index",
                 f"after {event or 'mutation'}: _by_lbn holds {len(index)} "
@@ -458,8 +474,9 @@ class ManagerAuditor:
         # the payload plus the persisted mapping-table entry.  Both
         # admission paths (redirected writes and read-miss fills) must
         # charge identically or log occupancy drifts from reality.
+        extents = log._extents
         for e in entries:
-            info = log._extents.get(e.ssd_lbn)
+            info = extents.get(e.ssd_lbn)
             if info is None:
                 self._fail(
                     "log-extent",
@@ -468,7 +485,7 @@ class ManagerAuditor:
                     event=event, entry=e.id, lbn=e.ssd_lbn)
                 continue
             _seg, size = info
-            if size != e.nbytes + TABLE_ENTRY_BYTES:
+            if size != e.end - e.start + TABLE_ENTRY_BYTES:
                 self._fail(
                     "log-extent-size",
                     f"after {event or 'mutation'}: entry {e.id} holds "
@@ -510,9 +527,10 @@ class ManagerAuditor:
         # covered bytes must equal the entries' total size.
         spans: Dict[int, Tuple[int, int, int]] = {}
         for e in entries:
-            lo, hi, total = spans.get(e.handle, (e.start, e.end, 0))
-            spans[e.handle] = (min(lo, e.start), max(hi, e.end),
-                               total + e.nbytes)
+            start, end = e.start, e.end
+            lo, hi, total = spans.get(e.handle, (start, end, 0))
+            spans[e.handle] = (min(lo, start), max(hi, end),
+                               total + end - start)
         for handle, (lo, hi, total) in spans.items():
             covered = mgr.mapping.coverage(handle, lo, hi)
             if covered != total:
@@ -558,17 +576,19 @@ class ManagerAuditor:
                 f"{self.read_requested_bytes} requested",
                 served=self.read_served_bytes,
                 requested=self.read_requested_bytes)
-        self._trace("final_check",
-                    client_write=self.client_write_bytes,
-                    disk_write=self.disk_write_bytes,
-                    ssd_redirect=self.ssd_redirect_bytes,
-                    writeback=self.writeback_bytes,
-                    superseded=self.superseded_bytes,
-                    forfeited=self.forfeited_bytes,
-                    fill=self.fill_bytes,
-                    read_requested=self.read_requested_bytes,
-                    read_served=self.read_served_bytes,
-                    checks=self.checks)
+        self._record({
+            "t": round(self._env.now, 9), "kind": "final_check",
+            "server": self._server_id,
+            "client_write": self.client_write_bytes,
+            "disk_write": self.disk_write_bytes,
+            "ssd_redirect": self.ssd_redirect_bytes,
+            "writeback": self.writeback_bytes,
+            "superseded": self.superseded_bytes,
+            "forfeited": self.forfeited_bytes,
+            "fill": self.fill_bytes,
+            "read_requested": self.read_requested_bytes,
+            "read_served": self.read_served_bytes,
+            "checks": self.checks})
 
 
 def dirty_entry_dump(manager: "IBridgeManager", limit: int = 16) -> List[Dict]:

@@ -53,8 +53,15 @@ class EventTrace:
 
     def emit(self, time: float, kind: str, **fields) -> Dict:
         """Record one event; returns the record dict (never mutate it)."""
-        record = {"t": round(time, 9), "kind": kind, **fields}
+        return self.record({"t": round(time, 9), "kind": kind, **fields})
+
+    def record(self, record: Dict) -> Dict:
+        """Append one record built by the caller, shaped as :meth:`emit`
+        builds it (``t`` rounded to 9 places, then ``kind``, then the
+        fields); returns it (never mutate it).  The audit hooks build
+        their records directly, so each costs one dict."""
         self._records.append(record)
+        kind = record["kind"]
         self._counts[kind] += 1
         if self._file is not None:
             json.dump(record, self._file, default=str)

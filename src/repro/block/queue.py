@@ -90,7 +90,8 @@ class BlockQueue:
         if obs is not None and obs_parent is not None:
             req.span = obs.start("blk.wait", "queue", obs_parent.trace_id,
                                  self.env.now, parent=obs_parent,
-                                 dev=self.name, op=op.value, nbytes=nbytes)
+                                 attrs={"dev": self.name, "op": op._value_,
+                                        "nbytes": nbytes})
         self.scheduler.add(req)
         self._inflight += 1
         self._last_activity = self.env.now
@@ -201,10 +202,11 @@ class BlockQueue:
     def _issue(self, dispatch: Dispatch) -> None:
         """Charge the device for ``dispatch`` and wait out its service."""
         env = self.env
+        now = env.now
         self._busy = True
         # How long the device sat idle before this dispatch: rotational
         # state decays across idle gaps (see HDDConfig.sweep_idle_reset).
-        idle_gap = max(0.0, env.now - self._last_service_end)
+        idle_gap = max(0.0, now - self._last_service_end)
         service = self.device.serve(dispatch.op, dispatch.lbn, dispatch.nbytes,
                                     idle_gap=idle_gap)
         self.dispatches += 1
@@ -212,7 +214,7 @@ class BlockQueue:
         # (and its TraceRecord build) on every dispatch.
         tracer = self.tracer
         if tracer.enabled:
-            tracer.record(env.now, dispatch.op, dispatch.lbn,
+            tracer.record(now, dispatch.op, dispatch.lbn,
                           dispatch.nbytes, len(dispatch.members))
         obs = self.obs
         if obs is not None:
@@ -220,26 +222,27 @@ class BlockQueue:
             # exposed as its own span nested in the service span so
             # critical_path attributes straggling stripe units to
             # garbage collection.
-            gc_stall = getattr(self.device, "last_gc_stall", 0.0)
+            gc_stall = self.device.last_gc_stall
+            op, merged = dispatch.op._value_, len(dispatch.members)
         for member in dispatch.members:
-            member.dispatch_time = env.now
+            member.dispatch_time = now
             # Queue-wait ends at dispatch; the service span picks up as
             # a sibling (same parent) so the pair tiles [submit,
             # complete] exactly for the critical-path analyzer.
             span = member.span
             if span is not None and obs is not None:
-                obs.finish(span, env.now)
+                obs.finish(span, now)
                 member.span = obs.start(
-                    "blk.service", "service", span.trace_id, env.now,
-                    parent_id=span.parent_id, dev=self.name,
-                    op=dispatch.op.value, nbytes=member.nbytes,
-                    merged=len(dispatch.members))
+                    "blk.service", "service", span.trace_id, now,
+                    parent_id=span.parent_id,
+                    attrs={"dev": self.name, "op": op,
+                           "nbytes": member.nbytes, "merged": merged})
                 if gc_stall > 0.0:
                     gc_span = obs.start(
-                        "ssd.gc", "gc", span.trace_id, env.now,
-                        parent=member.span, dev=self.name,
-                        stall=gc_stall)
-                    obs.finish(gc_span, env.now + gc_stall)
+                        "ssd.gc", "gc", span.trace_id, now,
+                        parent=member.span,
+                        attrs={"dev": self.name, "stall": gc_stall})
+                    obs.finish(gc_span, now + gc_stall)
         self._dispatch = dispatch
         env.timeout(service).callbacks.append(self._served_step)
 

@@ -36,6 +36,7 @@ from .service_model import DiskServiceModel, GlobalTTable, fragment_return
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..audit.runtime import AuditRuntime
+    from ..obs.metrics import Counter, Histogram
 
 #: Stream id used for background (writeback/fill/cleaning) disk and SSD
 #: traffic, so CFQ sees the flusher as one sequential-friendly stream.
@@ -152,6 +153,11 @@ class IBridgeManager:
         #: instrumented site below guards on that).
         self.obs = None
         self.metrics = None
+        #: Registry instruments this manager feeds, looked up once per
+        #: label set; ``MetricsRegistry.clear`` resets them in place, so
+        #: a cached handle stays the registry's own instance.
+        self._benefit_hists: Dict[Tuple[CacheKind, Op], Histogram] = {}
+        self._admission_counters: Dict[Tuple[CacheKind, str], Counter] = {}
         self._shutdown = False
         env.process(self._writeback_daemon(), name=f"ib{server_id}-writeback")
         env.process(self._fill_daemon(), name=f"ib{server_id}-fill")
@@ -196,8 +202,8 @@ class IBridgeManager:
             mspan = obs.start(
                 "ibridge.write" if sub.op is Op.WRITE else "ibridge.read",
                 "server", span.trace_id, self.env.now, parent=span,
-                server=self.server_id, fragment=sub.is_fragment,
-                random=sub.is_random)
+                attrs={"server": self.server_id, "fragment": sub.is_fragment,
+                       "random": sub.is_random})
         if sub.op is Op.WRITE:
             yield from self._handle_write(sub, mspan)
         else:
@@ -220,7 +226,7 @@ class IBridgeManager:
             ret = self._return_value(sub, kind, Op.WRITE, ranges[0][0])
             self._observe_benefit(kind, Op.WRITE, ret)
             if span is not None:
-                span.annotate(kind=kind.name.lower(), ret=ret)
+                span.annotate(kind=kind._value_, ret=ret)
             if ret > 0 and self.partition.admissible(kind, sub.nbytes):
                 ok = yield from self._make_room(kind, sub.nbytes)
                 if ok:
@@ -235,17 +241,25 @@ class IBridgeManager:
         """Feed an Eq. 1/3 return value into the metrics histogram."""
         metrics = self.metrics
         if metrics is not None:
-            from ..obs.metrics import BENEFIT_BUCKETS
-            metrics.histogram("ibridge_benefit", BENEFIT_BUCKETS,
-                              server=self.server_id, op=op.value,
-                              kind=kind.name.lower()).observe(ret)
+            hist = self._benefit_hists.get((kind, op))
+            if hist is None:
+                from ..obs.metrics import BENEFIT_BUCKETS
+                hist = self._benefit_hists[kind, op] = metrics.histogram(
+                    "ibridge_benefit", BENEFIT_BUCKETS, server=self.server_id,
+                    op=op.value, kind=kind.name.lower())
+            hist.observe(ret)
 
     def _count_admission(self, kind: CacheKind, path: str) -> None:
         """Count one SSD admission (write redirect or read fill)."""
         metrics = self.metrics
         if metrics is not None:
-            metrics.counter("ibridge_admissions", server=self.server_id,
-                            kind=kind.name.lower(), path=path).inc()
+            counter = self._admission_counters.get((kind, path))
+            if counter is None:
+                counter = self._admission_counters[kind, path] = \
+                    metrics.counter("ibridge_admissions",
+                                    server=self.server_id,
+                                    kind=kind.name.lower(), path=path)
+            counter.inc()
 
     def _ssd_write(self, sub: SubRequest, kind: CacheKind, ret: float,
                    ranges: Ranges, span=None):

@@ -126,7 +126,7 @@ class MappingTable:
     def coverage(self, handle: int, start: int, end: int) -> int:
         """Cached bytes within ``[start, end)``."""
         m = self._maps.get(handle)
-        return m.covered_bytes(start, end) if m else 0
+        return 0 if m is None else m.covered_bytes(start, end)
 
     def is_fully_cached(self, handle: int, start: int, end: int) -> bool:
         return self.coverage(handle, start, end) == end - start

@@ -51,6 +51,9 @@ class Device(abc.ABC):
     """Base class for storage device timing models."""
 
     name: str = "device"
+    #: Foreground stall the last command paid to garbage collection;
+    #: only a drive with an FTL model (``SolidStateDrive``) ever stalls.
+    last_gc_stall: float = 0.0
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:

@@ -31,7 +31,7 @@ latency for a much shorter tail.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import StorageError
 
@@ -241,14 +241,16 @@ class FlashTranslationLayer:
                 f"!= host={self.host_pages_written} "
                 f"+ gc={self.gc_pages_copied}")
 
-    def _check_block(self, b: _Block) -> None:
-        live = b.recount()
-        if b.valid != live:
-            raise StorageError(
-                f"FTL block {b.index} counts {b.valid} valid pages, its "
-                f"slots hold {live}")
-        if not 0 <= live <= b.filled <= self.pages_per_block:
-            raise StorageError(f"FTL block {b.index} slot drift")
+    def _check_blocks(self, blocks: Iterable[_Block]) -> None:
+        per_block = self.pages_per_block
+        for b in blocks:
+            live = b.recount()
+            if b.valid != live:
+                raise StorageError(
+                    f"FTL block {b.index} counts {b.valid} valid pages, its "
+                    f"slots hold {live}")
+            if not 0 <= live <= len(b.pages) <= per_block:
+                raise StorageError(f"FTL block {b.index} slot drift")
 
     def _check_valid_total(self, total: int) -> None:
         if total != len(self.page_map):
@@ -256,10 +258,13 @@ class FlashTranslationLayer:
                 f"FTL mapping drift: {total} valid slots vs "
                 f"{len(self.page_map)} mapped pages")
 
-    def _check_page(self, lpn: int, loc: tuple) -> None:
-        block, slot = loc
-        if block.pages[slot] != lpn:
-            raise StorageError(f"FTL map entry for page {lpn} is stale")
+    def _check_pages(self, lpns: Iterable[int]) -> None:
+        """Each mapped page among ``lpns`` is where its block says."""
+        page_map = self.page_map
+        for lpn in lpns:
+            loc = page_map.get(lpn)
+            if loc is not None and loc[0].pages[loc[1]] != lpn:
+                raise StorageError(f"FTL map entry for page {lpn} is stale")
 
     def _check_census(self) -> None:
         if len(self._free_ids) + len(self._sealed) + 1 != self.total_blocks:
@@ -276,16 +281,14 @@ class FlashTranslationLayer:
         self._take_journal()
         self._check_ledger()
         blocks = list(self._sealed.values()) + [self._active]
-        for b in blocks:
-            self._check_block(b)
+        self._check_blocks(blocks)
         valid_total = sum(b.valid for b in blocks)
         self._check_valid_total(valid_total)
         if self.valid_pages != valid_total:
             raise StorageError(
                 f"FTL running valid total {self.valid_pages} != "
                 f"{valid_total} summed over blocks")
-        for lpn, loc in self.page_map.items():
-            self._check_page(lpn, loc)
+        self._check_pages(self.page_map)
         self._check_census()
 
     def verify_journal(self) -> None:
@@ -301,14 +304,9 @@ class FlashTranslationLayer:
             return
         blocks, pages = self._take_journal()
         self._check_ledger()
-        for b in blocks:
-            self._check_block(b)
+        self._check_blocks(blocks)
         self._check_valid_total(self.valid_pages)
-        page_map = self.page_map
-        for lpn in pages:
-            loc = page_map.get(lpn)
-            if loc is not None:
-                self._check_page(lpn, loc)
+        self._check_pages(pages)
         self._check_census()
 
 

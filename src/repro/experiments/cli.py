@@ -204,48 +204,63 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  [{name} finished in {elapsed:.1f}s wall time]")
         print()
 
-    if args.trace_out:
-        _emit_trace_outputs(args.trace_out, args.timeline_out)
-    if args.timeline_out:
-        print(f"timeline written to {args.timeline_out}")
-    if args.report:
-        from ..obs import report as obs_report
-        rc = obs_report.main(
-            (["--trace", args.trace_out] if args.trace_out else [])
-            + (["--timeline", args.timeline_out] if args.timeline_out
-               else [])
-            + ["--format", "markdown", "--out", args.report])
-        if rc != 0:
-            return rc
+    _emit_obs_outputs(args.trace_out, args.timeline_out, args.report)
     return 0
 
 
+def _emit_obs_outputs(trace_path: Optional[str], timeline_path: Optional[str],
+                      report_path: Optional[str]) -> None:
+    """Post-run products of ``--trace-out``, ``--timeline-out`` and
+    ``--report``: the report renders the spans, their analysis and the
+    timeline rows the trace outputs already loaded."""
+    spans = report = rows = None
+    if trace_path:
+        spans, report, rows = _emit_trace_outputs(trace_path, timeline_path)
+    if timeline_path:
+        print(f"timeline written to {timeline_path}")
+    if report_path:
+        from ..obs.report import build_report, write_report
+        if timeline_path and rows is None:
+            from ..obs.timeline import load_timeline_jsonl
+            rows = load_timeline_jsonl(timeline_path)
+        write_report(build_report(spans, report, rows, markdown=True),
+                     report_path)
+
+
 def _emit_trace_outputs(trace_path: str,
-                        timeline_path: Optional[str] = None) -> None:
-    """Post-run trace products: straggler report + Chrome/Perfetto JSON."""
+                        timeline_path: Optional[str] = None) -> tuple:
+    """Post-run trace products: straggler report + Chrome/Perfetto JSON.
+
+    Returns the loaded spans, their :class:`~repro.obs.critical_path.RunReport`
+    and the timeline rows (None unless ``timeline_path`` is a JSONL
+    file), so ``--report`` renders them without loading them again.
+    """
     from ..obs.critical_path import analyze
     from ..obs.export import (chrome_path_for, load_spans_jsonl,
                               write_chrome_trace)
 
     spans = load_spans_jsonl(trace_path)
+    report = analyze(spans)
+    rows = None
+    if timeline_path and timeline_path.endswith(".jsonl"):
+        from ..obs.timeline import load_timeline_jsonl
+        rows = load_timeline_jsonl(timeline_path)
     if not spans:
         print(f"note: no spans recorded in {trace_path}")
-        return
-    report = analyze(spans)
+        return spans, report, rows
     print(report.format())
     marks, counters = (), ()
-    if timeline_path and timeline_path.endswith(".jsonl"):
+    if rows is not None:
         # Timeline samples ride along as Perfetto counter tracks, so
         # queue depth / SSD occupancy plot under the span lanes, and
         # its marks (fault windows, GC storms) as instant events.
-        from ..obs.timeline import load_timeline_jsonl
-        rows = load_timeline_jsonl(timeline_path)
         marks = [r for r in rows if r.get("type") == "mark"]
         counters = [r for r in rows if "series" in r]
     chrome_path = chrome_path_for(trace_path)
     write_chrome_trace(chrome_path, spans, marks, counters)
     print(f"spans written to {trace_path} "
           f"(Chrome/Perfetto: {chrome_path} — open at https://ui.perfetto.dev)")
+    return spans, report, rows
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -125,13 +125,14 @@ class Network:
         the sender's job (client timeout/retry).
         """
         done = self.env.event()
+        nbytes = int(nbytes)
         span = None
         obs = self.obs
         if obs is not None and obs_parent is not None:
             span = obs.start("net.msg", "network", obs_parent.trace_id,
-                             self.env.now, parent=obs_parent, src=src,
-                             dst=dst, nbytes=int(nbytes))
-        _Transfer(self, src, dst, int(nbytes), done, span)
+                             self.env.now, parent=obs_parent,
+                             attrs={"src": src, "dst": dst, "nbytes": nbytes})
+        _Transfer(self, src, dst, nbytes, done, span)
         return done
 
 

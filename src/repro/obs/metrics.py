@@ -18,6 +18,7 @@ JSONL export.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, Any], ...]
@@ -30,11 +31,13 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
 class Counter:
     """Monotonic counter."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "key", "value")
 
     def __init__(self, name: str, labels: Dict[str, Any]) -> None:
         self.name = name
         self.labels = labels
+        #: The registry's key for this series (the timeline's too).
+        self.key = (name, _label_key(labels))
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -46,12 +49,13 @@ class Counter:
 class Gauge:
     """Instantaneous value read from a callback at sample time."""
 
-    __slots__ = ("name", "labels", "fn")
+    __slots__ = ("name", "labels", "key", "fn")
 
     def __init__(self, name: str, labels: Dict[str, Any],
                  fn: Callable[[], float]) -> None:
         self.name = name
         self.labels = labels
+        self.key = (name, _label_key(labels))
         self.fn = fn
 
     def read(self) -> float:
@@ -73,13 +77,13 @@ class Histogram:
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
+        """Count ``value`` in the first bucket whose bound it does not
+        exceed.  NaN is ``<=`` no bound, so it lands in +inf."""
         self.count += 1
         self.sum += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        bounds = self.bounds
+        self.counts[bisect_left(bounds, value) if value == value
+                    else len(bounds)] += 1
 
     def to_row(self) -> Dict[str, Any]:
         buckets = {f"le_{b:g}": c for b, c in zip(self.bounds, self.counts)}
@@ -106,8 +110,8 @@ class MetricsRegistry:
 
     def gauge(self, name: str, fn: Callable[[], float],
               **labels: Any) -> Gauge:
-        key = (name, _label_key(labels))
-        inst = self._gauges[key] = Gauge(name, labels, fn)
+        inst = Gauge(name, labels, fn)
+        self._gauges[inst.key] = inst
         return inst
 
     def histogram(self, name: str, buckets: Sequence[float],

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
-from .critical_path import analyze
+from .critical_path import RunReport, analyze
 from .export import load_spans_jsonl
 from .metrics import percentile
+from .span import Span
 from .timeline import (load_timeline_jsonl, series_key, sparkline,
                        summarize_series)
 
@@ -48,9 +49,8 @@ def _magnification_cdf(mags: List[float]) -> List[str]:
     return lines
 
 
-def trace_section(path: str) -> List[str]:
-    spans = load_spans_jsonl(path)
-    report = analyze(spans)
+def trace_section(spans: Sequence[Span], report: RunReport) -> List[str]:
+    """``report`` is ``analyze(spans)``."""
     lines = [report.format()]
     mags = report.magnifications()
     if mags:
@@ -119,6 +119,33 @@ def render(sections: List[tuple], markdown: bool) -> str:
     return "\n".join(out) + "\n"
 
 
+def build_report(spans: Optional[Sequence[Span]] = None,
+                 report: Optional[RunReport] = None,
+                 timeline_rows: Optional[List[Dict[str, Any]]] = None,
+                 markdown: bool = False) -> str:
+    """The report over artifacts already loaded: ``spans`` from a span
+    JSONL with ``report = analyze(spans)``, and ``timeline_rows`` from
+    a timeline JSONL.  The experiment CLI passes what it loaded for its
+    own trace outputs, so nothing is parsed or analyzed twice."""
+    sections: List[tuple] = []
+    if spans is not None:
+        sections.append(("Critical path", trace_section(spans, report)))
+    if timeline_rows is not None:
+        sections.append(("Timeline", timeline_section(timeline_rows)))
+        sections.append(("Fault / GC windows", marks_section(timeline_rows)))
+    return render(sections, markdown=markdown)
+
+
+def write_report(text: str, out: Optional[str]) -> None:
+    """Write the report to ``out``, or to stdout without one."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
@@ -134,21 +161,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not (args.trace or args.timeline):
         parser.error("give at least one of --trace/--timeline")
 
-    sections: List[tuple] = []
-    if args.trace:
-        sections.append(("Critical path", trace_section(args.trace)))
-    if args.timeline:
-        rows = load_timeline_jsonl(args.timeline)
-        sections.append(("Timeline", timeline_section(rows)))
-        sections.append(("Fault / GC windows", marks_section(rows)))
-
-    text = render(sections, markdown=args.format == "markdown")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    spans = load_spans_jsonl(args.trace) if args.trace else None
+    write_report(build_report(
+        spans, analyze(spans) if spans is not None else None,
+        load_timeline_jsonl(args.timeline) if args.timeline else None,
+        markdown=args.format == "markdown"), args.out)
     return 0
 
 

@@ -244,11 +244,11 @@ class ObsRuntime:
                 attrs["server"] = rec.event.server
             self.timeline.mark(f"fault_{rec.phase}", rec.time, **attrs)
 
-    def timeline_summary(self):
-        """Per-series min/mean/p99/last dict (None when timeline off)."""
+    def timeline_last(self):
+        """Per-series last sampled value (None when timeline off)."""
         if self.timeline is None:
             return None
-        return self.timeline.summary()
+        return self.timeline.last_values()
 
     # ------------------------------------------------------------ analysis
     def analyze(self) -> RunReport:

@@ -21,7 +21,8 @@ what a traced run builds down:
 
 * **Empty-attrs sentinel.**  Spans opened without attributes share one
   immutable empty mapping (:data:`EMPTY_ATTRS`) instead of each holding
-  ``None``/a fresh dict; :meth:`Span.annotate` copies on first write.
+  ``None``/a fresh dict; :meth:`Span.annotate` swaps in a dict of its
+  own on the first write.
   The sentinel is falsy, so every ``span.attrs or {}`` /
   ``if span.attrs:`` consumer behaves exactly as before.
 * **1-in-N sampling.**  With ``sample_n > 1`` only traces whose id is
@@ -50,7 +51,7 @@ KIND_SERVICE = "service"
 #: Shared immutable mapping for spans with no attributes.  Falsy (it is
 #: empty), so serialization and ``attrs or {}`` call sites are
 #: unchanged; :meth:`Span.annotate` swaps it for a private dict on the
-#: first write (copy-on-write).
+#: first write.
 EMPTY_ATTRS: Dict[str, Any] = MappingProxyType({})
 
 
@@ -80,12 +81,13 @@ class Span:
     def annotate(self, **attrs: Any) -> None:
         """Attach (or update) attributes after the span was opened —
         used where the interesting fact (route taken, return value) is
-        only known mid-operation.  Copy-on-write: the shared empty
-        sentinel is never mutated."""
-        if self.attrs is EMPTY_ATTRS or not self.attrs:
-            self.attrs = dict(attrs)
-        else:
+        only known mid-operation.  The shared empty sentinel is never
+        mutated: a first write keeps the dict the keywords were packed
+        into."""
+        if self.attrs:
             self.attrs.update(attrs)
+        else:
+            self.attrs = attrs
 
     def to_dict(self) -> Dict[str, Any]:
         """JSONL wire form (see :mod:`repro.obs.export`)."""
@@ -108,6 +110,9 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Span {self.name} #{self.span_id} trace={self.trace_id} "
                 f"[{self.start}, {self.end})>")
+
+
+_new_span = Span.__new__
 
 
 class Tracer:
@@ -142,7 +147,7 @@ class Tracer:
 
     # ------------------------------------------------------------- spans
     def root(self, name: str, kind: str, trace_id: int, start: float,
-             **attrs: Any) -> Optional[Span]:
+             attrs: Optional[Dict[str, Any]] = None) -> Optional[Span]:
         """Open a trace's root span — or ``None`` when the trace falls
         outside the 1-in-N sample.
 
@@ -154,18 +159,32 @@ class Tracer:
         if self.sample_n > 1 and trace_id % self.sample_n:
             self.unsampled += 1
             return None
-        return self.start(name, kind, trace_id, start, **attrs)
+        return self.start(name, kind, trace_id, start, attrs=attrs)
 
     def start(self, name: str, kind: str, trace_id: int, start: float,
               parent: Optional[Span] = None,
-              parent_id: Optional[int] = None, **attrs: Any) -> Span:
-        """Open a span; pass either a parent span or an explicit id."""
-        if parent is not None:
-            parent_id = parent.span_id
-        span = Span(trace_id, next(self._ids), parent_id, name, kind,
-                    start, attrs if attrs else None)
-        if len(self.spans) < self.max_spans:
-            self.spans.append(span)
+              parent_id: Optional[int] = None,
+              attrs: Optional[Dict[str, Any]] = None) -> Span:
+        """Open a span; pass either a parent span or an explicit id.
+
+        ``attrs`` becomes the span's attribute dict as is, so pass a
+        fresh one.  It is one dict, not keyword arguments: CPython
+        matches each extra keyword against every parameter name before
+        packing it.  The slots are filled directly, as
+        ``repro.sim.core._bootstrap`` builds an event.
+        """
+        span = _new_span(Span)
+        span.trace_id = trace_id
+        span.span_id = next(self._ids)
+        span.parent_id = parent_id if parent is None else parent.span_id
+        span.name = name
+        span.kind = kind
+        span.start = start
+        span.end = None
+        span.attrs = attrs or EMPTY_ATTRS
+        spans = self.spans
+        if len(spans) < self.max_spans:
+            spans.append(span)
         else:
             self.dropped += 1
         return span

@@ -25,9 +25,10 @@ bucket counts) or CSV (samples and marks only), with every export
 prefixed by a ``{"type": "timeline_begin", ...}`` segment header so
 multi-cluster appends stay checkable (timestamps must be nondecreasing
 within a segment — ``python -m repro.obs.validate`` enforces this).
-:func:`summarize_series` reduces a series list to min/mean/p99/last —
-the flat form workers attach to results and the run-report CLI renders
-as sparklines.
+:func:`summarize_series` reduces a series list to min/mean/p99/last
+for the run-report CLI, which renders them as sparklines;
+:meth:`TimelineRecorder.last_values` gives the last values alone, the
+flat ``timeline_last[...]`` form attached to results.
 """
 
 from __future__ import annotations
@@ -116,27 +117,24 @@ class TimelineRecorder:
         for gauge in self.registry._gauges.values():
             value = gauge.read()
             if gauge.name in CUMULATIVE_SERIES:
-                self._rate_row(t, dt, gauge.name, gauge.labels, value, prev)
+                self._rate_row(t, dt, gauge, value, prev)
             else:
                 self._append(self.rows, {"t": t, "series": gauge.name,
                                          "labels": gauge.labels,
                                          "value": value})
         for counter in self.registry._counters.values():
-            self._rate_row(t, dt, counter.name, counter.labels,
-                           counter.value, prev)
+            self._rate_row(t, dt, counter, counter.value, prev)
         self._prev_t = t
         self.ticks += 1
 
-    def _rate_row(self, t: float, dt: Optional[float], name: str,
-                  labels: Dict[str, Any], value: float,
+    def _rate_row(self, t: float, dt: Optional[float], inst, value: float,
                   prev: Dict[Tuple[str, tuple], float]) -> None:
-        key = (name, tuple(sorted(labels.items())))
-        last = prev.get(key)
-        prev[key] = value
+        last = prev.get(inst.key)
+        prev[inst.key] = value
         if last is None or dt is None or dt <= 0:
             return  # first tick: no interval to rate over
-        self._append(self.rows, {"t": t, "series": f"{name}_rate",
-                                 "labels": labels,
+        self._append(self.rows, {"t": t, "series": f"{inst.name}_rate",
+                                 "labels": inst.labels,
                                  "value": (value - last) / dt})
 
     def _append(self, ring: deque, row: Dict[str, Any]) -> None:
@@ -204,8 +202,21 @@ class TimelineRecorder:
     def export_csv(self, path: str, mode: str = "a") -> int:
         return write_timeline_csv(path, self.merged_rows(), mode=mode)
 
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        return summarize_series(self.rows)
+    def last_values(self) -> Dict[str, float]:
+        """Each series' last sampled value, keyed by :func:`series_key`
+        in order of first appearance: the ``last`` column of
+        :func:`summarize_series` without its sort, mean and p99.  A
+        series' rows share one labels dict, so each key is built once.
+        """
+        keys: Dict[Tuple[str, int], str] = {}
+        out: Dict[str, float] = {}
+        for row in self.rows:
+            name, labels = row["series"], row["labels"]
+            key = keys.get((name, id(labels)))
+            if key is None:
+                key = keys[name, id(labels)] = series_key(name, labels)
+            out[key] = float(row["value"])
+        return out
 
 
 # --------------------------------------------------------------- helpers
@@ -249,8 +260,7 @@ def summarize_series(rows: Iterable[Dict[str, Any]]) \
     """Per-series ``{min, mean, p99, last, n}`` over sample rows.
 
     Keys are :func:`series_key` strings; marks and segment headers are
-    ignored.  This is the compact, digest-safe form attached to results
-    as ``timeline_last[...]`` extras.
+    ignored.
     """
     values: Dict[str, List[float]] = {}
     for row in rows:

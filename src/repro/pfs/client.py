@@ -166,10 +166,10 @@ class _Request(Chain):
             # root() returns None for traces outside the 1-in-N sample;
             # every child site guards on its parent span, so a None
             # root prunes the whole tree at the cost of one modulo.
-            self.root = obs.root("request", "client", parent.id, env.now,
-                                 op=parent.op.value, nbytes=parent.nbytes,
-                                 offset=parent.offset, rank=parent.rank,
-                                 client=client.id)
+            self.root = obs.root("request", "client", parent.id, env.now, {
+                "op": parent.op._value_, "nbytes": parent.nbytes,
+                "offset": parent.offset, "rank": parent.rank,
+                "client": client.id})
         # Per-request OS/runtime noise; this is what makes concurrent
         # ranks drift out of phase (see ClusterConfig.client_jitter).
         config = client.config
@@ -189,8 +189,9 @@ class _Request(Chain):
             for sub in subs:
                 sub.span = obs.start(
                     "subreq", "rpc", parent.id, env.now, parent=root,
-                    server=sub.server, nbytes=sub.nbytes,
-                    fragment=sub.is_fragment, random=sub.is_random)
+                    attrs={"server": sub.server, "nbytes": sub.nbytes,
+                           "fragment": sub.is_fragment,
+                           "random": sub.is_random})
         # A request is complete only when its slowest sub-request is —
         # the synchronous-request property the paper's analysis hinges
         # on.

@@ -61,6 +61,8 @@ class DataServer:
         self.id = server_id
         self.config = config
         self.name = f"ds{server_id}"
+        #: Name of a traced job's span.
+        self._job_span = f"{self.name}.job"
 
         # Auditing: use the cluster's shared runtime when given one,
         # else (standalone servers in unit tests) own a private one.
@@ -171,8 +173,9 @@ class DataServer:
         obs = self.obs
         span = None
         if obs is not None and sub.span is not None:
-            span = obs.start(f"{self.name}.job", "server", sub.span.trace_id,
-                             self.env.now, parent=sub.span, server=self.id)
+            span = obs.start(self._job_span, "server", sub.span.trace_id,
+                             self.env.now, parent=sub.span,
+                             attrs={"server": self.id})
         _Job(self, sub, done, span)
         return done
 

@@ -170,8 +170,17 @@ class IntervalMap:
         return out
 
     def covered_bytes(self, start: int, end: int) -> int:
-        """Bytes of ``[start, end)`` that are mapped."""
-        return sum(ce - cs for cs, ce, _v, _d in self.get(start, end))
+        """Bytes of ``[start, end)`` that are mapped: the pieces
+        :meth:`get` would clip, summed without building them."""
+        self._check(start, end)
+        starts, ends = self._starts, self._ends
+        idx = bisect_right(ends, start)
+        total = 0
+        while idx < len(starts) and starts[idx] < end:
+            lo, hi = starts[idx], ends[idx]
+            total += (hi if hi < end else end) - (lo if lo > start else start)
+            idx += 1
+        return total
 
     def is_covered(self, start: int, end: int) -> bool:
         """True when every byte of ``[start, end)`` is mapped."""

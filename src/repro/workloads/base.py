@@ -96,8 +96,8 @@ def run_workload(cluster: Cluster, workload: Workload, drain: bool = True,
             # Flat last-value gauges: plain float extras, so a cached or
             # digested result carries the timeline's final state without
             # the timeline object.
-            for key, stats in cluster.obs.timeline_summary().items():
-                result.extra[f"timeline_last[{key}]"] = stats["last"]
+            for key, last in cluster.obs.timeline_last().items():
+                result.extra[f"timeline_last[{key}]"] = last
     if cluster.faults is not None:
         result.fault_events = [
             {"time": r.time, "phase": r.phase, "event": r.event.to_dict(),

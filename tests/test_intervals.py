@@ -168,3 +168,21 @@ def test_property_mirror_model(op_list):
     for b in range(0, 260):
         got = m.value_at(b)
         assert got == model.get(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops, st.integers(0, 250), st.integers(1, 60), st.booleans())
+def test_property_covered_bytes_sums_get_pieces(op_list, qstart, qlen,
+                                                coalesce):
+    """covered_bytes() equals the sum over get()'s clipped pieces, the
+    formula it replaced, with or without coalescing."""
+    m = IntervalMap(coalesce=(lambda left, right: left[2])
+                    if coalesce else None)
+    for kind, start, length in op_list:
+        if kind == "set":
+            m.set(start, start + length, 0)
+        else:
+            m.delete(start, start + length)
+        qend = qstart + qlen
+        assert m.covered_bytes(qstart, qend) == sum(
+            ce - cs for cs, ce, _v, _d in m.get(qstart, qend))

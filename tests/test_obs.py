@@ -37,11 +37,11 @@ def _known_tree():
     path: client 1.0, network 2.0, queue 2.0, service 5.0 (sum 10).
     """
     tracer = Tracer()
-    root = tracer.start("request", "client", 1, 0.0, nbytes=110)
+    root = tracer.start("request", "client", 1, 0.0, attrs={"nbytes": 110})
     a = tracer.start("subreq", "rpc", 1, 0.0, parent=root,
-                     server=0, nbytes=100)
+                     attrs={"server": 0, "nbytes": 100})
     b = tracer.start("subreq", "rpc", 1, 0.0, parent=root,
-                     server=1, nbytes=10, fragment=True)
+                     attrs={"server": 1, "nbytes": 10, "fragment": True})
     net1 = tracer.start("net.msg", "network", 1, 0.0, parent=b)
     tracer.finish(net1, 1.0)
     job = tracer.start("ds1.job", "server", 1, 1.0, parent=b)
@@ -488,3 +488,95 @@ def test_trace_sampling_keeps_retained_traces_exact():
         reference = analyze_trace(full_trees[trace_id - shift])
         assert report.latency == reference.latency
         assert report.breakdown == reference.breakdown
+
+
+def _linear_bucket(bounds, value):
+    """Bucket index by the scan ``Histogram.observe`` used before it
+    bisected (verbatim: the first bound ``value`` does not exceed,
+    else the +inf bucket)."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
+
+
+def test_histogram_bisect_matches_linear_scan():
+    import math
+    import random
+
+    from repro.obs.metrics import BENEFIT_BUCKETS, Histogram
+
+    rng = random.Random(7)
+    for buckets in (BENEFIT_BUCKETS, (0.0, 0.5), (1.0,), (), (-1.0, -1.0, 2.0)):
+        values = [rng.uniform(-0.2, 0.2) for _ in range(300)]
+        values += [rng.choice(buckets) for _ in range(20)] if buckets else []
+        values += list(buckets) + [-0.0, 0.0, math.inf, -math.inf, math.nan]
+        hist = Histogram("benefit", {}, buckets)
+        expect = [0] * (len(hist.bounds) + 1)
+        for v in values:
+            hist.observe(v)
+            expect[_linear_bucket(hist.bounds, v)] += 1
+        assert hist.counts == expect
+        assert hist.count == len(values)
+
+
+def test_cached_metric_handles_stay_the_registrys_instances():
+    """The manager looks its histogram and counter up once; after
+    ``MetricsRegistry.clear()`` and ``ObsRuntime.reset()`` an admission
+    still moves the registry's own instances, the ones the timeline
+    samples and exports."""
+    from repro.core.mapping import CacheKind
+    from repro.obs.metrics import BENEFIT_BUCKETS
+
+    cluster = Cluster(ClusterConfig(num_servers=4, client_jitter=0.0)
+                      .with_ibridge().with_obs(metrics=True, trace=True))
+    managers = [u.ibridge for s in cluster.servers for u in s.disks]
+    client = cluster.client(0)
+    reqsize = 65 * KiB
+    handle = cluster.create_file(64 * reqsize)
+
+    def write_pass(first):
+        done = [client.write(handle, (first + i) * reqsize, reqsize,
+                             rank=i % 8) for i in range(16)]
+        cluster.env.run(until=cluster.env.all_of(done))
+
+    write_pass(0)
+    reg = cluster.obs.registry
+    assert any(m._benefit_hists for m in managers)
+    cluster.obs.reset()
+    reg.clear()
+    assert all(c.value == 0 for c in reg._counters.values())
+    assert all(h.count == 0 for h in reg._histograms.values())
+    redirected = {m.server_id: m.stats.ssd_redirected_writes
+                  for m in managers}
+
+    write_pass(16)
+    observed = {}
+    for span in cluster.obs.tracer.spans:
+        if span.name == "ibridge.write" and "ret" in span.attrs:
+            key = (span.attrs["server"], span.attrs["kind"])
+            observed[key] = observed.get(key, 0) + 1
+    assert observed
+    rows = {(r["labels"]["server"], r["labels"]["kind"]): r
+            for r in reg.final_rows()}
+    admitted = 0
+    for m in managers:
+        counter = reg.counter("ibridge_admissions", server=m.server_id,
+                              kind="fragment", path="write")
+        assert counter.value == (m.stats.ssd_redirected_writes
+                                 - redirected[m.server_id])
+        admitted += counter.value
+        hist = reg.histogram("ibridge_benefit", BENEFIT_BUCKETS,
+                             server=m.server_id, op="write",
+                             kind="fragment")
+        assert hist.count == observed.get((m.server_id, "fragment"), 0)
+        # get-or-create hands back the very handles the manager cached,
+        # which are what the timeline samples (counters) and exports
+        # (histogram rows).
+        assert m._admission_counters[CacheKind.FRAGMENT, "write"] is counter
+        assert m._benefit_hists[CacheKind.FRAGMENT, Op.WRITE] is hist
+        assert rows[m.server_id, "fragment"]["count"] == hist.count
+    assert admitted > 0
+    assert sum(observed.values()) == sum(
+        h.count for h in reg._histograms.values())
+

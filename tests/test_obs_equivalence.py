@@ -14,7 +14,9 @@ pin:
 * a streamed export (``flush_spans=256``) to the export written at the
   end of the run (``flush_spans=0``), row for row;
 * that a fault window reaches the Chrome export as instant events taken
-  from the timeline's marks.
+  from the timeline's marks;
+* with the metrics registry on, the timeline JSONL (samples, marks and
+  histogram rows) and the ``obs_*``/``timeline_*`` result extras.
 """
 
 import dataclasses
@@ -212,3 +214,104 @@ def test_fault_window_reaches_chrome_export_as_timeline_marks(
     assert instants == [(name, t * 1e6) for name, t in marks]
     assert all(json.loads(r)["type"] == "span"
                for r in trace.read_text().splitlines())
+
+
+# Recorded on the metrics=True cell with a device_slow window before the
+# registry handles were cached per manager, Histogram.observe bisected
+# and the timeline_last[...] extras read each series' last sample
+# directly: (rows, sha256) per row type, then the whole file.
+PINNED_TIMELINE_ROWS = {
+    "timeline_begin": (1, "4384cdbd4ad87e603138bb9b9a942b43"
+                          "b0d6a7bd83dcbf5f64f73281292aa17d"),
+    "sample": (408, "576494ead205ba31ecb119dfd93d15a0"
+                    "d24ec40dc590ac13528d5085fee0e6c9"),
+    "mark": (2, "f38babe881ff1c30864f694f3320329b"
+                "bb66ef7afe4b8e3e5f13f024c18f9c84"),
+    "histogram": (8, "a2c4dd24ccbdc11d2fa2d4593a7b1c9f"
+                     "5199f9db5d4533b626b76aa3588fa458"),
+}
+PINNED_TIMELINE = (
+    419, "53f29d486220fe2af0c2471d2fc188ded688a0bb98092b79c8f1b460aa89b24b")
+# 3 obs_* extras, timeline_rows and 112 timeline_last[...] series.
+PINNED_OBS_EXTRAS = (
+    116, "d4c369639e6d4a25cf995d619cd2972de83bb10b98bb1ad181ed3abfb75eff77")
+
+
+def run_metrics_cell(tmp_path, monkeypatch):
+    """The traced cell with the registry and timeline on and one
+    ``device_slow`` window -> (timeline JSONL rows, obs/timeline
+    extras)."""
+    from repro.faults import FaultPlan
+
+    for module, name in ID_COUNTERS:
+        monkeypatch.setattr(module, name, itertools.count(1))
+    timeline = tmp_path / "timeline.jsonl"
+    cfg, wl = traced_cell(str(tmp_path / "t.jsonl"), 0)
+    cfg = cfg.with_obs(metrics=True, timeline_path=str(timeline))
+    plan = FaultPlan.from_dict({"name": "slow-disk", "events": [
+        {"kind": "device_slow", "server": 0, "device": "hdd", "disk": 0,
+         "start": 0.001, "duration": 0.01, "latency_mult": 6.0}]})
+    result = run_workload(Cluster(cfg, fault_plan=plan), wl, warm_runs=1)
+    rows = timeline.read_text(encoding="utf-8").splitlines()
+    extras = sorted((k, v) for k, v in result.extra.items()
+                    if k.startswith(("obs_", "timeline_")))
+    return rows, extras
+
+
+def test_metrics_timeline_and_extras_match_pinned(tmp_path, monkeypatch):
+    rows, extras = run_metrics_cell(tmp_path, monkeypatch)
+    by_type = {name: [] for name in PINNED_TIMELINE_ROWS}
+    for row in rows:
+        by_type[json.loads(row).get("type", "sample")].append(row)
+    assert {name: (len(group), digest(group))
+            for name, group in by_type.items()} == PINNED_TIMELINE_ROWS
+    assert (len(rows), digest(rows)) == PINNED_TIMELINE
+    assert (len(extras), digest(extras)) == PINNED_OBS_EXTRAS
+
+
+def test_cli_report_reuses_the_loaded_trace(tmp_path, monkeypatch, capsys):
+    """With ``--trace-out``, ``--timeline-out`` and ``--report`` the CLI
+    parses each artifact and analyzes the spans once, and its markdown
+    report equals the one ``python -m repro.obs.report`` renders from
+    the files."""
+    import collections
+
+    import repro.obs.critical_path as critical_path
+    import repro.obs.export as export
+    import repro.obs.report as obs_report
+    import repro.obs.timeline as timeline_mod
+    from repro.experiments.cli import _emit_obs_outputs
+
+    trace, timeline = tmp_path / "t.jsonl", tmp_path / "timeline.jsonl"
+    cfg, wl = traced_cell(str(trace), 256)
+    run_workload(Cluster(cfg.with_obs(metrics=True,
+                                      timeline_path=str(timeline))),
+                 wl, warm_runs=1)
+    calls = collections.Counter()
+
+    def count(module, name):
+        func = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (export, obs_report):
+        count(module, "load_spans_jsonl")
+    for module in (critical_path, obs_report):
+        count(module, "analyze")
+    for module in (timeline_mod, obs_report):
+        count(module, "load_timeline_jsonl")
+    report = tmp_path / "report.md"
+    _emit_obs_outputs(str(trace), str(timeline), str(report))
+    assert calls == {"load_spans_jsonl": 1, "analyze": 1,
+                     "load_timeline_jsonl": 1}
+
+    two_pass = tmp_path / "two_pass.md"
+    assert obs_report.main(["--trace", str(trace), "--timeline",
+                            str(timeline), "--format", "markdown",
+                            "--out", str(two_pass)]) == 0
+    assert report.read_bytes() == two_pass.read_bytes()
+    assert b"## Critical path" in report.read_bytes()
+    assert b"## Timeline" in report.read_bytes()

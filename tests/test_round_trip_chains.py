@@ -90,10 +90,10 @@ def _request(self, parent: ParentRequest, done: Event):
         # root() returns None for traces outside the 1-in-N sample;
         # every child site guards on its parent span, so a None
         # root prunes the whole tree at the cost of one modulo.
-        root = obs.root("request", "client", parent.id, env.now,
-                        op=parent.op.value, nbytes=parent.nbytes,
-                        offset=parent.offset, rank=parent.rank,
-                        client=self.id)
+        root = obs.root("request", "client", parent.id, env.now, {
+            "op": parent.op.value, "nbytes": parent.nbytes,
+            "offset": parent.offset, "rank": parent.rank,
+            "client": self.id})
     try:
         # Per-request OS/runtime noise; this is what makes concurrent
         # ranks drift out of phase (see ClusterConfig.client_jitter).
@@ -105,8 +105,9 @@ def _request(self, parent: ParentRequest, done: Event):
             for sub in subs:
                 sub.span = obs.start(
                     "subreq", "rpc", parent.id, env.now, parent=root,
-                    server=sub.server, nbytes=sub.nbytes,
-                    fragment=sub.is_fragment, random=sub.is_random)
+                    attrs={"server": sub.server, "nbytes": sub.nbytes,
+                           "fragment": sub.is_fragment,
+                           "random": sub.is_random})
         completions = []
         for sub in subs:
             completions.append(self._sub_round_trip(sub))
@@ -260,8 +261,9 @@ def send(self, src: str, dst: str, nbytes: int = 0,
     obs = self.obs
     if obs is not None and obs_parent is not None:
         span = obs.start("net.msg", "network", obs_parent.trace_id,
-                         self.env.now, parent=obs_parent, src=src,
-                         dst=dst, nbytes=int(nbytes))
+                         self.env.now, parent=obs_parent,
+                         attrs={"src": src, "dst": dst,
+                                "nbytes": int(nbytes)})
     self.env.spawn(self._transfer(src, dst, int(nbytes), done, span),
                    name=f"net:{src}->{dst}")
     return done
@@ -321,7 +323,8 @@ class _ServerGenerators:
         span = None
         if obs is not None and sub.span is not None:
             span = obs.start(f"{self.name}.job", "server", sub.span.trace_id,
-                             self.env.now, parent=sub.span, server=self.id)
+                             self.env.now, parent=sub.span,
+                             attrs={"server": self.id})
         self.env.spawn(self._job(sub, done, self.epoch, span),
                        name=f"{self.name}-job")
         return done
@@ -472,14 +475,15 @@ class _QueueGenerators:
                 obs.finish(span, env.now)
                 member.span = obs.start(
                     "blk.service", "service", span.trace_id, env.now,
-                    parent_id=span.parent_id, dev=self.name,
-                    op=dispatch.op.value, nbytes=member.nbytes,
-                    merged=len(dispatch.members))
+                    parent_id=span.parent_id,
+                    attrs={"dev": self.name, "op": dispatch.op.value,
+                           "nbytes": member.nbytes,
+                           "merged": len(dispatch.members)})
                 if gc_stall > 0.0:
                     gc_span = obs.start(
                         "ssd.gc", "gc", span.trace_id, env.now,
-                        parent=member.span, dev=self.name,
-                        stall=gc_stall)
+                        parent=member.span,
+                        attrs={"dev": self.name, "stall": gc_stall})
                     obs.finish(gc_span, env.now + gc_stall)
         yield env.timeout(service)
         self._busy = False

@@ -353,8 +353,9 @@ def test_cluster_run_records_timeline_and_flat_extras(tmp_path):
     # Every sampled series is a known name (the validator's whitelist
     # and the wiring can never drift apart unnoticed).
     assert {r["series"] for r in timeline.rows} <= KNOWN_SERIES
-    summary = cluster.obs.timeline_summary()
-    assert set(last) == {f"timeline_last[{k}]" for k in summary}
+    summary = summarize_series(timeline.rows)
+    assert last == {f"timeline_last[{k}]": stats["last"]
+                    for k, stats in summary.items()}
 
 
 def test_finish_run_exports_validating_timeline(tmp_path):
