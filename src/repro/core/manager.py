@@ -121,6 +121,7 @@ class IBridgeManager:
             write_bw=config.hdd.seq_write_bw,
             stripe_unit=config.stripe_unit,
             config=self.ib,
+            disk=hdd_queue.device,
         )
         self.mapping = MappingTable()
         self.partition = PartitionManager(partition, self.ib)
@@ -465,9 +466,7 @@ class IBridgeManager:
         inflating write amplification beyond what the log's own
         occupancy justifies.
         """
-        trim = getattr(self.ssd_queue.device, "trim", None)
-        if trim is not None:
-            trim(lbn, nbytes)
+        self.ssd_queue.device.trim(lbn, nbytes)
 
     def _drop_entry(self, entry: CacheEntry) -> None:
         self.mapping.remove(entry)
@@ -806,9 +805,7 @@ class IBridgeManager:
         # A replacement drive arrives factory-fresh: its FTL holds no
         # valid pages from the failed device.  (Idempotent when several
         # managers share the server's SSD.)
-        reset = getattr(self.ssd_queue.device, "ftl_reset", None)
-        if reset is not None:
-            reset()
+        self.ssd_queue.device.ftl_reset()
         self.ssd_available = True
         if self.audit:
             self.audit.check("ssd_restore")

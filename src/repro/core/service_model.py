@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..config import IBridgeConfig, ReturnPolicy
-from ..devices.base import Op
+from ..devices.base import Device, Op
 from ..devices.profiling import SeekProfile
 
 
@@ -37,7 +37,8 @@ class DiskServiceModel:
     """Tracks ``T`` for one disk and evaluates redirection returns."""
 
     def __init__(self, profile: SeekProfile, read_bw: float, write_bw: float,
-                 stripe_unit: int, config: IBridgeConfig) -> None:
+                 stripe_unit: int, config: IBridgeConfig,
+                 disk: Device) -> None:
         self.profile = profile
         self.read_bw = read_bw
         self.write_bw = write_bw
@@ -50,32 +51,22 @@ class DiskServiceModel:
         self.samples = 0
         # Fail-slow visibility: the paper's Eq. 1 averages *measured*
         # service times, so a degraded disk's T rises on its own.  Our
-        # samples are profile estimates instead, so the fault injector
-        # mirrors any active device slowdown here (repro.faults applies
-        # and clears these alongside the FaultableDevice multipliers).
-        self._pos_scale = 1.0
-        self._bw_scale = 1.0
+        # samples are profile estimates instead, so they are scaled by
+        # the modelled disk's own fail-slow multipliers.
+        self.disk = disk
 
     @property
     def t_value(self) -> float:
         """The current average service time ``T_i``."""
         return self._t
 
-    def set_degradation(self, pos_scale: float = 1.0,
-                        bw_scale: float = 1.0) -> None:
-        """Scale future samples as a fail-slow device would measure."""
-        self._pos_scale = float(pos_scale)
-        self._bw_scale = float(bw_scale)
-
-    def clear_degradation(self) -> None:
-        self.set_degradation(1.0, 1.0)
-
     def _raw_sample(self, op: Op, lbn: int, nbytes: int, head: int) -> float:
         """Eq. 1's bracketed term: positioning + transfer estimate."""
         distance = abs(lbn - head)
         pos = self.profile.positioning(distance, is_write=op.is_write)
         bw = self.write_bw if op.is_write else self.read_bw
-        return pos * self._pos_scale + (nbytes / bw) * self._bw_scale
+        disk = self.disk
+        return pos * disk.latency_mult + (nbytes / bw) * disk.bw_mult
 
     def sample(self, op: Op, lbn: int, nbytes: int, head: int) -> float:
         """Policy-adjusted sample for a candidate disk service."""

@@ -13,7 +13,7 @@ import abc
 from dataclasses import dataclass
 from enum import Enum
 
-from ..errors import StorageError
+from ..errors import DeviceFailedError, StorageError
 
 
 class Op(str, Enum):
@@ -54,6 +54,16 @@ class Device(abc.ABC):
     #: Foreground stall the last command paid to garbage collection;
     #: only a drive with an FTL model (``SolidStateDrive``) ever stalls.
     last_gc_stall: float = 0.0
+    #: Fail-slow state (``repro.faults``): positioning time is scaled by
+    #: ``latency_mult`` (an aging spindle's seeks/settles) and transfer
+    #: time by ``bw_mult`` (a throttled medium).  Multiplying by 1.0 is
+    #: exact, so a healthy device times requests bit-identically.
+    latency_mult: float = 1.0
+    bw_mult: float = 1.0
+    #: Fail-stop state.  A failed device's block queue is paused, so
+    #: serving a request on it is a simulation bug and raises
+    #: :class:`~repro.errors.DeviceFailedError`.
+    failed: bool = False
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -93,10 +103,11 @@ class Device(abc.ABC):
 
         This is what iBridge's Eq. 1 evaluates when deciding whether to
         redirect a request: ``D_to_T(seek) + R + Size/B`` from the
-        current head position.
+        current head position, scaled by any fail-slow multipliers.
         """
         self.check_range(lbn, nbytes)
-        return self.positioning_time(op, lbn, nbytes) + self.transfer_time(op, nbytes)
+        return (self.positioning_time(op, lbn, nbytes) * self.latency_mult
+                + self.transfer_time(op, nbytes) * self.bw_mult)
 
     def notice_idle(self, idle_gap: float) -> None:
         """Tell the device it sat idle for ``idle_gap`` seconds before
@@ -120,11 +131,18 @@ class Device(abc.ABC):
     def serve(self, op: Op, lbn: int, nbytes: int,
               idle_gap: float = 0.0) -> float:
         """Serve the request, update state, and return the service time."""
+        if self.failed:
+            raise DeviceFailedError(
+                f"{self.name}: I/O at lbn={lbn} on a failed device "
+                f"(fail-stop windows must pause the block queue)")
         self.check_range(lbn, nbytes)
         if idle_gap > 0.0:
             self.notice_idle(idle_gap)
-        pos = self.positioning_time(op, lbn, nbytes)
-        xfer = self.transfer_time(op, nbytes)
+        pos = self.positioning_time(op, lbn, nbytes) * self.latency_mult
+        xfer = self.transfer_time(op, nbytes) * self.bw_mult
+        # Internal machinery (FTL programming, GC stalls) is charged
+        # unscaled: fail-slow degrades the interface, not the drive's
+        # own background work.
         extra = self.service_extra(op, lbn, nbytes)
         self._head = lbn + nbytes
         self._after_serve()

@@ -49,10 +49,6 @@ class _Block:
         self.pages: List[Optional[int]] = []
         self.valid = 0
 
-    @property
-    def filled(self) -> int:
-        return len(self.pages)
-
     def recount(self) -> int:
         return len(self.pages) - self.pages.count(None)
 
@@ -125,17 +121,18 @@ class FlashTranslationLayer:
             self._touched_blocks.add(block)
 
     def _program(self, lpn: int) -> None:
-        if self._active.filled >= self.pages_per_block:
-            self._sealed[self._active.index] = self._active
+        active = self._active
+        if len(active.pages) >= self.pages_per_block:
+            self._sealed[active.index] = active
             if not self._free_ids:
                 raise StorageError(
                     "FTL out of free blocks (GC must run before writes)")
-            self._active = _Block(self._free_ids.popleft())
-        active = self._active
-        active.pages.append(lpn)
+            active = self._active = _Block(self._free_ids.popleft())
+        pages = active.pages
+        pages.append(lpn)
         active.valid += 1
         self.valid_pages += 1
-        self.page_map[lpn] = (active, active.filled - 1)
+        self.page_map[lpn] = (active, len(pages) - 1)
         self.device_pages_written += 1
         if self._touched_pages is not None:
             self._touched_pages.add(lpn)

@@ -95,9 +95,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(gauges sampled every --timeline-dt "
                              "simulated seconds, counters as rates, "
                              "fault/GC marks, then the final histograms) "
-                             "to a JSONL file (.csv suffix switches to "
-                             "CSV: samples and marks only); turns the "
-                             "metrics registry on")
+                             "to a JSONL file; turns the metrics "
+                             "registry on")
     parser.add_argument("--timeline-dt", type=float, default=0.05,
                         metavar="SECONDS",
                         help="timeline sample cadence in simulated "
@@ -232,8 +231,8 @@ def _emit_trace_outputs(trace_path: str,
     """Post-run trace products: straggler report + Chrome/Perfetto JSON.
 
     Returns the loaded spans, their :class:`~repro.obs.critical_path.RunReport`
-    and the timeline rows (None unless ``timeline_path`` is a JSONL
-    file), so ``--report`` renders them without loading them again.
+    and the timeline rows (None without ``timeline_path``), so
+    ``--report`` renders them without loading them again.
     """
     from ..obs.critical_path import analyze
     from ..obs.export import (chrome_path_for, load_spans_jsonl,
@@ -242,7 +241,7 @@ def _emit_trace_outputs(trace_path: str,
     spans = load_spans_jsonl(trace_path)
     report = analyze(spans)
     rows = None
-    if timeline_path and timeline_path.endswith(".jsonl"):
+    if timeline_path:
         from ..obs.timeline import load_timeline_jsonl
         rows = load_timeline_jsonl(timeline_path)
     if not spans:

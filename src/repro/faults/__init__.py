@@ -9,7 +9,6 @@ stochastic behaviour draws from seeded RNG substreams, so a plan
 replays bit-identically.
 """
 
-from .device import FaultableDevice, faultable
 from .health import restoration_failures
 from .injector import FaultInjector
 from .plan import (ALL_KINDS, FaultEvent, FaultKind, FaultPlan, FaultRecord,
@@ -22,9 +21,7 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "FaultRecord",
-    "FaultableDevice",
     "fail_slow",
-    "faultable",
     "gc_storm",
     "restoration_failures",
     "server_outage",

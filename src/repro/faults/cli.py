@@ -9,10 +9,10 @@ rule, horizon computation) without building anything::
     python -m repro.faults validate plan.json --num-servers 4 \\
         --disks-per-server 2
 
-The optional topology flags additionally run the injector's target
-bound checks (server ids, disk indices) against the cluster the plan is
-meant for — the same checks :class:`repro.faults.FaultInjector`
-performs, minus the build.
+The optional topology flags additionally run
+:meth:`~repro.faults.FaultPlan.check_targets` (server ids, disk
+indices) against the cluster the plan is meant for — the same check
+:class:`repro.faults.FaultInjector` performs, minus the build.
 
 Exit status: 0 for a valid plan, 1 for any
 :class:`~repro.errors.FaultError` (the message goes to stderr).
@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from ..errors import FaultError
-from .plan import FaultKind, FaultPlan
+from .plan import FaultPlan
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -46,28 +46,11 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_topology(plan: FaultPlan, num_servers: int,
-                    disks_per_server: Optional[int]) -> None:
-    """The injector's target bound checks, without a cluster."""
-    for i, ev in enumerate(plan.events):
-        if ev.server is not None and not 0 <= ev.server < num_servers:
-            raise FaultError(
-                f"event[{i}] {ev.kind.value} targets server {ev.server}; "
-                f"cluster has {num_servers}")
-        if (disks_per_server is not None
-                and ev.kind in (FaultKind.DEVICE_SLOW,
-                                FaultKind.DEVICE_FAIL)
-                and ev.device == "hdd" and ev.disk >= disks_per_server):
-            raise FaultError(
-                f"event[{i}] {ev.kind.value} targets disk {ev.disk}; "
-                f"servers have {disks_per_server}")
-
-
 def _validate(args) -> int:
     try:
         plan = FaultPlan.from_file(args.plan)
         if args.num_servers is not None:
-            _check_topology(plan, args.num_servers, args.disks_per_server)
+            plan.check_targets(args.num_servers, args.disks_per_server)
         elif args.disks_per_server is not None:
             raise FaultError("--disks-per-server needs --num-servers")
     except OSError as exc:

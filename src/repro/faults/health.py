@@ -21,7 +21,7 @@ def restoration_failures(cluster) -> List[str]:
             out.append(f"restore:server{server.id}-still-crashed")
         if server.ssd_queue.paused:
             out.append(f"restore:server{server.id}-ssd-queue-paused")
-        if getattr(server.ssd, "_storm_depth", 0) > 0:
+        if server.ssd._storm_depth > 0:
             out.append(f"restore:server{server.id}-ssd-storm-active")
         for d, unit in enumerate(server.disks):
             if unit.queue.paused:

@@ -14,9 +14,9 @@ Event taxonomy (see docs/FAULTS.md for recovery semantics):
 ========================  ====================================================
 ``device_slow``           Fail-slow window on one disk (or a server's SSD):
                           positioning/latency and transfer/bandwidth
-                          multipliers wrap the device timing model.  iBridge's
-                          service model sees the same degradation, as the
-                          paper's measured EWMA would.
+                          multipliers set on the device itself.  iBridge's
+                          service model reads the same multipliers, as the
+                          paper's measured EWMA would see them.
 ``device_fail``           Fail-stop window on one disk: its block queue is
                           paused; pending and new requests wait for recovery.
 ``ssd_fail``              SSD fail-stop on one server.  iBridge enters
@@ -172,8 +172,9 @@ class FaultEvent:
 
 
 #: Fault kinds whose windows may NOT overlap on the same target: their
-#: begin/revert actions are not composable (a second ``set_slowdown``
-#: overwrites the first and the first cleanup then clears both; a second
+#: begin/revert actions are not composable (a second slowdown
+#: overwrites the device's multipliers and the first revert then resets
+#: them to 1.0 while the second window is still open; a second
 #: ``pause`` on an already-paused queue resumes too early at the first
 #: window end; crash/ssd-fail transitions are explicitly one-at-a-time).
 #: Network windows are excluded — each installs its own independent
@@ -242,6 +243,27 @@ class FaultPlan:
                         f"the same target {key}; same-target fail/slow "
                         f"windows must be disjoint (merge or re-place them)")
             by_target[key].append(event)
+
+    def check_targets(self, num_servers: int,
+                      disks_per_server: Optional[int] = None) -> None:
+        """Bound-check event targets against a cluster's shape.
+
+        Server ids must name one of ``num_servers`` servers; with
+        ``disks_per_server`` given, disk indices of device faults aimed
+        at a disk must name one of them too.
+        """
+        for i, ev in enumerate(self.events):
+            if ev.server is not None and not 0 <= ev.server < num_servers:
+                raise FaultError(
+                    f"event[{i}] {ev.kind.value} targets server {ev.server}; "
+                    f"cluster has {num_servers}")
+            if (disks_per_server is not None
+                    and ev.kind in (FaultKind.DEVICE_SLOW,
+                                    FaultKind.DEVICE_FAIL)
+                    and ev.device == "hdd" and ev.disk >= disks_per_server):
+                raise FaultError(
+                    f"event[{i}] {ev.kind.value} targets disk {ev.disk}; "
+                    f"servers have {disks_per_server}")
 
     def horizon(self) -> float:
         """Latest finite window end (0.0 for an empty plan).

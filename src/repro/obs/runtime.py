@@ -218,12 +218,8 @@ class ObsRuntime:
             self.timeline.sample(self.env.now)
             self.timeline.stop()
             self._mark_fault_windows()
-            path = self.config.timeline_path
-            if path:
-                if path.endswith(".csv"):
-                    self.timeline.export_csv(path)
-                else:
-                    self.timeline.export_jsonl(path)
+            if self.config.timeline_path:
+                self.timeline.export_jsonl(self.config.timeline_path)
         if self.tracer is not None and self.config.trace_path:
             if self._streaming:
                 # Everything closed already streamed; drain the tail.

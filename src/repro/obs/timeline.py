@@ -21,10 +21,10 @@ bounded ring buffer:
 Export is JSONL (one ``{"t", "series", "labels", "value"}`` row per
 sample, marks as ``{"type": "mark", ...}`` rows, then the registry's
 histograms as ``{"type": "histogram", ...}`` rows with their final
-bucket counts) or CSV (samples and marks only), with every export
-prefixed by a ``{"type": "timeline_begin", ...}`` segment header so
-multi-cluster appends stay checkable (timestamps must be nondecreasing
-within a segment — ``python -m repro.obs.validate`` enforces this).
+bucket counts), with every export prefixed by a
+``{"type": "timeline_begin", ...}`` segment header so multi-cluster
+appends stay checkable (timestamps must be nondecreasing within a
+segment — ``python -m repro.obs.validate`` enforces this).
 :func:`summarize_series` reduces a series list to min/mean/p99/last
 for the run-report CLI, which renders them as sparklines;
 :meth:`TimelineRecorder.last_values` gives the last values alone, the
@@ -199,9 +199,6 @@ class TimelineRecorder:
                 fh.write("\n")
         return len(rows)
 
-    def export_csv(self, path: str, mode: str = "a") -> int:
-        return write_timeline_csv(path, self.merged_rows(), mode=mode)
-
     def last_values(self) -> Dict[str, float]:
         """Each series' last sampled value, keyed by :func:`series_key`
         in order of first appearance: the ``last`` column of
@@ -220,30 +217,6 @@ class TimelineRecorder:
 
 
 # --------------------------------------------------------------- helpers
-def write_timeline_csv(path: str, rows: Iterable[Dict[str, Any]],
-                       mode: str = "a") -> int:
-    """Write timeline rows as CSV (``t,series,labels,value``); marks
-    become ``mark:<name>`` series rows with value 1."""
-    import csv
-
-    count = 0
-    with open(path, mode, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if mode == "w" or fh.tell() == 0:
-            writer.writerow(["t", "series", "labels", "value"])
-        for row in rows:
-            if row.get("type") == "mark":
-                writer.writerow([row["t"], f"mark:{row['name']}",
-                                 json.dumps(row.get("attrs", {}),
-                                            sort_keys=True), 1])
-            else:
-                writer.writerow([row["t"], row["series"],
-                                 json.dumps(row.get("labels", {}),
-                                            sort_keys=True), row["value"]])
-            count += 1
-    return count
-
-
 def load_timeline_jsonl(path: str) -> List[Dict[str, Any]]:
     """Read back a timeline JSONL file (headers + samples + marks)."""
     rows: List[Dict[str, Any]] = []

@@ -114,8 +114,7 @@ class Cluster:
         self.faults = None
         if fault_plan is not None and len(fault_plan):
             from ..faults import FaultInjector
-            self.faults = FaultInjector(self, fault_plan,
-                                        audit=self.audit).install()
+            self.faults = FaultInjector(self, fault_plan).install()
             if self.obs is not None:
                 # Fault begin/end records double as timeline marks.
                 self.obs.attach_faults(self.faults)

@@ -15,6 +15,7 @@ import repro.pfs.cluster as _cluster_mod
 import repro.pfs.server as _server_mod
 from repro.config import ClusterConfig
 from repro.experiments import common as _exp_common
+from repro.experiments import runner as _exp_runner
 
 
 def _audited(config):
@@ -41,7 +42,10 @@ _server_mod.DataServer.__init__ = _audited_server_init
 
 @pytest.fixture(autouse=True)
 def _no_experiment_audit_override():
-    """Keep the experiments' process-wide audit/obs hooks test-local."""
+    """Keep the experiments' process-wide audit/obs hooks and sweep
+    defaults test-local: a CLI call turns the on-disk result cache on,
+    and a later experiment test must simulate, not read that cache."""
     yield
     _exp_common.set_default_audit(None)
     _exp_common.set_default_obs(None)
+    _exp_runner.set_sweep_defaults()

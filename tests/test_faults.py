@@ -2,7 +2,7 @@
 
 The three ISSUE-mandated scenarios — SSD fail-stop mid-writeback under
 the strict auditor, retry exhaustion raising a typed error, and replay
-determinism — plus unit coverage of the wrapper/queue/network/crash
+determinism — plus unit coverage of the device/queue/network/crash
 mechanics the injector composes.
 """
 
@@ -15,7 +15,7 @@ from repro.devices import HardDisk, Op
 from repro.errors import (DeviceFailedError, FaultError, ReproError,
                           RequestTimeoutError)
 from repro.faults import (FaultEvent, FaultKind, FaultPlan, fail_slow,
-                          faultable, gc_storm, server_outage, ssd_outage)
+                          gc_storm, server_outage, ssd_outage)
 from repro.net import Network, NetFault
 from repro.pfs import Cluster
 from repro.sim import Environment
@@ -88,34 +88,65 @@ def test_typed_errors_are_repro_errors():
     assert issubclass(FaultError, ReproError)
 
 
-# ---------------------------------------------------- faultable device
+# ------------------------------------------------------ device fault state
 
-def test_faultable_scales_timing_but_forwards_state():
+def test_device_slowdown_scales_timing_in_place():
     hdd = HardDisk()
-    wrapper = faultable(hdd)
-    assert faultable(wrapper) is wrapper  # idempotent
     base = hdd.estimate_service_time(Op.READ, 10 * MiB, 64 * KiB)
-    wrapper.set_slowdown(latency_mult=3.0, bw_mult=2.0)
     pos = hdd.positioning_time(Op.READ, 10 * MiB, 64 * KiB)
     xfer = hdd.transfer_time(Op.READ, 64 * KiB)
-    scaled = wrapper.estimate_service_time(Op.READ, 10 * MiB, 64 * KiB)
-    assert scaled == pytest.approx(3.0 * pos + 2.0 * xfer)
+    hdd.latency_mult, hdd.bw_mult = 3.0, 2.0
+    scaled = hdd.estimate_service_time(Op.READ, 10 * MiB, 64 * KiB)
+    assert scaled == 3.0 * pos + 2.0 * xfer
     assert scaled > base
-    # State reads/writes pass through to the wrapped device.
-    wrapper.serve(Op.READ, 10 * MiB, 64 * KiB)
-    assert hdd._head == 10 * MiB + 64 * KiB
-    assert wrapper.stats.reads == hdd.stats.reads == 1
-    wrapper.clear_slowdown()
-    assert not wrapper.degraded
+    # Serving charges the scaled time and writes state on the device.
+    assert hdd.serve(Op.READ, 10 * MiB, 64 * KiB) == scaled
+    assert hdd.head == 10 * MiB + 64 * KiB
+    assert hdd.stats.reads == 1
+    assert hdd.stats.busy_time == scaled
+    assert hdd.stats.positioning_time == 3.0 * pos
+    hdd.latency_mult = hdd.bw_mult = 1.0
+    assert hdd.estimate_service_time(Op.READ, 10 * MiB, 64 * KiB) != scaled
 
 
-def test_faultable_fail_stop_is_a_hard_backstop():
-    wrapper = faultable(HardDisk())
-    wrapper.fail_stop()
+def test_device_fail_stop_is_a_hard_backstop():
+    hdd = HardDisk()
+    assert not hdd.failed
+    hdd.failed = True
     with pytest.raises(DeviceFailedError):
-        wrapper.serve(Op.WRITE, 0, 4 * KiB)
-    wrapper.recover()
-    wrapper.serve(Op.WRITE, 0, 4 * KiB)
+        hdd.serve(Op.WRITE, 0, 4 * KiB)
+    assert hdd.stats.total_requests == 0 and hdd.head == 0
+    hdd.failed = False
+    hdd.serve(Op.WRITE, 0, 4 * KiB)
+    assert hdd.stats.writes == 1
+
+
+def test_service_model_follows_the_disk_slowdown_window():
+    # The iBridge model samples from the seek profile; inside a
+    # device_slow window on its disk it scales positioning by
+    # latency_mult and transfer by bw_mult, and drops back afterwards.
+    cfg = ibridge_config()
+    plan = FaultPlan.single(fail_slow(1, 3.0, start=0.01, duration=0.02,
+                                      bw_mult=2.0), name="model-window")
+    cluster = Cluster(cfg, fault_plan=plan)
+    model = cluster.servers[1].disks[0].ibridge.model
+    lbn, nbytes, head = 300 * MiB, 64 * KiB, 0
+    pos = model.profile.positioning(lbn - head, is_write=True)
+    xfer = nbytes / model.write_bw
+    scale = model.stripe_unit / nbytes
+
+    def sample():
+        return model.sample(Op.WRITE, lbn, nbytes, head)
+
+    healthy = sample()
+    assert healthy == (pos + xfer) * scale
+    env = cluster.env
+    env.run(until=env.timeout(0.02))
+    assert sample() == (pos * 3.0 + xfer * 2.0) * scale
+    assert model.disk is cluster.servers[1].disks[0].hdd
+    env.run(until=env.timeout(0.02))
+    assert [r.phase for r in cluster.faults.records] == ["begin", "end"]
+    assert sample() == healthy
 
 
 def test_paused_queue_holds_requests_until_resume():
@@ -340,3 +371,29 @@ def test_replay_is_deterministic():
 def test_faults_experiment_is_registered():
     from repro.experiments import EXPERIMENTS
     assert "faults" in EXPERIMENTS
+
+
+#: The ``faults`` experiment's table at ``--scale 0.003`` (default 32
+#: processes), one row per scenario, with each row's unrounded
+#: throughput in MiB/s.  Fault-injection refactors must leave every
+#: scenario bit-identical.
+FAULTS_TABLE_PIN = [
+    (["no faults", 91.8, "1.00x", 0, 0.0, 0, 9.1], 91.763175522618),
+    (["ssd fail-stop, forfeit", 61.6, "1.49x", 0, 142.0, 0, 8.6],
+     61.645959824376654),
+    (["ssd removal, drain", 54.4, "1.69x", 0, 0.0, 0, 8.6],
+     54.38664801981172),
+    (["server crash + restart", 46.6, "1.97x", 9, 0.0, 0, 9.1],
+     46.585201676631215),
+    (["10% message loss", 46.7, "1.96x", 37, 0.0, 37, 9.2],
+     46.73351002244738),
+    (["aging disk x3", 34.5, "2.66x", 0, 0.0, 0, 9.1], 34.49732919533784),
+]
+
+
+def test_faults_experiment_table_is_pinned():
+    from repro.experiments import get
+    res = get("faults")(scale=0.003)
+    assert res.rows == [row for row, _tp in FAULTS_TABLE_PIN]
+    for row, tp in FAULTS_TABLE_PIN:
+        assert res.get(row[0], "throughput") == tp

@@ -17,7 +17,8 @@ def profile():
 def make_model(profile, policy=ReturnPolicy.EFFICIENCY):
     cfg = IBridgeConfig(enabled=True, return_policy=policy)
     return DiskServiceModel(profile, read_bw=85 * MiB, write_bw=80 * MiB,
-                            stripe_unit=64 * KiB, config=cfg)
+                            stripe_unit=64 * KiB, config=cfg,
+                            disk=HardDisk())
 
 
 def test_initial_t_is_ideal_stripe_time(profile):

@@ -176,10 +176,6 @@ def test_jsonl_export_ends_with_the_registry_histograms(tmp_path):
     assert rows[-1] == hist.to_row()
     assert rows[-1]["count"] == 3
     assert validate_timeline_rows(rows) == []
-    # CSV carries samples and marks only.
-    csv_path = tmp_path / "timeline.csv"
-    assert rec.export_csv(str(csv_path), mode="w") == len(rec.merged_rows())
-    assert "ibridge_benefit" not in csv_path.read_text(encoding="utf-8")
 
 
 def test_multi_segment_append_restarts_the_clock(tmp_path):
@@ -249,14 +245,19 @@ def test_timeline_validator_checks_histograms_and_retired_names():
     assert len(problems) == 5
 
 
-def test_csv_export_writes_samples_and_marks(tmp_path):
-    rec = _recorded(tmp_path)
-    path = tmp_path / "timeline.csv"
-    n = rec.export_csv(str(path), mode="w")
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "t,series,labels,value"
-    assert len(lines) == n + 1
-    assert any("mark:fault_begin" in line for line in lines)
+def test_cli_timeline_out_with_csv_suffix_feeds_the_report_regression(
+        tmp_path, capsys):
+    # The timeline export is JSONL whatever the path's suffix, so the
+    # report (which reads JSONL) renders it instead of failing to parse
+    # a second format after the whole experiment ran.
+    from repro.experiments.cli import main
+    timeline, report = tmp_path / "t.csv", tmp_path / "r.md"
+    assert main(["fig5", "--scale", "0.001", "--no-cache",
+                 "--timeline-out", str(timeline),
+                 "--report", str(report)]) == 0
+    assert "## Timeline" in report.read_text(encoding="utf-8")
+    rows = load_timeline_jsonl(str(timeline))
+    assert rows and validate_timeline_rows(rows) == []
 
 
 def test_chrome_counter_tracks_round_trip(tmp_path):
