@@ -28,7 +28,7 @@ from ..devices.profiling import SeekProfile
 from ..errors import StorageError
 from ..localfs.store import LocalStore
 from ..pfs.messages import SubRequest
-from ..sim import Environment, Store
+from ..sim import Chain, Environment, Event, Store
 from .logstore import LogStore
 from .mapping import CacheEntry, CacheKind, MappingTable
 from .partition import PartitionManager
@@ -160,7 +160,7 @@ class IBridgeManager:
         self._benefit_hists: Dict[Tuple[CacheKind, Op], Histogram] = {}
         self._admission_counters: Dict[Tuple[CacheKind, str], Counter] = {}
         self._shutdown = False
-        env.process(self._writeback_daemon(), name=f"ib{server_id}-writeback")
+        _Writeback(self)
         env.process(self._fill_daemon(), name=f"ib{server_id}-fill")
 
     # =================================================== classification
@@ -228,8 +228,11 @@ class IBridgeManager:
             self._observe_benefit(kind, Op.WRITE, ret)
             if span is not None:
                 span.annotate(kind=kind._value_, ret=ret)
-            if ret > 0 and self.partition.admissible(kind, sub.nbytes):
-                ok = yield from self._make_room(kind, sub.nbytes)
+            partition = self.partition
+            if ret > 0 and partition.admissible(kind, sub.nbytes):
+                # Eviction is a wait only when the write does not fit.
+                ok = (partition.fits(kind, sub.nbytes)
+                      or (yield from self._make_room(kind, sub.nbytes)))
                 if ok:
                     yield from self._ssd_write(sub, kind, ret, ranges, span)
                     return
@@ -265,12 +268,15 @@ class IBridgeManager:
     def _ssd_write(self, sub: SubRequest, kind: CacheKind, ret: float,
                    ranges: Ranges, span=None):
         """Redirect a write into the SSD log."""
-        # A write supersedes any cached data overlapping its range.
-        yield from self._invalidate_overlaps(sub.handle, sub.local_offset,
-                                             sub.local_end, flush_uncovered=True,
-                                             new_start=sub.local_offset,
-                                             new_end=sub.local_end)
-        yield from self._clean_log_if_needed()
+        # A write supersedes any cached data overlapping its range.  The
+        # invalidation and the cleaning below are generators, built
+        # only when they have work (an overlap, a short free list).
+        overlaps = self.mapping.overlapping(sub.handle, sub.local_offset,
+                                            sub.local_end)
+        if overlaps:
+            yield from self._invalidate_overlaps(overlaps, sub)
+        if self._log.needs_cleaning(reserve=self.CLEAN_RESERVE):
+            yield from self._clean_log_if_needed()
         # The invalidation/cleaning above yielded: concurrent admissions
         # may have refilled the class partition since ``_make_room``
         # said yes.  Re-check (and retry eviction once) before
@@ -314,10 +320,10 @@ class IBridgeManager:
         """Serve a write at the disk, keeping SSD cache coherent.  Its
         disk home is ``ranges`` if admission mapped it, else mapped here,
         after the invalidation, so holes keep their allocation order."""
-        yield from self._invalidate_overlaps(sub.handle, sub.local_offset,
-                                             sub.local_end, flush_uncovered=True,
-                                             new_start=sub.local_offset,
-                                             new_end=sub.local_end)
+        overlaps = self.mapping.overlapping(sub.handle, sub.local_offset,
+                                            sub.local_end)
+        if overlaps:
+            yield from self._invalidate_overlaps(overlaps, sub)
         if ranges is None:
             ranges = self.disk_store.ranges_for_write(
                 sub.handle, sub.local_offset, sub.nbytes)
@@ -431,16 +437,16 @@ class IBridgeManager:
                     self._fill_tasks.put((sub.handle, start, end, kind, ret))
 
     # =================================================== coherence helpers
-    def _invalidate_overlaps(self, handle: int, start: int, end: int,
-                             flush_uncovered: bool, new_start: int,
-                             new_end: int):
-        """Drop cached entries overlapping ``[start, end)``.
+    def _invalidate_overlaps(self, overlaps: List[CacheEntry],
+                             sub: SubRequest):
+        """Drop ``overlaps``, the cached entries the write ``sub``
+        overlaps (``MappingTable.overlapping``).
 
         Dirty entries extending beyond the new write's range hold the
         only up-to-date copy of those extra bytes, so they are flushed
         to disk before being dropped.
         """
-        for entry in self.mapping.overlapping(handle, start, end):
+        for entry in overlaps:
             # Wait for the in-flight writeback to finish; it will leave
             # the entry clean.
             while entry.busy:
@@ -450,8 +456,8 @@ class IBridgeManager:
             # the entry first; it is then no longer ours to flush or drop.
             if entry not in self.mapping:
                 continue
-            if (entry.dirty and flush_uncovered
-                    and (entry.start < new_start or entry.end > new_end)):
+            if entry.dirty and (entry.start < sub.local_offset
+                                or entry.end > sub.local_end):
                 yield from self._flush_entry(entry)
                 if entry not in self.mapping:
                     continue
@@ -516,20 +522,18 @@ class IBridgeManager:
 
         Flushing dirty victims yields to the simulation, so concurrent
         admissions may refill the partition while this runs.  The loop
-        re-evaluates ``fits`` after every eviction pass and retries a
-        bounded number of times rather than blindly reporting success —
-        otherwise a class could over-commit its share under racing
-        admissions.
+        re-evaluates the fit after every eviction pass (no eviction
+        candidates means it fits) and retries a bounded number of times
+        rather than blindly reporting success — otherwise a class could
+        over-commit its share under racing admissions.
         """
         for _ in range(max_attempts):
-            if self.partition.fits(kind, nbytes):
-                return True
             try:
                 victims = self.partition.eviction_candidates(kind, nbytes)
             except StorageError:
                 return False
             if not victims:
-                # A concurrent eviction freed the space already.
+                # It fits: a concurrent eviction freed the space already.
                 return True
             dirty_victims = [v for v in victims if v.dirty]
             if dirty_victims:
@@ -585,27 +589,6 @@ class IBridgeManager:
                 self.audit.check("release", segment=victim)
 
     # =================================================== background daemons
-    def _writeback_daemon(self):
-        """Flush dirty data to disk during quiet device periods, in long
-        sorted runs (the paper's idle-time writeback thread).
-
-        The daemon waits until a worthwhile amount of dirty data has
-        accumulated (one writeback batch) so each pass forms a long
-        LBN-sorted sweep rather than scattering small repositioned
-        writes through foreground traffic.
-        """
-        env = self.env
-        poll = max(self.ib.writeback_idle, 1e-4)
-        while True:
-            yield env.timeout(poll)
-            if self._shutdown:
-                return
-            if self.hdd_queue.idle_duration() < self.ib.writeback_idle:
-                continue
-            if self.mapping.dirty_bytes < self.ib.writeback_batch:
-                continue
-            yield from self._flush_some(self.mapping.dirty_entries())
-
     def _flush_plan(self, entries: List[CacheEntry]) -> List[Tuple[CacheEntry, Ranges]]:
         """The flushable ``entries`` (dirty, idle) with their disk ranges.
 
@@ -813,3 +796,37 @@ class IBridgeManager:
     def shutdown(self) -> None:
         """Stop background daemons at the next poll (end of simulation)."""
         self._shutdown = True
+
+
+class _Writeback(Chain):
+    """The writeback daemon, a chain polling on a bare timer: flush
+    dirty data to disk during quiet device periods, in long sorted runs
+    (the paper's idle-time writeback thread), once one writeback batch
+    of dirty data has accumulated, so each pass is one LBN-sorted sweep
+    rather than small repositioned writes scattered through foreground
+    traffic."""
+
+    __slots__ = ("manager", "poll")
+
+    def __init__(self, manager: IBridgeManager) -> None:
+        self.env = manager.env
+        self.manager = manager
+        self.poll = max(manager.ib.writeback_idle, 1e-4)
+        self._start(self._sleep)
+
+    def _sleep(self, _event) -> None:
+        self._after(self.poll, self._check)
+
+    def _check(self, _event: Event) -> None:
+        manager = self.manager
+        if manager._shutdown:
+            # An undetached process's completion fires with no waiters.
+            self.env.event().succeed()
+            return
+        ib = manager.ib
+        if (manager.hdd_queue.idle_duration() < ib.writeback_idle
+                or manager.mapping.dirty_bytes < ib.writeback_batch):
+            self._after(self.poll, self._check)
+            return
+        self._yield_from(manager._flush_some(manager.mapping.dirty_entries()),
+                         self._sleep)

@@ -38,6 +38,12 @@ class PartitionManager:
                                              CacheKind.FRAGMENT: 0}
         self._ret_sum: Dict[CacheKind, float] = {CacheKind.RANDOM: 0.0,
                                                  CacheKind.FRAGMENT: 0.0}
+        #: Each class's byte capacity.  It depends only on the return
+        #: sums and LRU sizes, which change only in :meth:`add` and
+        #: :meth:`drop`, and on the frozen config, so those two
+        #: recompute it and every admission check reads it.
+        self._cap: Dict[CacheKind, int] = {}
+        self._reshare()
 
     # ------------------------------------------------------------- shares
     def shares(self) -> Tuple[float, float]:
@@ -60,10 +66,14 @@ class PartitionManager:
             return 0.0
         return max(0.0, self._ret_sum[kind] / n)
 
-    def class_capacity(self, kind: CacheKind) -> int:
+    def _reshare(self) -> None:
         share_r, share_f = self.shares()
-        share = share_r if kind is CacheKind.RANDOM else share_f
-        return int(self.capacity * share)
+        cap = self._cap
+        cap[CacheKind.RANDOM] = int(self.capacity * share_r)
+        cap[CacheKind.FRAGMENT] = int(self.capacity * share_f)
+
+    def class_capacity(self, kind: CacheKind) -> int:
+        return self._cap[kind]
 
     def used(self, kind: Optional[CacheKind] = None) -> int:
         if kind is None:
@@ -78,6 +88,7 @@ class PartitionManager:
         lru[entry.id] = entry
         self._bytes[entry.kind] += entry.nbytes
         self._ret_sum[entry.kind] += entry.ret
+        self._reshare()
 
     def drop(self, entry: CacheEntry) -> None:
         lru = self._lru[entry.kind]
@@ -86,6 +97,7 @@ class PartitionManager:
         del lru[entry.id]
         self._bytes[entry.kind] -= entry.nbytes
         self._ret_sum[entry.kind] -= entry.ret
+        self._reshare()
 
     def touch(self, entry: CacheEntry, now: float) -> None:
         """Record a cache hit: move to MRU position."""
@@ -97,11 +109,11 @@ class PartitionManager:
     # ------------------------------------------------------------- eviction
     def fits(self, kind: CacheKind, nbytes: int) -> bool:
         """Would ``nbytes`` fit in ``kind``'s partition right now?"""
-        return self._bytes[kind] + nbytes <= self.class_capacity(kind)
+        return self._bytes[kind] + nbytes <= self._cap[kind]
 
     def admissible(self, kind: CacheKind, nbytes: int) -> bool:
         """Could ``nbytes`` ever fit (i.e. not larger than the class)?"""
-        return 0 < nbytes <= self.class_capacity(kind)
+        return 0 < nbytes <= self._cap[kind]
 
     def eviction_candidates(self, kind: CacheKind, nbytes: int) -> List[CacheEntry]:
         """LRU entries of ``kind`` to evict so ``nbytes`` fits.
@@ -109,7 +121,7 @@ class PartitionManager:
         Busy entries (mid-writeback) are skipped.  Returns [] when the
         class already has room; raises if the goal is unreachable.
         """
-        needed = self._bytes[kind] + nbytes - self.class_capacity(kind)
+        needed = self._bytes[kind] + nbytes - self._cap[kind]
         if needed <= 0:
             return []
         victims: List[CacheEntry] = []

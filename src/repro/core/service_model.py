@@ -44,6 +44,8 @@ class DiskServiceModel:
         self.write_bw = write_bw
         self.stripe_unit = stripe_unit
         self.config = config
+        # Configs are frozen, so the policy is decided once.
+        self._per_unit = config.return_policy is ReturnPolicy.EFFICIENCY
         # Initialize T to the ideal (streaming) time of one striping
         # unit: an unloaded disk is presumed efficient until observed
         # otherwise.
@@ -60,18 +62,15 @@ class DiskServiceModel:
         """The current average service time ``T_i``."""
         return self._t
 
-    def _raw_sample(self, op: Op, lbn: int, nbytes: int, head: int) -> float:
-        """Eq. 1's bracketed term: positioning + transfer estimate."""
-        distance = abs(lbn - head)
-        pos = self.profile.positioning(distance, is_write=op.is_write)
-        bw = self.write_bw if op.is_write else self.read_bw
-        disk = self.disk
-        return pos * disk.latency_mult + (nbytes / bw) * disk.bw_mult
-
     def sample(self, op: Op, lbn: int, nbytes: int, head: int) -> float:
-        """Policy-adjusted sample for a candidate disk service."""
-        raw = self._raw_sample(op, lbn, nbytes, head)
-        if self.config.return_policy is ReturnPolicy.EFFICIENCY:
+        """Policy-adjusted sample for a candidate disk service: Eq. 1's
+        bracketed term, positioning + transfer estimate."""
+        is_write = op is Op.WRITE
+        pos = self.profile.positioning(abs(lbn - head), is_write=is_write)
+        bw = self.write_bw if is_write else self.read_bw
+        disk = self.disk
+        raw = pos * disk.latency_mult + (nbytes / bw) * disk.bw_mult
+        if self._per_unit:
             # Normalize to the time the disk would spend per striping
             # unit of payload, so tiny requests that consume a full
             # positioning delay register as inefficient.
@@ -174,9 +173,17 @@ def fragment_return(base: float, this_server: int, this_t: float,
     """
     if not enabled or n_siblings <= 0:
         return base
-    others = [s for s in dict.fromkeys(sibling_servers) if s != this_server]
-    other_max, _other_sec, other_argmax = table.max_and_second(others)
-    if other_argmax is None:
+    # One scan of the siblings against the table: only the largest
+    # other T matters, so duplicates need no de-duplication.
+    reports = table._table
+    other_max = None
+    for server in sibling_servers:
+        if server != this_server:
+            report = reports.get(server)
+            if report is not None and (other_max is None
+                                       or report.t_value > other_max):
+                other_max = report.t_value
+    if other_max is None:
         # No sibling has a known T yet: we cannot claim to gate anyone.
         return base
     if this_t < other_max:

@@ -19,8 +19,9 @@ This module provides the sweep layer:
   runs merge bit-identically.
 * Results are cached on disk under ``.ibridge-cache/`` keyed by a
   stable hash of the cell (function path, canonicalized kwargs, the
-  process-wide audit/fault-plan context, package version).  A cache hit
-  performs zero simulation steps.
+  process-wide audit/fault-plan context, package version and a digest
+  of the package's source, so an edit to any module misses).  A cache
+  hit performs zero simulation steps.
 
 Determinism contract: a cell function must derive all randomness from
 its arguments (every cluster seeds its RNG streams from
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import importlib
 import json
@@ -107,6 +109,23 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over the package's ``.py`` files (relative path and
+    bytes, in sorted order), computed once per process: the part of a
+    cell's identity that its name and arguments do not capture."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for fname in sorted(f for f in filenames if f.endswith(".py")):
+            path = os.path.join(dirpath, fname)
+            digest.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
 # --------------------------------------------------------------- cells
 @dataclass(frozen=True)
 class Cell:
@@ -128,6 +147,7 @@ class Cell:
         return stable_hash({
             "schema": CACHE_SCHEMA,
             "version": __version__,
+            "source": source_digest(),
             "fn": self.fn,
             "kwargs": dict(self.kwargs),
             "context": context,

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Set
 from ..config import NetworkConfig
 from ..errors import FaultError
 from ..sim import Chain, Environment, Event, Resource
+from ..sim.core import _notify
 
 
 @dataclass
@@ -115,16 +116,19 @@ class Network:
         return nic
 
     def send(self, src: str, dst: str, nbytes: int = 0,
-             obs_parent=None) -> Event:
+             obs_parent=None, then=None) -> Optional[Event]:
         """Deliver a message; the returned event fires at delivery time.
 
         ``nbytes`` is payload size; control messages pass 0 and still
         pay overhead + latency.  ``obs_parent`` (a span) traces the
         message as a network span from send to delivery.  A message
         lost to a drop-fault window never fires its event: recovery is
-        the sender's job (client timeout/retry).
+        the sender's job (client timeout/retry).  A chain that alone
+        waits for the delivery passes its step as ``then`` instead: the
+        step is scheduled where the event would have succeeded, and
+        nothing is returned.
         """
-        done = self.env.event()
+        done = self.env.event() if then is None else None
         nbytes = int(nbytes)
         span = None
         obs = self.obs
@@ -132,19 +136,20 @@ class Network:
             span = obs.start("net.msg", "network", obs_parent.trace_id,
                              self.env.now, parent=obs_parent,
                              attrs={"src": src, "dst": dst, "nbytes": nbytes})
-        _Transfer(self, src, dst, nbytes, done, span)
+        _Transfer(self, src, dst, nbytes, done or then, span)
         return done
 
 
 class _Transfer(Chain):
     """One message, as a callback chain: software overhead, fault
-    effects, both NICs held for the wire time, propagation latency."""
+    effects, both NICs held for the wire time, propagation latency.
+    ``done`` is the delivery event or the receiver's step."""
 
     __slots__ = ("net", "src", "dst", "nbytes", "done", "span", "egress",
                  "ingress")
 
     def __init__(self, net: Network, src: str, dst: str, nbytes: int,
-                 done: Event, span) -> None:
+                 done, span) -> None:
         self.env = net.env
         self.net = net
         self.src = src
@@ -155,8 +160,7 @@ class _Transfer(Chain):
         self._start(self._begin)
 
     def _begin(self, _event: Event) -> None:
-        self.env.timeout(self.net.config.message_overhead).callbacks.append(
-            self._faults)
+        self._after(self.net.config.message_overhead, self._faults)
 
     def _faults(self, _event: Event) -> None:
         net = self.net
@@ -173,7 +177,7 @@ class _Transfer(Chain):
                 return
             if extra_delay > 0.0:
                 net.stats.fault_delay_time += extra_delay
-                self.env.timeout(extra_delay).callbacks.append(self._wire)
+                self._after(extra_delay, self._wire)
                 return
         self._wire(None)
 
@@ -182,28 +186,26 @@ class _Transfer(Chain):
             # Hold both NICs for the wire time: concurrent transfers at
             # an endpoint share its link serially.
             net = self.net
-            self.egress = net._nic(net._egress, self.src).request()
-            self.egress.callbacks.append(self._egress_held)
+            self.egress = egress = net._nic(net._egress, self.src)
+            egress.acquire(self, self._egress_held)
         else:
             self._on_wire(None)
 
     def _egress_held(self, _event: Event) -> None:
         net = self.net
-        self.ingress = net._nic(net._ingress, self.dst).request()
-        self.ingress.callbacks.append(self._ingress_held)
+        self.ingress = ingress = net._nic(net._ingress, self.dst)
+        ingress.acquire(self, self._ingress_held)
 
     def _ingress_held(self, _event: Event) -> None:
-        self.env.timeout(self.nbytes / self.net.config.bandwidth
-                         ).callbacks.append(self._wired)
+        self._after(self.nbytes / self.net.config.bandwidth, self._wired)
 
     def _wired(self, _event: Event) -> None:
-        self.ingress.resource.release(self.ingress)
-        self.egress.resource.release(self.egress)
+        self.ingress.release(self)
+        self.egress.release(self)
         self._on_wire(None)
 
     def _on_wire(self, _event) -> None:
-        self.env.timeout(self.net.config.latency).callbacks.append(
-            self._delivered)
+        self._after(self.net.config.latency, self._delivered)
 
     def _delivered(self, _event) -> None:
         net = self.net
@@ -214,5 +216,5 @@ class _Transfer(Chain):
         stats.wire_time += nbytes / net.config.bandwidth
         if self.span is not None and net.obs is not None:
             net.obs.finish(self.span, self.env.now)
-        self.done.succeed()
+        _notify(self.env, self.done)
         self._end()

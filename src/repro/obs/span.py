@@ -171,7 +171,7 @@ class Tracer:
         fresh one.  It is one dict, not keyword arguments: CPython
         matches each extra keyword against every parameter name before
         packing it.  The slots are filled directly, as
-        ``repro.sim.core._bootstrap`` builds an event.
+        ``Environment.timeout`` builds a timeout.
         """
         span = _new_span(Span)
         span.trace_id = trace_id

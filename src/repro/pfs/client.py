@@ -130,9 +130,11 @@ class PFSClient:
 # ------------------------------------------------------------------ chains
 # Each class below is one fire-and-forget process of the request path,
 # written as a :class:`~repro.sim.Chain` (step methods appended to the
-# events they wait on) rather than a generator, as are the server job
-# (pfs/server.py) and the block-queue runner (block/queue.py): a round
-# trip starts no process.
+# events they wait on, or scheduled as bare entries for the waits only
+# they see: their own timers, message deliveries and server replies)
+# rather than a generator, as are the server job (pfs/server.py) and
+# the block-queue runner (block/queue.py): a round trip starts no
+# process.
 # tests/test_round_trip_chains.py keeps the equivalent generator bodies
 # and checks both schedule the same heap entries: keep statement order
 # in step with them (events, RNG draws, spans and counters).
@@ -175,8 +177,7 @@ class _Request(Chain):
         config = client.config
         jitter = (client._rng.random() * config.client_jitter
                   if config.client_jitter > 0 else 0.0)
-        env.timeout(config.client_overhead + jitter).callbacks.append(
-            self._split)
+        self._after(config.client_overhead + jitter, self._split)
 
     def _split(self, _event: Event) -> None:
         client = self.client
@@ -313,7 +314,7 @@ class _RoundTrip(Chain):
         if i + 1 < attempts:
             client.retries += 1
             self.attempt = i + 1
-            self.env.timeout(retry.backoff(i)).callbacks.append(self._try)
+            self._after(retry.backoff(i), self._try)
             return
         self._give_up(RequestTimeoutError(
             f"{client.name}: sub-request {sub.id} to server {sub.server} "
@@ -358,18 +359,18 @@ class _Attempt(Chain):
         sub = self.sub
         req_payload = sub.nbytes if sub.op is Op.WRITE else 0
         self.client.network.send(self.client.name, self.server.name,
-                                 req_payload, obs_parent=sub.span
-                                 ).callbacks.append(self._serve)
+                                 req_payload, obs_parent=sub.span,
+                                 then=self._serve)
 
     def _serve(self, _event: Event) -> None:
-        self.server.submit(self.sub).callbacks.append(self._reply)
+        self.server.submit(self.sub, then=self._reply)
 
     def _reply(self, _event: Event) -> None:
         sub = self.sub
         resp_payload = sub.nbytes if sub.op is Op.READ else 0
         self.client.network.send(self.server.name, self.client.name,
-                                 resp_payload, obs_parent=sub.span
-                                 ).callbacks.append(self._replied)
+                                 resp_payload, obs_parent=sub.span,
+                                 then=self._replied)
 
     def _replied(self, _event: Event) -> None:
         if not self.attempt_done.triggered:

@@ -27,6 +27,7 @@ from ..devices import HardDisk, Op, SolidStateDrive
 from ..devices.profiling import SeekProfile
 from ..localfs import LocalStore
 from ..sim import Chain, Environment, Event, Resource
+from ..sim.core import _notify
 from .messages import SubRequest
 
 
@@ -161,13 +162,16 @@ class DataServer:
             self.primary_store_for(handle).preallocate(handle, nbytes)
 
     # ------------------------------------------------------------- serving
-    def submit(self, sub: SubRequest) -> Event:
+    def submit(self, sub: SubRequest, then=None) -> Optional[Event]:
         """Accept a sub-request; the event fires when it is served.
 
         A crashed server accepts nothing: the returned event never
-        fires, and the client's timeout/retry path recovers.
+        fires, and the client's timeout/retry path recovers.  A chain
+        that alone waits for the reply passes its step as ``then``
+        instead: the step is scheduled where the event would have
+        succeeded (never, after a crash), and nothing is returned.
         """
-        done = self.env.event()
+        done = self.env.event() if then is None else None
         if self.crashed:
             return done
         obs = self.obs
@@ -176,7 +180,7 @@ class DataServer:
             span = obs.start(self._job_span, "server", sub.span.trace_id,
                              self.env.now, parent=sub.span,
                              attrs={"server": self.id})
-        _Job(self, sub, done, span)
+        _Job(self, sub, done or then, span)
         return done
 
     # ------------------------------------------------------------- faults
@@ -241,10 +245,9 @@ class _Job(Chain):
     order in step with it.
     """
 
-    __slots__ = ("server", "sub", "done", "epoch", "span", "slot", "wait",
-                 "handler", "resume")
+    __slots__ = ("server", "sub", "done", "epoch", "span", "wait")
 
-    def __init__(self, server: DataServer, sub: SubRequest, done: Event,
+    def __init__(self, server: DataServer, sub: SubRequest, done,
                  span) -> None:
         self.env = server.env
         self.server = server
@@ -256,21 +259,19 @@ class _Job(Chain):
 
     def _begin(self, _event: Event) -> None:
         server = self.server
-        self.slot = slot = server._slots.request()
         span = self.span
         if span is not None:
             # Time spent waiting for a Trove I/O slot is queueing, not
             # service — give it its own span.
             self.wait = server.obs.start("slot.wait", "queue", span.trace_id,
                                          self.env.now, parent=span)
-        slot.callbacks.append(self._slotted)
+        server._slots.acquire(self, self._slotted)
 
     def _slotted(self, _event: Event) -> None:
         server = self.server
         if self.span is not None:
             server.obs.finish(self.wait, self.env.now)
-        self.env.timeout(server.config.server.request_overhead
-                         ).callbacks.append(self._io)
+        self._after(server.config.server.request_overhead, self._io)
 
     def _io(self, event: Event) -> None:
         server = self.server
@@ -283,11 +284,10 @@ class _Job(Chain):
             stats.bytes_read += sub.nbytes
         unit = server._disk_of(sub.handle)
         if unit.ibridge is not None and server.config.primary_store == "hdd":
-            self.handler = unit.ibridge.handle(sub, self.span)
-            self.resume = self._resume
-            # The overhead timeout's value is None, so resuming with it
-            # starts the handler.
-            self._resume(event)
+            # The overhead timer hands a processed event of value None,
+            # so resuming with it starts the handler.
+            self._yield_from(unit.ibridge.handle(sub, self.span),
+                             self._served, event)
             return
         # Stock path: the sub-request maps straight onto the primary
         # store's block ranges.
@@ -304,38 +304,14 @@ class _Job(Chain):
                 for lbn, size in ranges]
         self.env.all_of([r.done for r in reqs]).callbacks.append(self._served)
 
-    def _resume(self, event: Event) -> None:
-        """Resume the manager's handler with ``event``'s outcome, as
-        :meth:`repro.sim.Process._resume` resumes a generator."""
-        handler = self.handler
-        while True:
-            try:
-                if event._ok:
-                    target = handler.send(event._value)
-                else:
-                    event._defused = True
-                    target = handler.throw(event._value)
-            except StopIteration:
-                break
-            callbacks = target.callbacks
-            if callbacks is None:
-                # Already processed: resume again on the spot.
-                event = target
-                continue
-            callbacks.append(self.resume)
-            return
-        # Drop the job <-> bound-step cycle.
-        self.resume = self.handler = None
-        self._served(None)
-
     def _served(self, _event) -> None:
         server = self.server
-        server._slots.release(self.slot)
+        server._slots.release(self)
         span = self.span
         if span is not None:
             server.obs.finish(span, self.env.now)
         # After a crash the devices' work stays done but the reply is
         # lost; the client retries against the restarted server.
         if not server.crashed and server.epoch == self.epoch:
-            self.done.succeed(self.sub)
+            _notify(self.env, self.done, self.sub)
         self._end()

@@ -10,7 +10,7 @@ of this engine.
 
 from .core import Chain, Environment, Process
 from .events import AllOf, AnyOf, Event, Timeout
-from .resources import Request, Resource, Store
+from .resources import Resource, Store
 from .sync import Barrier
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Resource",
-    "Request",
     "Store",
     "Barrier",
 ]

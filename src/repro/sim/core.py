@@ -5,44 +5,43 @@ monotone sequence number, so two runs with the same seed produce
 identical schedules.  This is essential for reproducible experiments
 and for hypothesis-based property tests.
 
-Determinism contract: every scheduling consumes exactly one ``seq``
-number, and events dispatch in ``(time, priority, seq)`` order.  Three
-kinds of scheduling are never dispatched but still consume their seq:
-the completion of a :meth:`~Environment.spawn`-ed process that finishes
-successfully with no waiters, the end of a :class:`Chain`, and a
-timeout withdrawn with :meth:`~Environment.cancel`.  None could be
-observed (no callback would run), so every other event keeps its seq,
-its order and its time, and ``_seq`` deltas (event budgets) read as if
-all had been dispatched.  A cancelled timeout is skipped without
-advancing the clock if it reaches the front of the queue, and is
-dropped from the heap at the next compaction (:meth:`Environment.cancel`).
+Determinism contract:
+
+* every scheduling consumes exactly one ``seq`` number, and entries
+  dispatch in ``(time, priority, seq)`` order;
+* the successful, unwaited completion of a
+  :meth:`~Environment.spawn`-ed process, the end of a :class:`Chain`
+  and a timeout withdrawn with :meth:`~Environment.cancel` are never
+  dispatched but consume their seq: nothing could observe them, so
+  every other entry keeps its seq, order and time, and ``_seq`` deltas
+  (event budgets) read as if all had been dispatched;
+* a bare step entry (:func:`_schedule`) dispatches exactly like the
+  one-callback event it replaces: same ``(time, priority, seq)``, and
+  its step is called with a processed, successful event of value
+  ``None``.
 
 Callback chains (:class:`Chain`) are processes written by hand as
 step methods, for the per-sub-request paths where a generator and a
 :class:`Process` per round trip cost more host time than the work
-itself.  They keep the contract by construction: a chain starts with
-the same bootstrap entry a :class:`Process` pushes (one function,
-:func:`_bootstrap`, builds it for both), each wait appends a step to the
-awaited event's callbacks exactly where a process would append its
-resume, and a chain's end consumes one seq, like the unobserved finish
-of a detached spawn.  A chain therefore schedules the same
-``(time, priority, seq)`` entries as the generator it replaces; only
-failures differ, in that an exception raised by a step leaves
-:meth:`Environment.run` at once instead of failing a process event.
+itself.  A chain starts with the urgent-lane entry a process start
+pushes, its own timers are bare entries where the timeouts would be,
+other waits append a step to the awaited event's callbacks where a
+process would append its resume, and its end consumes one seq like the
+unobserved finish of a detached spawn.  So it schedules the generator's
+``(time, priority, seq)`` entries; only an exception raised by a step
+differs, leaving :meth:`Environment.run` at once.
 
 Hot-path notes (see docs/PERFORMANCE.md): an entry due at the current
 time goes to a FIFO lane, not through the heap (see
 :class:`Environment`; the urgent lane holds only process and chain
 starts); :meth:`Environment.run` inlines the dispatch loop (``step()``
-remains for single-stepping), the bootstrap entry is a
-bare pre-triggered event built without the ``Event.__init__``
-trampoline, and resumes go through a cached bound ``send`` method.  A
-finished process drops its cached resume callback, so neither it nor
-anything it waited on is left in a reference cycle for the cycle
-collector.  Every fast path preserves the entry layout and seq
-consumption exactly, so schedules are bit-identical to
-the straightforward implementation — the determinism regression tests
-in ``tests/test_sim_core.py`` pin this.
+remains for single-stepping), and resumes go through a cached bound
+``send`` method.  A finished process drops its cached resume callback,
+so neither it nor anything it waited on is left in a reference cycle
+for the cycle collector.  Every fast path preserves the entry layout
+and seq consumption exactly, so schedules are bit-identical to the
+straightforward implementation — the determinism regression tests in
+``tests/test_sim_core.py`` pin this.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ import heapq
 from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from types import MethodType
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -73,27 +73,37 @@ class _Cancelled(tuple):
 _CANCELLED = _Cancelled()
 
 
-def _bootstrap(env: "Environment", callback) -> None:
-    """Schedule ``callback`` on the next scheduler pass at the current
-    time: the entry that starts every process and every chain.
+#: What a bare entry's step is called with: the processed, successful
+#: event of value ``None`` the one-callback event it replaces would have
+#: handed it.  Shared, since no step keeps or changes it.
+_DONE = Event(None)
+_DONE.callbacks = None
+_DONE._triggered = _DONE._processed = True
 
-    The event is a bare slot-filled :class:`Event` — it exists only to
-    carry one callback through the heap once, so skipping the
-    constructor saves a call frame per start.  A pool was considered
-    and rejected: resetting a pooled event costs the same writes as
-    building a fresh one, and eager (push-free) starts would reorder
-    schedules.
-    """
-    init = Event.__new__(Event)
-    init.env = env
-    init.callbacks = [callback]
-    init._value = None
-    init._ok = True
-    init._triggered = True
-    init._processed = False
-    init._defused = False
+
+def _schedule(env: "Environment", step, delay: Optional[float] = None) -> None:
+    """Schedule the bound method ``step`` as a bare entry, called with
+    :data:`_DONE`: with ``delay`` None where a process start goes (the
+    urgent lane), else where a timeout of ``delay`` (for 0, a
+    ``succeed``) would put its entry."""
     env._seq = seq = env._seq + 1
-    env._urgent.append((env._now, PRIORITY_URGENT, seq, init))
+    if delay is None:
+        env._urgent.append((env._now, PRIORITY_URGENT, seq, step))
+    elif delay > 0:
+        heappush(env._queue, (env._now + delay, PRIORITY_NORMAL, seq, step))
+    elif delay == 0:
+        env._normal.append((env._now, PRIORITY_NORMAL, seq, step))
+    else:
+        raise SimulationError(f"negative delay {delay!r}")
+
+
+def _notify(env: "Environment", target, value: Any = None) -> None:
+    """Complete a wait that is an :class:`Event` (succeeded with
+    ``value``) or a bare step (scheduled where ``succeed`` would push)."""
+    if isinstance(target, Event):
+        target.succeed(value)
+    else:
+        _schedule(env, target, 0)
 
 
 class Chain:
@@ -101,12 +111,11 @@ class Chain:
 
     The constructor of a subclass fills its slots and calls
     :meth:`_start` with its first step; every step takes the event that
-    woke it, and waits by appending its successor to the next event's
-    ``callbacks`` (the event must not be processed yet — a chain waits
-    only on events it just created or was just handed).  The last step
-    calls :meth:`_end`.  Scheduling is entry for entry that of the same
-    body as a generator under :meth:`Environment.spawn` with nobody
-    waiting on it (see the module docstring).
+    woke it, and waits on its own timer with :meth:`_after`, on a grant,
+    delivery or reply by handing its successor to the primitive, and on
+    any other event by appending the successor to its ``callbacks`` (it
+    must not be processed yet — a chain waits only on events it just
+    created or was just handed).  The last step calls :meth:`_end`.
 
     A chain must not reference an event it waits on that may never fire
     (a lost message's delivery): the event's callback references the
@@ -117,11 +126,54 @@ class Chain:
     __slots__ = ("env",)
 
     def _start(self, step) -> None:
-        _bootstrap(self.env, step)
+        _schedule(self.env, step)
+
+    def _after(self, delay: float, step) -> None:
+        _schedule(self.env, step, delay)
+
+    def _yield_from(self, generator, then, event: Event = _DONE) -> None:
+        """Run ``generator`` as a process body would under ``yield
+        from`` (resumed with ``event`` first), then ``then(None)``."""
+        _YieldFrom(generator, then)._resume(event)
 
     def _end(self) -> None:
         # The unobserved completion of a detached spawn: one seq.
         self.env._seq += 1
+
+
+class _YieldFrom:
+    """A generator a chain waits on, resumed as :class:`Process` resumes
+    one; an exception it raises leaves :meth:`Environment.run`."""
+
+    __slots__ = ("generator", "then", "resume")
+
+    def __init__(self, generator, then) -> None:
+        self.generator = generator
+        self.then = then
+        self.resume = self._resume
+
+    def _resume(self, event: Event) -> None:
+        generator = self.generator
+        while True:
+            try:
+                if event._ok:
+                    target = generator.send(event._value)
+                else:
+                    event._defused = True
+                    target = generator.throw(event._value)
+            except StopIteration:
+                break
+            callbacks = target.callbacks
+            if callbacks is None:
+                # Already processed: resume again on the spot.
+                event = target
+                continue
+            callbacks.append(self.resume)
+            return
+        then = self.then
+        # Drop the bound-resume cycle, so nothing waits for the collector.
+        self.resume = self.generator = self.then = None
+        then(None)
 
 
 class Process(Event):
@@ -161,7 +213,7 @@ class Process(Event):
         # is a process <-> bound-method cycle; :meth:`_finish` breaks
         # it, so a finished process is freed by reference counting.
         self._resume_cb = resume = self._resume
-        _bootstrap(env, resume)
+        _schedule(env, resume)
 
     @property
     def is_alive(self) -> bool:
@@ -240,14 +292,15 @@ class Environment:
         env.run()
 
     Pending entries ``(time, priority, seq, event)`` live in three
-    containers.  One due at the current time is appended to a FIFO
-    lane, ``_urgent`` (process and chain starts) or ``_normal``
-    (``succeed``, ``fail``, zero-delay timeouts); a later one is pushed
-    onto the heap ``_queue``.  Every lane entry has time ``_now`` and
-    each lane is in seq order, so the next entry is the smaller of the
-    heap top and the first non-empty lane's head, and the clock moves
-    only once both lanes are empty: the dispatch order is exactly that
-    of one heap holding every entry.
+    containers; ``event`` is an :class:`Event` or, for a bare entry, the
+    bound step it runs (:func:`_schedule`).  One due at the current time
+    is appended to a FIFO lane, ``_urgent`` (process and chain starts)
+    or ``_normal`` (``succeed``, ``fail``, zero-delay timeouts, grants);
+    a later one is pushed onto the heap ``_queue``.  Every lane entry
+    has time ``_now`` and each lane is in seq order, so the next entry
+    is the smaller of the heap top and the first non-empty lane's head,
+    and the clock moves only once both lanes are empty: the dispatch
+    order is exactly that of one heap holding every entry.
     """
 
     __slots__ = ("_now", "_queue", "_urgent", "_normal", "_seq",
@@ -346,7 +399,8 @@ class Environment:
             queue = self._queue
             if cancelled > len(queue) >> 1:
                 queue[:] = [entry for entry in queue
-                            if entry[3].callbacks is not _CANCELLED]
+                            if getattr(entry[3], "callbacks", None)
+                            is not _CANCELLED]
                 heapify(queue)
                 self._cancelled = 0
 
@@ -355,25 +409,32 @@ class Environment:
 
         Diagnostic view (used by the audit watchdog's stall dumps):
         events are labelled with their process name when they belong to
-        a process, else their class name.  Sorted by firing order.  With
+        a process, else their class name; a bare entry by its process's
+        name for a process start, else by its step's qualified name
+        (``_Transfer._wired``).  Sorted by firing order.  With
         ``limit`` only the first ``limit`` entries are extracted — via
         ``heapq.nsmallest``, so a stall dump on a deep queue costs
         O(n log limit) rather than sorting the whole pending set.
         """
         live = [entry for entry in chain(self._queue, self._urgent, self._normal)
-                if entry[3].callbacks is not _CANCELLED]
+                if getattr(entry[3], "callbacks", None) is not _CANCELLED]
         if limit is not None:
             items = heapq.nsmallest(limit, live)
         else:
             items = sorted(live)
         out = []
         for when, prio, seq, event in items:
-            label = getattr(event, "name", None) or type(event).__name__
+            if isinstance(event, Event):
+                label = getattr(event, "name", None) or type(event).__name__
+            elif isinstance(event.__self__, Process):
+                label = event.__self__.name
+            else:
+                label = event.__qualname__
             out.append((when, prio, seq, label))
         return out
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it).
+        """Process exactly one entry (advancing the clock to it).
 
         Cancelled timeouts on the way are skipped, not counted.
         """
@@ -388,6 +449,10 @@ class Environment:
             else:
                 raise SimulationError("step() on an empty event queue")
             when, _prio, _seq, event = entry
+            if type(event) is MethodType:
+                self._now = when
+                event(_DONE)
+                return
             callbacks = event.callbacks
             if callbacks is not _CANCELLED:
                 break
@@ -427,6 +492,8 @@ class Environment:
         normal = self._normal
         pop = heappop
         cancelled = _CANCELLED
+        method = MethodType
+        done = _DONE
         if stop_event is None and stop_time == float("inf"):
             # Run-to-exhaustion fast path: no stop checks per event.
             while True:
@@ -439,6 +506,10 @@ class Environment:
                 else:
                     break
                 when, _prio, _seq, event = entry
+                if type(event) is method:
+                    self._now = when
+                    event(done)
+                    continue
                 callbacks = event.callbacks
                 if callbacks is cancelled:
                     continue
@@ -470,6 +541,10 @@ class Environment:
             else:
                 break
             when, _prio, _seq, event = entry
+            if type(event) is method:
+                self._now = when
+                event(done)
+                continue
             callbacks = event.callbacks
             if callbacks is cancelled:
                 continue

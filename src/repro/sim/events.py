@@ -15,7 +15,11 @@ normal-priority lane, a later one is pushed onto its heap (see
 :class:`~repro.sim.core.Environment`).  The entry layout
 ``(time, priority, seq, event)`` and the monotone-``seq`` tie-break are
 part of the engine's determinism contract; every inlined push must
-reproduce it exactly.
+reproduce it exactly.  Most waits on the request path build no event at
+all: a wait only one step can see (a process or chain start, a chain's
+timer, a NIC or I/O-slot grant, a delivery to a chain) is a bare entry
+holding that step (:func:`repro.sim.core._schedule`), so an event here
+is one somebody else may wait on, race, cancel or read.
 """
 
 from __future__ import annotations

@@ -1,40 +1,39 @@
 """Shared-resource primitives built on the event engine.
 
-``Resource`` models a server with limited concurrency (e.g. a NIC or a
-device command slot); ``Store`` is an unbounded producer/consumer queue
-(used for the iBridge manager's fill-task queue).
+``Resource`` models a server with limited concurrency (a NIC or the
+server's Trove I/O slots); ``Store`` is an unbounded producer/consumer
+queue (used for the iBridge manager's fill-task queue).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List
+from typing import Any, Deque, List, Tuple
 
 from ..errors import SimulationError
-from .core import Environment
+from .core import Environment, _schedule
 from .events import Event
 
 
-class Request(Event):
-    """Pending acquisition of a :class:`Resource` slot."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, env: Environment, resource: "Resource") -> None:
-        super().__init__(env)
-        self.resource = resource
-
-
 class Resource:
-    """A counted resource with FIFO waiters."""
+    """A counted resource granting slots to waiting steps in FIFO order.
+
+    :meth:`acquire` takes a holder (compared with ``==``, identity for
+    the chains that hold slots) and the bound step to run once it holds
+    a slot.  A grant is a bare entry (:func:`repro.sim.core._schedule`)
+    in the normal lane at the moment of the grant, where a granted
+    request event's ``succeed`` pushed its entry.
+    """
+
+    __slots__ = ("env", "capacity", "_users", "_waiters")
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity < 1:
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self._users: List[Request] = []
-        self._waiters: Deque[Request] = deque()
+        self._users: List[Any] = []
+        self._waiters: Deque[Tuple[Any, Any]] = deque()
 
     @property
     def count(self) -> int:
@@ -43,34 +42,28 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
+        """Number of holders waiting for a slot."""
         return len(self._waiters)
 
-    def request(self) -> Request:
-        """Ask for a slot; the returned event fires when granted."""
-        req = Request(self.env, self)
+    def acquire(self, holder: Any, then) -> None:
+        """Ask for a slot for ``holder``; ``then`` runs once it is held."""
         if len(self._users) < self.capacity:
-            self._users.append(req)
-            req.succeed()
+            self._users.append(holder)
+            _schedule(self.env, then, 0)
         else:
-            self._waiters.append(req)
-        return req
+            self._waiters.append((holder, then))
 
-    def release(self, req: Request) -> None:
-        """Return a slot previously granted to ``req``."""
+    def release(self, holder: Any) -> None:
+        """Return the slot ``holder`` holds; the next waiter gets it."""
         try:
-            self._users.remove(req)
+            self._users.remove(holder)
         except ValueError:
-            # Releasing an un-granted (still waiting) request cancels it.
-            try:
-                self._waiters.remove(req)
-            except ValueError:
-                raise SimulationError("release() of a request not held or queued")
-            return
+            raise SimulationError(
+                f"release() by {holder!r}, which holds no slot") from None
         if self._waiters:
-            nxt = self._waiters.popleft()
-            self._users.append(nxt)
-            nxt.succeed()
+            holder, then = self._waiters.popleft()
+            self._users.append(holder)
+            _schedule(self.env, then, 0)
 
 
 class StoreGet(Event):

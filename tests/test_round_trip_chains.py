@@ -6,9 +6,12 @@ message legs, the server job and the block-queue runner run as
 :class:`~repro.sim.Chain` steps.  The functions between the
 ``verbatim`` markers are the generator bodies those chains replaced,
 copied unchanged but for the slot release noted in ``_job`` (with the
-``submit``/``send`` entry points that spawned them and the
-``BlockQueue.__init__`` that started the runner);
-:func:`_install_generators` puts them back on their classes.  Every
+``submit``/``send`` entry points that spawned them, the
+``BlockQueue.__init__`` that started the runner, and the event-based
+``Resource``/``Request`` the generators yield for NIC and I/O-slot
+grants, where the chains hand a step to the grant FIFO);
+:func:`_install_generators` puts them back on their classes and
+modules.  Every
 cell below runs once on the chains and once on the generators,
 recording each popped entry by wrapping ``repro.sim.core.heappop`` and
 the ``popleft`` of the engine's same-time lanes, and the two runs must
@@ -33,9 +36,12 @@ from __future__ import annotations
 import collections
 import dataclasses
 import heapq
+import inspect
 import itertools
+import sys
 
-from typing import List, Optional
+from collections import deque
+from typing import Deque, List, Optional
 
 import pytest
 
@@ -47,12 +53,13 @@ from repro.block.scheduler import Scheduler
 from repro.config import ClusterConfig
 from repro.core import mapping
 from repro.devices.base import Device, Op
-from repro.errors import FaultError, RequestTimeoutError
+from repro.errors import FaultError, RequestTimeoutError, SimulationError
 from repro.faults import (FaultEvent, FaultKind, FaultPlan, fail_slow,
                           server_outage, ssd_outage)
 from repro.net import network
 from repro.net.network import Network
 from repro.pfs import messages
+from repro.pfs import server as server_module
 from repro.pfs.client import PFSClient
 from repro.pfs.cluster import Cluster
 from repro.pfs.messages import ParentRequest, SubRequest
@@ -383,6 +390,64 @@ class _ServerGenerators:
         yield self.env.all_of([r.done for r in reqs])
 
 
+class Request(Event):
+    """Pending acquisition of a :class:`Resource` slot."""
+
+    __slots__ = ("resource",)
+
+    def __init__(self, env: Environment, resource: "Resource") -> None:
+        super().__init__(env)
+        self.resource = resource
+
+
+class Resource:
+    """A counted resource with FIFO waiters."""
+
+    def __init__(self, env: Environment, capacity: int = 1) -> None:
+        if capacity < 1:
+            raise SimulationError(f"capacity must be >= 1, got {capacity}")
+        self.env = env
+        self.capacity = capacity
+        self._users: List[Request] = []
+        self._waiters: Deque[Request] = deque()
+
+    @property
+    def count(self) -> int:
+        """Number of slots currently held."""
+        return len(self._users)
+
+    @property
+    def queue_length(self) -> int:
+        """Number of requests waiting for a slot."""
+        return len(self._waiters)
+
+    def request(self) -> Request:
+        """Ask for a slot; the returned event fires when granted."""
+        req = Request(self.env, self)
+        if len(self._users) < self.capacity:
+            self._users.append(req)
+            req.succeed()
+        else:
+            self._waiters.append(req)
+        return req
+
+    def release(self, req: Request) -> None:
+        """Return a slot previously granted to ``req``."""
+        try:
+            self._users.remove(req)
+        except ValueError:
+            # Releasing an un-granted (still waiting) request cancels it.
+            try:
+                self._waiters.remove(req)
+            except ValueError:
+                raise SimulationError("release() of a request not held or queued")
+            return
+        if self._waiters:
+            nxt = self._waiters.popleft()
+            self._users.append(nxt)
+            nxt.succeed()
+
+
 class _QueueGenerators:
     """``BlockQueue``'s runner generators, verbatim."""
 
@@ -518,6 +583,8 @@ GENERATORS = (
     (BlockQueue, "__init__", _QueueGenerators.__init__),
     (BlockQueue, "_run", _QueueGenerators._run),
     (BlockQueue, "_serve", _QueueGenerators._serve),
+    (network, "Resource", Resource),
+    (server_module, "Resource", Resource),
 )
 
 
@@ -753,3 +820,40 @@ def test_no_process_per_sub_request(monkeypatch, cell):
     large, large_jobs = processes(8 * MiB)
     assert large_jobs >= 2 * small_jobs
     assert large == small
+
+
+#: The only non-generator code that may build a timeout: waits someone
+#: else can cancel or race.  Every other wait of a chain, a grant or a
+#: delivery is a bare entry.
+SHARED_WAITS = {
+    "_RoundTrip._try",  # the round-trip deadline: cancelled on a reply
+    "BlockQueue._next",  # the CFQ anticipation window: raced with arrivals
+}
+
+
+@pytest.mark.parametrize("cell", ["stock_read", "ibridge_write_warm"])
+def test_private_waits_build_no_timeout(monkeypatch, cell):
+    """Every ``Environment.timeout`` of a run is a round-trip deadline,
+    a CFQ anticipation window, or a generator's own ``yield``."""
+    callers = collections.Counter()
+    timeout = Environment.timeout
+
+    def recorded(env, delay, value=None):
+        frame = sys._getframe(1)
+        code = frame.f_code
+        if code.co_flags & inspect.CO_GENERATOR:
+            callers["generator"] += 1
+        else:
+            owner = type(frame.f_locals.get("self")).__name__
+            callers[f"{owner}.{code.co_name}"] += 1
+        return timeout(env, delay, value)
+
+    monkeypatch.setattr(Environment, "timeout", recorded)
+    observed = _observe(monkeypatch, CELLS[cell], generators=False)
+    assert observed["error"] is None
+    assert set(callers) - {"generator"} <= SHARED_WAITS, callers
+    # One deadline per attempt; the stock cell's CFQ anticipates.
+    assert callers["_RoundTrip._try"] >= sum(
+        srv[0]["jobs"] for srv in observed["servers"])
+    if cell == "stock_read":
+        assert callers["BlockQueue._next"] > 0

@@ -7,15 +7,22 @@ The two properties the whole design hangs on:
   simulations; the pool merge preserves input order).
 * **Cache soundness** — a warm cache replays results without a single
   simulation step, and anything that could change a result (arguments,
-  audit config, fault plan, package version) changes the cache key.
+  audit config, fault plan, package version, package source) changes
+  the cache key.
 """
 
 import dataclasses
 import enum
+import json
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import repro
 from repro.config import AuditConfig
 from repro.experiments import common as exp_common
 from repro.experiments import fig2
@@ -183,6 +190,39 @@ def test_cache_key_includes_obs_context(tmp_path):
         assert third.executed == 0 and third.cached == 1
     finally:
         exp_common.set_default_obs(old)
+
+
+def test_cache_misses_after_a_source_edit_regression(tmp_path):
+    """A cached cell recomputes once any module of the package changes,
+    even one the cell's name and arguments do not mention (a cached CLI
+    run used to print the results of the code before the edit)."""
+    src = tmp_path / "src"
+    shutil.copytree(os.path.dirname(repro.__file__), src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (src / "repro" / "_probe.py").write_text(
+        "from ._probe_data import VALUE\n\n\n"
+        "def value():\n    return VALUE\n")
+    data = src / "repro" / "_probe_data.py"
+    data.write_text("VALUE = 1\n")
+    script = (
+        "import json, repro\n"
+        "from repro.experiments.runner import cell, run_cells\n"
+        "r = run_cells([cell('repro._probe:value')], cache=True, "
+        f"cache_dir={str(tmp_path / 'cache')!r})\n"
+        "print(json.dumps([repro.__file__, r.results, r.executed, r.cached]))")
+
+    def run():
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        where, *report = json.loads(out.stdout)
+        assert where.startswith(str(src))
+        return report
+
+    assert run() == [[1], 1, 0]
+    assert run() == [[1], 0, 1]  # unchanged source: a warm hit
+    data.write_text("VALUE = 2\n")
+    assert run() == [[2], 1, 0]
 
 
 def test_result_cache_roundtrip_and_torn_write_resistance(tmp_path):

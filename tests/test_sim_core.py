@@ -5,13 +5,14 @@ import heapq
 import random
 import sys
 from heapq import heappop, heappush
+from types import MethodType
 from typing import Any, Optional
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Chain, Environment, Event, Timeout, core
-from repro.sim.core import _CANCELLED
+from repro.sim import Chain, Environment, Event, Process, Timeout, core
+from repro.sim.core import _CANCELLED, _DONE, ProcessGenerator
 from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT
 
 
@@ -308,7 +309,8 @@ def test_queue_snapshot_spans_the_heap_and_both_lanes():
     env.process(proc(env, "start-b"))  # urgent lane, seq 8
     assert env._queue and env._urgent and env._normal
     full = env.queue_snapshot()
-    assert full == [(1.0, 0, 4, "Event"), (1.0, 0, 8, "Event"),
+    # The process starts are bare entries, labelled by process name.
+    assert full == [(1.0, 0, 4, "proc"), (1.0, 0, 8, "proc"),
                     (1.0, 1, 2, "Timeout"), (1.0, 1, 3, "Timeout"),
                     (1.0, 1, 5, "Event"), (1.0, 1, 6, "Timeout"),
                     (1.5, 1, 7, "Timeout")]
@@ -557,19 +559,22 @@ def _pending(env):
 
 
 def test_chain_bootstrap_entry_equals_a_spawned_process():
+    """A process start and a chain start are the same bare entry: the
+    urgent lane at ``(now, URGENT, seq)``, holding the bound first step
+    (the process's cached resume, the chain's first step method)."""
     env_p, env_c = Environment(), Environment()
     env_p.timeout(0.5)
     env_c.timeout(0.5)
-    env_p.spawn(_ticker_body(env_p, []))
-    _Ticker(env_c, [])
+    proc = env_p.spawn(_ticker_body(env_p, []))
+    ticker = _Ticker(env_c, [])
     (tp, prio_p, seq_p, init_p), = [e for e in _pending(env_p) if e[2] == 2]
     (tc, prio_c, seq_c, init_c), = [e for e in _pending(env_c) if e[2] == 2]
     assert (tp, prio_p, seq_p) == (tc, prio_c, seq_c) == (0.0, 0, 2)
-    assert type(init_p) is type(init_c) is Event
-    assert init_p.env is env_p and init_c.env is env_c
-    for slot in ("_value", "_ok", "_triggered", "_processed", "_defused"):
-        assert getattr(init_p, slot) == getattr(init_c, slot), slot
-    assert len(init_p.callbacks) == len(init_c.callbacks) == 1
+    assert type(init_p) is type(init_c) is MethodType
+    assert init_p == proc._resume_cb and init_p.__self__ is proc
+    assert init_c == ticker._first and init_c.__self__ is ticker
+    assert list(env_p._urgent) == [(0.0, 0, 2, init_p)]
+    assert list(env_c._urgent) == [(0.0, 0, 2, init_c)]
 
 
 def test_chain_end_consumes_exactly_one_seq():
@@ -605,6 +610,113 @@ def test_exception_in_a_chain_step_surfaces_from_run():
     assert env.now == 1.0
 
 
+# -- bare step entries ---------------------------------------------------
+
+class _Steps:
+    """Bound steps that log ``(name, now, event)`` when dispatched."""
+
+    def __init__(self, env):
+        self.env = env
+        self.log = []
+
+    def a(self, event):
+        self.log.append(("a", self.env.now, event))
+
+    def b(self, event):
+        self.log.append(("b", self.env.now, event))
+
+    def boom(self, _event):
+        raise ValueError("step failed")
+
+
+def test_step_dispatches_a_bare_entry():
+    env = Environment()
+    steps = _Steps(env)
+    core._schedule(env, steps.a, 2.0)  # heap, seq 1
+    core._schedule(env, steps.b)  # urgent lane, seq 2
+    env.step()
+    assert steps.log == [("b", 0.0, _DONE)]
+    env.step()
+    assert steps.log[-1] == ("a", 2.0, _DONE) and env.now == 2.0
+    assert _DONE.processed and _DONE.ok and _DONE.value is None
+    with pytest.raises(SimulationError):
+        env.step()
+
+
+def test_run_until_a_time_dispatches_bare_entries_up_to_it():
+    env = Environment()
+    steps = _Steps(env)
+    core._schedule(env, steps.a, 1.0)
+    core._schedule(env, steps.b, 3.0)
+    core._schedule(env, steps.b, 0)  # normal lane, now
+    env.run(until=2.0)
+    assert [(name, t) for name, t, _ in steps.log] == [("b", 0.0), ("a", 1.0)]
+    assert env.now == 2.0
+    env.run()
+    assert steps.log[-1][:2] == ("b", 3.0)
+
+
+def test_run_until_an_event_dispatches_bare_entries_before_it():
+    env = Environment()
+    steps = _Steps(env)
+    stop = env.timeout(2.0, value="stop")  # seq 1
+    core._schedule(env, steps.a, 2.0)  # seq 2: same time, after the stop
+    core._schedule(env, steps.b, 1.0)
+    assert env.run(until=stop) == "stop"
+    assert [(name, t) for name, t, _ in steps.log] == [("b", 1.0)]
+    env.run()
+    assert steps.log[-1][:2] == ("a", 2.0)
+
+
+def test_a_failing_bare_step_surfaces_from_run():
+    env = Environment()
+    steps = _Steps(env)
+    core._schedule(env, steps.boom, 1.0)
+    core._schedule(env, steps.a, 2.0)
+    with pytest.raises(ValueError, match="step failed"):
+        env.run()
+    assert env.now == 1.0 and steps.log == []
+    env.run()  # the rest of the queue is intact
+    assert steps.log == [("a", 2.0, _DONE)]
+
+
+def test_negative_bare_delay_is_rejected():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        core._schedule(env, _Steps(env).a, -1.0)
+    assert env._seq == 1 and not env._queue
+
+
+def test_queue_snapshot_labels_bare_entries_by_step_or_process():
+    env = Environment()
+    steps = _Steps(env)
+
+    def worker(env):
+        yield env.timeout(1.0)
+
+    core._schedule(env, steps.a, 1.0)
+    env.process(worker(env), name="w0")
+    _Ticker(env, [])
+    assert env.queue_snapshot() == [
+        (0.0, 0, 2, "w0"), (0.0, 0, 3, "_Ticker._first"),
+        (1.0, 1, 1, "_Steps.a")]
+
+
+def test_compaction_keeps_bare_entries():
+    env = Environment()
+    steps = _Steps(env)
+    for i in range(4):
+        core._schedule(env, steps.a, 1.0 + i)
+    deadlines = [env.timeout(10.0) for _ in range(6)]
+    for deadline in deadlines:
+        env.cancel(deadline)
+    # 6 cancelled > 10 // 2 compacted away; the bare entries stay.
+    assert len(env._queue) == 4 and env._cancelled == 0
+    assert all(type(entry[3]) is MethodType for entry in env._queue)
+    env.run()
+    assert [t for _, t, _ in steps.log] == [1.0, 2.0, 3.0, 4.0]
+
+
 # -- the same-time lanes and compaction against the heap-only engine ---
 # The functions between the ``verbatim`` markers are the engine's push
 # sites, ``cancel``, ``step`` and ``run`` from before entries due now
@@ -638,6 +750,46 @@ def _bootstrap(env: "Environment", callback) -> None:
     init._defused = False
     env._seq = seq = env._seq + 1
     heappush(env._queue, (env._now, PRIORITY_URGENT, seq, init))
+
+
+class _HeapOnlyChain:
+    """``Chain``'s push site, verbatim."""
+
+    def _start(self, step) -> None:
+        _bootstrap(self.env, step)
+
+
+class _HeapOnlyProcess:
+    """``Process``'s push site (its start), verbatim."""
+
+    def __init__(self, env: "Environment", generator: ProcessGenerator,
+                 name: Optional[str] = None) -> None:
+        # The bound ``send`` is cached: it is called once per resume, so
+        # for long-lived processes the one-time allocation replaces a
+        # per-resume method lookup.  ``throw`` is NOT cached — it only
+        # runs on failure paths, and an extra live bound method per
+        # process is measurable GC weight in spawn-heavy workloads.
+        try:
+            self._send = generator.send
+        except AttributeError:
+            raise SimulationError(f"{generator!r} is not a generator") from None
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
+        self._generator = generator
+        self._detached = False
+        self.name = name or getattr(generator, "__name__", "process")
+        # ``self._resume`` builds a fresh bound method on every access;
+        # waiting on an event appends it to the event's callback list,
+        # so without this cache every yield allocates one.  The cache
+        # is a process <-> bound-method cycle; :meth:`_finish` breaks
+        # it, so a finished process is freed by reference counting.
+        self._resume_cb = resume = self._resume
+        _bootstrap(env, resume)
 
 
 class _HeapOnlyEvent:
@@ -826,8 +978,18 @@ class _HeapOnlyEnvironment:
 
 # ------------------------------------------------------------ /verbatim
 
+
+def _heap_only_after(self, delay, step) -> None:
+    """What a chain's private timer was before bare entries: a timeout
+    with the step as its one callback (``Chain._after`` is new, so
+    there is no verbatim copy)."""
+    self.env.timeout(delay).callbacks.append(step)
+
+
 HEAP_ONLY = (
-    (core, "_bootstrap", _bootstrap),
+    (Chain, "_start", _HeapOnlyChain._start),
+    (Chain, "_after", _heap_only_after),
+    (Process, "__init__", _HeapOnlyProcess.__init__),
     (Event, "succeed", _HeapOnlyEvent.succeed),
     (Event, "fail", _HeapOnlyEvent.fail),
     (Timeout, "__init__", _HeapOnlyTimeout.__init__),
@@ -836,6 +998,12 @@ HEAP_ONLY = (
     (Environment, "step", _HeapOnlyEnvironment.step),
     (Environment, "run", _HeapOnlyEnvironment.run),
 )
+
+
+def _is_cancelled(entry) -> bool:
+    """A cancelled timeout's entry (a bare step entry never is one)."""
+    event = entry[3]
+    return isinstance(event, Event) and event.callbacks is _CANCELLED
 
 
 def _dispatch(monkeypatch, program, heap_only, patches=()):
@@ -847,14 +1015,14 @@ def _dispatch(monkeypatch, program, heap_only, patches=()):
 
     def pop(heap):
         entry = heapq.heappop(heap)
-        if entry[3].callbacks is not _CANCELLED:
+        if not _is_cancelled(entry):
             popped.append(entry[:3])
         return entry
 
     class Lane(collections.deque):
         def popleft(self):
             entry = super().popleft()
-            if entry[3].callbacks is not _CANCELLED:
+            if not _is_cancelled(entry):
                 popped.append(entry[:3])
             return entry
 
@@ -909,6 +1077,27 @@ class _Deadline(Chain):
         self._end()
 
 
+class _Napper(Chain):
+    """Test chain: two private timers (bare entries), then its end."""
+
+    __slots__ = ("log", "ident", "delays")
+
+    def __init__(self, env, log, ident, delays):
+        self.env = env
+        self.log = log
+        self.ident = ident
+        self.delays = delays
+        self._start(self._nap)
+
+    def _nap(self, event):
+        assert event.processed and event.ok and event.value is None
+        if self.delays:
+            self._after(self.delays.pop(), self._nap)
+            return
+        self.log.append(("napped", self.ident, self.env.now))
+        self._end()
+
+
 def _random_program(env, rng, log):
     """Workers drawing one scheduling path per step, sleepers, and
     clients firing deadline chains."""
@@ -924,6 +1113,8 @@ def _random_program(env, rng, log):
         for n in range(rng.randint(20, 40)):
             _Deadline(env, log, (ident, n),
                       rng.choice((0, 0.5, 0.5, 1.0, 1.0, 60.0)))
+            _Napper(env, log, (ident, n), [rng.choice(DELAYS),
+                                           rng.choice(DELAYS)])
             yield env.timeout(rng.choice((0, 0.5)))
 
     def worker(ident):
@@ -1024,7 +1215,7 @@ def test_compaction_keeps_cancelled_entries_at_most_half_the_heap(
 
     def checked(env, timeout):
         cancel(env, timeout)
-        dead = sum(entry[3].callbacks is _CANCELLED for entry in env._queue)
+        dead = sum(map(_is_cancelled, env._queue))
         assert 2 * dead <= len(env._queue)
         sizes.append(len(env._queue))
 

@@ -1,4 +1,4 @@
-"""Unit tests for Resource / Store."""
+"""Unit tests for Resource (the grant FIFO) / Store."""
 
 import pytest
 
@@ -6,15 +6,34 @@ from repro.errors import SimulationError
 from repro.sim import Environment, Resource, Store
 
 
+class _Holder:
+    """Logs each grant of ``res`` as ``(name, time)``."""
+
+    def __init__(self, env, res, name, log):
+        self.env, self.res, self.name, self.log = env, res, name, log
+
+    def acquire(self):
+        self.res.acquire(self, self.granted)
+
+    def granted(self, _event):
+        self.log.append((self.name, self.env.now))
+
+
 def test_resource_grants_up_to_capacity():
     env = Environment()
     res = Resource(env, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
+    log = []
+    holders = [_Holder(env, res, name, log) for name in "abc"]
+    for holder in holders:
+        holder.acquire()
     env.run()
-    assert r1.processed and r2.processed
-    assert not r3.triggered
+    assert log == [("a", 0.0), ("b", 0.0)]
     assert res.count == 2
     assert res.queue_length == 1
+    res.release(holders[0])
+    env.run()
+    assert log[-1] == ("c", 0.0)
+    assert res.count == 2 and res.queue_length == 0
 
 
 def test_resource_release_wakes_waiter():
@@ -23,11 +42,13 @@ def test_resource_release_wakes_waiter():
     order = []
 
     def user(env, name, hold):
-        req = res.request()
-        yield req
+        holder = object()
+        granted = env.event()
+        res.acquire(holder, granted.succeed)
+        yield granted
         order.append(("got", name, env.now))
         yield env.timeout(hold)
-        res.release(req)
+        res.release(holder)
 
     env.process(user(env, "a", 2.0))
     env.process(user(env, "b", 1.0))
@@ -35,16 +56,42 @@ def test_resource_release_wakes_waiter():
     assert order == [("got", "a", 0.0), ("got", "b", 2.0)]
 
 
-def test_resource_cancel_waiting_request():
+def test_grants_follow_request_order():
+    """Waiters are granted first come, first served, one per release."""
     env = Environment()
     res = Resource(env, capacity=1)
-    held = res.request()
-    waiting = res.request()
-    res.release(waiting)  # cancel from wait queue
-    assert res.queue_length == 0
-    res.release(held)
+    log = []
+    holders = [_Holder(env, res, i, log) for i in range(5)]
+    for holder in holders:
+        holder.acquire()
     env.run()
-    assert res.count == 0
+    for t, holder in enumerate(holders, start=1):
+        env.run(until=float(t))
+        res.release(holder)
+    env.run()
+    assert log == [(i, float(i)) for i in range(5)]
+    assert res.count == 0 and res.queue_length == 0
+
+
+def test_grant_entry_is_where_request_succeed_pushed():
+    """A grant is one normal-lane entry at the grant's instant: at
+    acquire time when a slot is free, at release time for a waiter."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+    first, second = _Holder(env, res, "a", log), _Holder(env, res, "b", log)
+    env.timeout(1.0)  # seq 1
+    first.acquire()  # free slot: granted now, seq 2
+    assert [entry[:3] for entry in env._normal] == [(0.0, 1, 2)]
+    assert env._normal[0][3] == first.granted
+    second.acquire()  # queued: no entry, no seq
+    assert env._seq == 2 and len(env._normal) == 1
+    env.run(until=0.5)
+    res.release(first)  # the waiter's grant: seq 3, at the release
+    assert [entry[:3] for entry in env._normal] == [(0.5, 1, 3)]
+    assert env._normal[0][3] == second.granted
+    env.run()
+    assert log == [("a", 0.0), ("b", 0.5)]
 
 
 def test_resource_invalid_capacity():
@@ -53,13 +100,35 @@ def test_resource_invalid_capacity():
         Resource(env, capacity=0)
 
 
-def test_release_unknown_request_is_error():
+def test_release_without_hold_is_error():
     env = Environment()
     res = Resource(env, capacity=1)
-    res.request()
-    other = Resource(env, capacity=1).request()
+    holder = _Holder(env, res, "a", [])
+    holder.acquire()
+    with pytest.raises(SimulationError, match="holds no slot"):
+        res.release(_Holder(env, Resource(env), "other", []))
+    res.release(holder)
+    with pytest.raises(SimulationError, match="holds no slot"):
+        res.release(holder)  # released twice
+    assert res.count == 0
+
+
+def test_release_by_a_waiting_holder_is_error():
+    """A queued holder holds nothing: releasing it raises and leaves it
+    queued for its grant."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+    held, waiting = _Holder(env, res, "a", log), _Holder(env, res, "b", log)
+    held.acquire()
+    waiting.acquire()
     with pytest.raises(SimulationError):
-        res.release(other)
+        res.release(waiting)
+    assert res.queue_length == 1
+    res.release(held)
+    env.run()
+    assert log == [("a", 0.0), ("b", 0.0)]
+    assert res.count == 1
 
 
 def test_store_fifo_order():
