@@ -16,7 +16,7 @@ Run:  python examples/faults_demo.py
 """
 
 from repro import Cluster, ClusterConfig, MpiIoTest, Op, run_workload
-from repro.analysis import fault_report
+from repro.results import fault_report
 from repro.config import AuditConfig
 from repro.faults import (FaultEvent, FaultKind, FaultPlan, server_outage,
                           ssd_outage)

@@ -14,7 +14,7 @@ Run:  python examples/rerun_warming.py
 """
 
 from repro import Cluster, ClusterConfig, MpiIoTest, Op
-from repro.analysis import format_table
+from repro.results import format_table
 from repro.mpi import MPIRun
 from repro.units import KiB, MiB
 

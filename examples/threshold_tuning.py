@@ -12,7 +12,7 @@ Run:  python examples/threshold_tuning.py
 """
 
 from repro import Cluster, ClusterConfig, MpiIoTest, Op, run_workload
-from repro.analysis import format_table
+from repro.results import format_table
 from repro.units import KiB, MiB
 
 

@@ -21,7 +21,9 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from .analysis import LatencyStats, RunResult, improvement, reduction
+# First: it imports repro.pfs, which must initialise before repro.audit
+# (audit -> core.manager -> pfs -> pfs.cluster -> audit).
+from .results import LatencyStats, RunResult
 from .audit import AuditRuntime
 from .config import (AuditConfig, ClusterConfig, HDDConfig, IBridgeConfig,
                      NetworkConfig, ReturnPolicy, SchedulerConfig,
@@ -60,9 +62,7 @@ __all__ = [
     "TraceReplay",
     "synthesize_trace",
     "classify_trace",
-    # analysis
+    # results
     "RunResult",
     "LatencyStats",
-    "improvement",
-    "reduction",
 ]

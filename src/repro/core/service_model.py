@@ -24,7 +24,6 @@ difference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -129,29 +128,6 @@ class GlobalTTable:
 
     def known_servers(self) -> Tuple[int, ...]:
         return tuple(sorted(self._table))
-
-    def max_and_second(self, servers: Iterable[int]) -> Tuple[float, float, Optional[int]]:
-        """(T^max, T^sec_max, argmax server) over ``servers`` with known T.
-
-        Missing servers are skipped; with fewer than two known values
-        the second maximum falls back to the maximum (zero sibling term).
-        """
-        best_t, best_s = -math.inf, None
-        second = -math.inf
-        for s in servers:
-            t = self.get(s)
-            if t is None:
-                continue
-            if t > best_t:
-                second = best_t
-                best_t, best_s = t, s
-            elif t > second:
-                second = t
-        if best_s is None:
-            return 0.0, 0.0, None
-        if second == -math.inf:
-            second = best_t
-        return best_t, second, best_s
 
 
 def fragment_return(base: float, this_server: int, this_t: float,

@@ -169,9 +169,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     # CLI runs cache cell results by default (repeat invocations of the
     # same experiment at the same scale/seed/config hit the cache and
     # perform zero simulation steps); --no-cache forces fresh runs.
+    # The telemetry files were truncated above and only a simulated
+    # cell writes to them, so they turn the cache off as well.
     # The programmatic API (runner.sweep) stays uncached unless
     # explicitly configured, so tests and benchmarks always simulate.
-    set_sweep_defaults(jobs=args.jobs, cache=not args.no_cache,
+    telemetry = args.trace_out or args.timeline_out or args.audit_trace
+    set_sweep_defaults(jobs=args.jobs,
+                       cache=not (args.no_cache or telemetry),
                        cache_dir=args.cache_dir)
 
     if args.list or args.name is None:

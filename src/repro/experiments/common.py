@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.report import format_table
 from ..config import AuditConfig, ClusterConfig, ObsConfig
 from ..pfs.cluster import Cluster
+from ..results import format_table
 from ..units import GiB, KiB, MiB
 from ..workloads.base import Workload, run_workload
 

@@ -298,7 +298,7 @@ class RunReport:
 
     def format(self) -> str:
         """Printable summary (used by the CLI after traced runs)."""
-        from ..analysis.report import format_table
+        from ..results import format_table
         totals = self.breakdown_totals()
         total = sum(totals.values()) or 1.0
         rows = [[kind, round(seconds, 6), f"{seconds / total * 100:.1f}%"]

@@ -162,7 +162,7 @@ class _Request(Chain):
         parent.submit_time = env.now
         # The root span opens at submit_time and closes at complete_time
         # (same ticks, no waits between), so its duration equals the
-        # parent latency reported by analysis.metrics exactly.
+        # parent latency reported by RunResult.latencies exactly.
         obs = client.obs
         if obs is not None:
             # root() returns None for traces outside the 1-in-N sample;

@@ -215,11 +215,6 @@ class Process(Event):
         self._resume_cb = resume = self._resume
         _schedule(env, resume)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
-
     def _resume(self, event: Event) -> None:
         env = self.env
         # A loop, not recursion: yielding an already-processed event

@@ -14,9 +14,9 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-from ..analysis.metrics import RunResult
 from ..mpi.runtime import MPIRun, RankContext
 from ..pfs.cluster import Cluster
+from ..results import RunResult
 
 
 class Workload(abc.ABC):
@@ -47,13 +47,13 @@ class Workload(abc.ABC):
 
 
 def run_workload(cluster: Cluster, workload: Workload, drain: bool = True,
-                 warm_runs: int = 0, reset_after_warm: bool = True) -> RunResult:
+                 warm_runs: int = 0) -> RunResult:
     """Run ``workload`` on ``cluster`` and collect metrics.
 
     ``warm_runs`` untimed passes precede the measurement; they populate
     iBridge's SSD cache exactly the way earlier executions of the same
     program would.  Statistics and tracers are reset before the timed
-    pass when ``reset_after_warm`` is set.
+    pass whenever warm passes ran.
     """
     workload.prepare(cluster)
 
@@ -63,7 +63,7 @@ def run_workload(cluster: Cluster, workload: Workload, drain: bool = True,
         if drain:
             cluster.drain()
 
-    if warm_runs and reset_after_warm:
+    if warm_runs:
         _reset_measurement_state(cluster)
 
     start = cluster.env.now

@@ -92,3 +92,23 @@ def test_explicit_audit_override_wins(capsys):
     assert cli_main(["--list", "--audit"]) == 0
     cfg = base_config(audit=AuditConfig(enabled=False))
     assert not cfg.audit.enabled
+
+
+def test_cli_repeated_traced_run_records_again_regression(tmp_path, capsys):
+    # The CLI truncates the telemetry files before the run and only a
+    # simulated cell writes to them, so a second identical traced run
+    # that read its sweep cells from the result cache left them empty.
+    paths = {flag: tmp_path / name for flag, name in [
+        ("--trace-out", "spans.jsonl"), ("--timeline-out", "timeline.jsonl"),
+        ("--audit-trace", "audit.jsonl")]}
+    argv = ["gc", "--scale", "0.0005", "--cache-dir", str(tmp_path / "cache")]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    counts = []
+    for _ in range(2):
+        assert cli_main(argv) == 0
+        counts.append({flag: len(path.read_text().splitlines())
+                       for flag, path in paths.items()})
+    assert "no spans recorded" not in capsys.readouterr().out
+    assert all(counts[0].values())
+    assert counts[1] == counts[0]

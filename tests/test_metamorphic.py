@@ -15,7 +15,7 @@ import pytest
 from repro.devices.base import Op
 from repro.experiments.common import base_config
 from repro.pfs.cluster import Cluster
-from repro.sim.parallel import run_digest
+from repro.results import run_digest
 from repro.units import KiB
 from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest

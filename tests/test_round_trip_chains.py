@@ -64,8 +64,8 @@ from repro.pfs.client import PFSClient
 from repro.pfs.cluster import Cluster
 from repro.pfs.messages import ParentRequest, SubRequest
 from repro.pfs.server import DataServer
+from repro.results import run_digest
 from repro.sim import Environment, Event, core
-from repro.sim.parallel import run_digest
 from repro.units import KiB, MiB
 from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest

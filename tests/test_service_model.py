@@ -79,24 +79,31 @@ def test_return_sign_matches_t_direction(profile):
 
 # ---------------------------------------------------------------- T table
 def test_t_table_max_and_second():
+    """Eq. 3's ``T^sec_max`` is the largest T among the *other* siblings,
+    not the smallest: the boost is (3.0 − 2.0) * n, not (3.0 − 1.0) * n."""
     table = GlobalTTable()
     for server, t in [(0, 1.0), (1, 3.0), (2, 2.0)]:
         table.update(TReport(server=server, t_value=t, time=0.0))
-    t_max, t_sec, argmax = table.max_and_second([0, 1, 2])
-    assert (t_max, t_sec, argmax) == (3.0, 2.0, 1)
+    ret = fragment_return(0.0, this_server=1, this_t=3.0,
+                          sibling_servers=[0, 1, 2], n_siblings=2,
+                          table=table)
+    assert ret == pytest.approx((3.0 - 2.0) * 2)
 
 
 def test_t_table_missing_servers_skipped():
+    """Siblings with no broadcast T yet are skipped, not read as 0."""
     table = GlobalTTable()
     table.update(TReport(server=0, t_value=1.0, time=0.0))
-    t_max, t_sec, argmax = table.max_and_second([0, 7])
-    assert argmax == 0
-    assert t_max == t_sec == 1.0
+    table.update(TReport(server=1, t_value=0.5, time=0.0))
+    assert fragment_return(0.001, 0, 1.0, [7], 1, table) == 0.001
+    assert (fragment_return(0.0, 0, 1.0, [1, 7], 2, table)
+            == pytest.approx(fragment_return(0.0, 0, 1.0, [1], 2, table)))
+    assert fragment_return(0.0, 0, 1.0, [1, 7], 2, table) == pytest.approx(
+        (1.0 - 0.5) * 2)
 
 
 def test_t_table_empty():
     table = GlobalTTable()
-    assert table.max_and_second([1, 2]) == (0.0, 0.0, None)
     assert table.get(1) is None
 
 

@@ -24,7 +24,7 @@ from repro.obs.timeline import (CUMULATIVE_SERIES, KNOWN_SERIES,
                                 series_key, sparkline, summarize_series)
 from repro.obs.validate import validate_timeline_rows
 from repro.pfs.cluster import Cluster
-from repro.sim.parallel import run_digest
+from repro.results import run_digest
 from repro.units import KiB, MiB
 from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
