@@ -224,8 +224,7 @@ def run_episode_cell(spec: Dict) -> EpisodeResult:
     """Cell-shaped entry point for the experiments process pool.
 
     The fuzz loop fans episodes out through
-    :func:`repro.experiments.runner.run_cells` (cache off — a fuzz run
-    should actually run), so ``--jobs N`` gives the same order-stable
-    results as the experiment matrix does.
+    :func:`repro.experiments.runner.sweep`, so ``--jobs N`` gives the
+    same order-stable results as the experiment matrix does.
     """
     return run_episode(spec)

@@ -1,12 +1,11 @@
 """The fuzz loop: sample -> run -> (on failure) shrink -> record.
 
 Episodes fan out through the experiment matrix machinery
-(:func:`repro.experiments.runner.run_cells`) with the cache disabled,
-so ``--jobs N`` reuses the pool-worker context plumbing and keeps
-results in input order — the campaign digest is identical for every
-``N``.  Shrinking runs in-process afterwards: it is an adaptive search,
-each candidate depends on the previous verdict, so there is nothing to
-parallelize.
+(:func:`repro.experiments.runner.sweep`), so ``--jobs N`` reuses the
+pool-worker context plumbing and keeps results in input order — the
+campaign digest is identical for every ``N``.  Shrinking runs
+in-process afterwards: it is an adaptive search, each candidate
+depends on the previous verdict, so there is nothing to parallelize.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..experiments.runner import cell, run_cells, stable_hash
+from ..experiments.runner import cell, stable_hash, sweep
 from .corpus import Reproducer, save_reproducer
 from .episode import run_episode
 from .generator import sample_spec
@@ -71,7 +70,7 @@ def fuzz(seed: int, episodes: int, jobs: int = 1,
         specs = [sample_spec(seed, index + k) for k in range(count)]
         cells = [cell("repro.chaos.episode:run_episode_cell", spec=s)
                  for s in specs]
-        results = run_cells(cells, jobs=jobs, cache=False).results
+        results = sweep(cells, jobs=jobs)
         for k, result in enumerate(results):
             i = index + k
             report.results.append(result)

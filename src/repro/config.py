@@ -350,9 +350,9 @@ class ObsConfig:
     #: Build the metrics registry and run its sampler, the timeline
     #: recorder, every ``timeline_dt``.  The ticker adds heap entries
     #: (moving ``_seq`` and the engine's event count) but never reorders
-    #: other events or changes a simulated result; this config is part
-    #: of the experiment cache key because it changes the ``obs_*`` and
-    #: ``timeline_*`` result extras.
+    #: other events or changes a simulated result; the experiment runner
+    #: re-installs this config in its pool workers because it changes
+    #: the ``obs_*`` and ``timeline_*`` result extras.
     metrics: bool = True
     #: Spans retained in memory before counting drops.
     max_spans: int = 200_000

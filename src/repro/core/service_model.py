@@ -25,7 +25,7 @@ difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..config import IBridgeConfig, ReturnPolicy
 from ..devices.base import Device, Op
@@ -125,9 +125,6 @@ class GlobalTTable:
     def get(self, server: int) -> Optional[float]:
         rep = self._table.get(server)
         return rep.t_value if rep else None
-
-    def known_servers(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._table))
 
 
 def fragment_return(base: float, this_server: int, this_t: float,

@@ -3,12 +3,11 @@
 Runs one experiment (or ``all``) and prints its table(s).  The scale is
 the fraction of the paper's 10 GB working set to simulate.
 
-Sweep execution (``--jobs``, ``--no-cache``, ``--cache-dir``) is routed
-through :mod:`repro.experiments.runner`: experiments that decompose
-into independent cells fan them out over a process pool and reuse
-cached cell results across invocations.  Serial and parallel runs are
-bit-identical by construction; ``--no-cache`` forces every cell to
-simulate from scratch.
+Sweep execution (``--jobs``) is routed through
+:mod:`repro.experiments.runner`: experiments that decompose into
+independent cells fan them out over a process pool.  Serial and
+parallel runs are bit-identical by construction, and every cell
+simulates: no result is read back from an earlier invocation.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from ..config import AuditConfig, ObsConfig
 from .common import (DEFAULT_SCALE, set_default_audit, set_default_fault_plan,
                      set_default_obs, warn_if_oversubscribed)
 from .registry import EXPERIMENTS, get
-from .runner import default_cache_dir, set_sweep_defaults
+from .runner import set_sweep_defaults
 
 
 def _profiled(runner, kwargs, limit: int = 25):
@@ -67,12 +66,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="worker processes for the experiment matrix "
                              "(default 1 = in-process; results are "
                              "bit-identical at any N)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the on-disk result "
-                             "cache; every cell simulates from scratch")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help=f"result cache location (default "
-                             f"{default_cache_dir()!r})")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top-25 "
                              "cumulative entries (forces --jobs 1: "
@@ -166,17 +159,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.profile and args.jobs > 1:
         args.jobs = 1
 
-    # CLI runs cache cell results by default (repeat invocations of the
-    # same experiment at the same scale/seed/config hit the cache and
-    # perform zero simulation steps); --no-cache forces fresh runs.
-    # The telemetry files were truncated above and only a simulated
-    # cell writes to them, so they turn the cache off as well.
-    # The programmatic API (runner.sweep) stays uncached unless
-    # explicitly configured, so tests and benchmarks always simulate.
-    telemetry = args.trace_out or args.timeline_out or args.audit_trace
-    set_sweep_defaults(jobs=args.jobs,
-                       cache=not (args.no_cache or telemetry),
-                       cache_dir=args.cache_dir)
+    set_sweep_defaults(jobs=args.jobs)
 
     if args.list or args.name is None:
         print("available experiments:")

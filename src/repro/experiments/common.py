@@ -88,8 +88,8 @@ def set_default_fault_plan(plan) -> None:
 
 #: Process-wide observability default applied by :func:`base_config` —
 #: set by the CLI's ``--trace-out``/``--timeline-out`` flags so every
-#: cluster in a run is traced without per-experiment plumbing.  It is
-#: part of the runner's cache key because it changes a result's
+#: cluster in a run is traced without per-experiment plumbing.  The
+#: runner re-installs it in pool workers because it changes a result's
 #: ``obs_*``/``timeline_*`` extras; the timeline ticker never changes a
 #: simulated result.
 _DEFAULT_OBS: Optional[ObsConfig] = None

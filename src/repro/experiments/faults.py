@@ -33,7 +33,7 @@ from .common import (DEFAULT_SCALE, ExperimentResult, base_config, file_bytes,
                      measure, scaled_ibridge)
 from .runner import cell, sweep
 
-#: Scenario order is part of the table (and of the cache key).
+#: Scenario order is the table's row order.
 SCENARIOS = ("no faults", "ssd fail-stop, forfeit", "ssd removal, drain",
              "server crash + restart", "10% message loss", "aging disk x3")
 

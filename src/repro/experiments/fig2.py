@@ -133,7 +133,7 @@ def run_fig2cde(scale: float = DEFAULT_SCALE, nprocs: int = 64) -> ExperimentRes
                   scale=scale, request_size=size, offset=off, nprocs=nprocs)
              for _label, size, off in cases]
     for (label, _size, _off), raw in zip(cases, sweep(cells)):
-        # Cached/pickled dict keys stay ints; JSON-free transport keeps
+        # Pickled dict keys stay ints; JSON-free transport keeps
         # the histogram exact.
         dist = {int(k): v for k, v in raw.items()}
         top = sorted(dist.items(), key=lambda kv: -kv[1])[:3]

@@ -34,7 +34,7 @@ from .common import (DEFAULT_SCALE, ExperimentResult, base_config, file_bytes,
                      measure)
 from .runner import cell, sweep
 
-#: Policy order is part of the table (and of the cache key).
+#: Policy order is the table's row order.
 POLICIES = ("ftl off", "unsync", "sync", "stagger")
 
 

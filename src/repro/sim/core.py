@@ -481,7 +481,9 @@ class Environment:
         # The dispatch loop is the single hottest code in the package;
         # it is inlined here (rather than calling step()) with the
         # containers and heappop bound to locals.  Semantics match
-        # step() exactly.
+        # step() exactly.  One loop serves all three modes: with no
+        # ``until`` the stop checks never fire and it ends when the
+        # queue is empty.
         queue = self._queue
         urgent = self._urgent
         normal = self._normal
@@ -489,37 +491,6 @@ class Environment:
         cancelled = _CANCELLED
         method = MethodType
         done = _DONE
-        if stop_event is None and stop_time == float("inf"):
-            # Run-to-exhaustion fast path: no stop checks per event.
-            while True:
-                lane = urgent or normal
-                if lane:
-                    entry = (pop(queue) if queue and queue[0] < lane[0]
-                             else lane.popleft())
-                elif queue:
-                    entry = pop(queue)
-                else:
-                    break
-                when, _prio, _seq, event = entry
-                if type(event) is method:
-                    self._now = when
-                    event(done)
-                    continue
-                callbacks = event.callbacks
-                if callbacks is cancelled:
-                    continue
-                self._now = when
-                event.callbacks = None
-                event._processed = True
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-            return None
-
         while True:
             if stop_event is not None and stop_event._processed:
                 break

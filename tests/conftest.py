@@ -43,8 +43,9 @@ _server_mod.DataServer.__init__ = _audited_server_init
 @pytest.fixture(autouse=True)
 def _no_experiment_audit_override():
     """Keep the experiments' process-wide audit/obs hooks and sweep
-    defaults test-local: a CLI call turns the on-disk result cache on,
-    and a later experiment test must simulate, not read that cache."""
+    defaults test-local: a CLI call installs its ``--jobs`` and
+    telemetry defaults, and a later experiment test must not inherit
+    them."""
     yield
     _exp_common.set_default_audit(None)
     _exp_common.set_default_obs(None)

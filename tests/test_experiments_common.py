@@ -97,11 +97,12 @@ def test_explicit_audit_override_wins(capsys):
 def test_cli_repeated_traced_run_records_again_regression(tmp_path, capsys):
     # The CLI truncates the telemetry files before the run and only a
     # simulated cell writes to them, so a second identical traced run
-    # that read its sweep cells from the result cache left them empty.
+    # must simulate every cell again (one that read its sweep cells
+    # from a stored result left them empty).
     paths = {flag: tmp_path / name for flag, name in [
         ("--trace-out", "spans.jsonl"), ("--timeline-out", "timeline.jsonl"),
         ("--audit-trace", "audit.jsonl")]}
-    argv = ["gc", "--scale", "0.0005", "--cache-dir", str(tmp_path / "cache")]
+    argv = ["gc", "--scale", "0.0005"]
     for flag, path in paths.items():
         argv += [flag, str(path)]
     counts = []

@@ -252,7 +252,7 @@ def test_cli_timeline_out_with_csv_suffix_feeds_the_report_regression(
     # a second format after the whole experiment ran.
     from repro.experiments.cli import main
     timeline, report = tmp_path / "t.csv", tmp_path / "r.md"
-    assert main(["fig5", "--scale", "0.001", "--no-cache",
+    assert main(["fig5", "--scale", "0.001",
                  "--timeline-out", str(timeline),
                  "--report", str(report)]) == 0
     assert "## Timeline" in report.read_text(encoding="utf-8")
