@@ -68,8 +68,12 @@ class BlockQueue:
         # the entry a process would push.  The queue lives as long as
         # its device, so each step's bound method is made once.
         self._dispatch: Optional[Dispatch] = None
+        #: The open CFQ anticipation window's deadline (None when no
+        #: window is open): its arrival and deadline race on it.
+        self._window: Optional[Event] = None
         self._next_step = self._next
-        self._anticipated_step = self._anticipated
+        self._arrived_step = self._arrived
+        self._expired_step = self._expired
         self._served_step = self._served
         _schedule(env, self._next_step)
 
@@ -184,21 +188,28 @@ class BlockQueue:
                 return
             if idle_until is not None:
                 # CFQ anticipation: wait for either the idle deadline or
-                # a new arrival, whichever comes first.
-                arrival = self._arrival = env.event()
-                deadline = env.timeout(max(0.0, idle_until - env.now))
-                env.any_of([arrival, deadline]).callbacks.append(
-                    self._anticipated_step)
+                # a new arrival, whichever comes first.  The winner
+                # closes the window and schedules the next pass.
+                self._arrival = env.event()
+                self._arrival.callbacks.append(self._arrived_step)
+                self._window = env.timeout(max(0.0, idle_until - env.now))
+                self._window.callbacks.append(self._expired_step)
                 return
 
-    def _anticipated(self, anticipation: Event) -> None:
-        arrival = self._arrival
-        if arrival.callbacks is not None:
-            # Timed out with the arrival still pending: unhook the
-            # condition, or the two keep each other alive in a cycle
-            # once ``_arrival`` is replaced.
-            arrival.callbacks.remove(anticipation._check)
-        self._next(None)
+    def _arrived(self, _event: Event) -> None:
+        # The deadline, left in the heap, finds the window closed.
+        self._window = None
+        _schedule(self.env, self._next_step, 0)
+
+    def _expired(self, deadline: Event) -> None:
+        if deadline is not self._window:
+            # The deadline of a window its arrival already closed.
+            return
+        self._window = None
+        # The arrival has not fired (it would have closed the window):
+        # unhook it, or it would reopen the race when it fires.
+        self._arrival.callbacks.remove(self._arrived_step)
+        _schedule(self.env, self._next_step, 0)
 
     def _issue(self, dispatch: Dispatch) -> None:
         """Charge the device for ``dispatch`` and wait out its service."""

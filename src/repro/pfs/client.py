@@ -18,6 +18,7 @@ from ..devices.base import Op
 from ..errors import FaultError, ProtocolError, RequestTimeoutError
 from ..net import Network
 from ..sim import Chain, Environment, Event
+from ..sim.core import _schedule
 from ..util.rng import rng_stream
 from .layout import StripeLayout
 from .messages import ParentRequest, SubRequest
@@ -102,26 +103,6 @@ class PFSClient:
     def write(self, handle: int, offset: int, nbytes: int, rank: int) -> Event:
         return self.submit(Op.WRITE, handle, offset, nbytes, rank)
 
-    def _sub_round_trip(self, sub: SubRequest) -> Event:
-        """Request message -> server job -> response message.
-
-        The whole round trip is one *attempt*; with retry enabled (the
-        default) each attempt races a deadline, and a timed-out attempt
-        is re-issued after capped exponential backoff.  A lost request
-        or reply message, a crashed server, or a fail-stopped device all
-        look identical from here — no completion before the deadline —
-        which is exactly the failure model of a real RPC layer.  Retries
-        are at-least-once: a slow (not lost) attempt may still complete
-        after its deadline, and the server may serve a sub-request
-        twice; servers are idempotent for both reads and writes.
-
-        The returned event succeeds with ``sub``, or fails with
-        :class:`RequestTimeoutError` once the retry budget is spent.
-        """
-        finished = self.env.event()
-        _RoundTrip(self, sub, finished)
-        return finished
-
     def _attempt(self, sub: SubRequest, attempt_done: Event) -> None:
         """Start one attempt; a reply succeeds ``attempt_done``."""
         _Attempt(self, sub, self.servers[sub.server], attempt_done)
@@ -134,7 +115,10 @@ class PFSClient:
 # they see: their own timers, message deliveries and server replies)
 # rather than a generator, as are the server job (pfs/server.py) and
 # the block-queue runner (block/queue.py): a round trip starts no
-# process.
+# process.  Joins and races build no ``Condition`` either: a round trip
+# reports to a countdown on its request, and an attempt's reply and
+# deadline race on a first-wins flag; the step that resolves one pushes
+# a bare entry where the ``all_of``/``any_of`` would have succeeded.
 # tests/test_round_trip_chains.py keeps the equivalent generator bodies
 # and checks both schedule the same heap entries: keep statement order
 # in step with them (events, RNG draws, spans and counters).
@@ -142,9 +126,14 @@ class PFSClient:
 
 class _Request(Chain):
     """One application request: client overhead, split, and the wait
-    for the slowest sub-request."""
+    for the slowest sub-request.
 
-    __slots__ = ("client", "parent", "done", "root")
+    ``pending`` counts the round trips still to report; the first
+    failure (kept in ``error``) or the last success resolves the join
+    and sets it to 0, so later reports are absorbed.
+    """
+
+    __slots__ = ("client", "parent", "done", "root", "pending", "error")
 
     def __init__(self, client: PFSClient, parent: ParentRequest,
                  done: Event) -> None:
@@ -153,6 +142,7 @@ class _Request(Chain):
         self.parent = parent
         self.done = done
         self.root = None
+        self.error = None
         self._start(self._begin)
 
     def _begin(self, _event: Event) -> None:
@@ -196,17 +186,17 @@ class _Request(Chain):
         # A request is complete only when its slowest sub-request is —
         # the synchronous-request property the paper's analysis hinges
         # on.
-        env.all_of([client._sub_round_trip(sub) for sub in subs]
-                   ).callbacks.append(self._complete)
+        self.pending = len(subs)
+        for sub in subs:
+            _RoundTrip(self, sub)
 
-    def _complete(self, event: Event) -> None:
+    def _complete(self, _event) -> None:
         client = self.client
         env = self.env
         parent = self.parent
         root = self.root
-        if not event.ok:
-            event.defuse()
-            exc = event.value
+        exc = self.error
+        if exc is not None:
             if not isinstance(exc, FaultError):
                 raise exc
             # Retry exhaustion (or another injected-fault error) fails
@@ -233,18 +223,36 @@ class _Request(Chain):
 
 
 class _RoundTrip(Chain):
-    """The retry loop of one sub-request (see
-    :meth:`PFSClient._sub_round_trip`)."""
+    """One sub-request: request message -> server job -> response
+    message, reported to its request's join.
 
-    __slots__ = ("client", "sub", "finished", "completed", "deadline",
-                 "attempt", "start")
+    The whole round trip is one *attempt*; with retry enabled (the
+    default) each attempt races a deadline, and a timed-out attempt
+    is re-issued after capped exponential backoff.  A lost request
+    or reply message, a crashed server, or a fail-stopped device all
+    look identical from here — no completion before the deadline —
+    which is exactly the failure model of a real RPC layer.  Retries
+    are at-least-once: a slow (not lost) attempt may still complete
+    after its deadline, and the server may serve a sub-request
+    twice; servers are idempotent for both reads and writes.
 
-    def __init__(self, client: PFSClient, sub: SubRequest,
-                 finished: Event) -> None:
-        self.env = client.env
-        self.client = client
+    The round trip reports success with ``error`` None, or with the
+    :class:`RequestTimeoutError` in ``error`` once the retry budget is
+    spent.  ``racing`` is the first-wins flag of the current attempt's
+    race: set when it is issued, cleared by whichever of the reply and
+    the deadline comes first; a reply that finds it clear lost the race
+    or came during the backoff sleep.
+    """
+
+    __slots__ = ("request", "client", "sub", "error", "completed",
+                 "deadline", "racing", "attempt", "start")
+
+    def __init__(self, request: _Request, sub: SubRequest) -> None:
+        self.env = request.env
+        self.request = request
+        self.client = request.client
         self.sub = sub
-        self.finished = finished
+        self.error = None
         self._start(self._begin)
 
     def _begin(self, _event: Event) -> None:
@@ -269,6 +277,7 @@ class _RoundTrip(Chain):
         # fault window that started it reverts (found by
         # repro.chaos, seed 7).
         self.completed = env.event()
+        self.completed.callbacks.append(self._replied)
         self._try(None)
 
     def _try(self, _event) -> None:
@@ -294,13 +303,27 @@ class _RoundTrip(Chain):
             return
         client._attempt(self.sub, self.completed)
         self.deadline = deadline = env.timeout(retry.timeout)
-        env.any_of([self.completed, deadline]).callbacks.append(self._raced)
+        deadline.callbacks.append(self._timed_out)
+        self.racing = True
 
-    def _raced(self, event: Event) -> None:
-        if self.completed in event.value:
-            self.env.cancel(self.deadline)
-            self._succeed(None)
-            return
+    def _replied(self, _event: Event) -> None:
+        # A reply that finds the race closed (its deadline won, or it
+        # came during the backoff sleep) is picked up by the next _try.
+        if self.racing:
+            self.racing = False
+            _schedule(self.env, self._answered, 0)
+
+    def _timed_out(self, _event: Event) -> None:
+        # A deadline fires only into an open race: a reply that won
+        # cancelled it, and one at the same instant was pushed after it.
+        self.racing = False
+        _schedule(self.env, self._expired, 0)
+
+    def _answered(self, _event) -> None:
+        self.env.cancel(self.deadline)
+        self._succeed(None)
+
+    def _expired(self, _event) -> None:
         client = self.client
         sub = self.sub
         retry = client.config.retry
@@ -327,7 +350,7 @@ class _RoundTrip(Chain):
         if sub.span is not None and client.obs is not None:
             client.obs.finish(sub.span, self.env.now)
         client.outstanding -= 1
-        self.finished.succeed(sub)
+        _schedule(self.env, self._report, 0)
         self._end()
 
     def _give_up(self, exc: RequestTimeoutError, wallclock: bool) -> None:
@@ -336,8 +359,25 @@ class _RoundTrip(Chain):
         if wallclock:
             client.wallclock_exhausted += 1
         client.outstanding -= 1
-        self.finished.fail(exc)
+        self.error = exc
+        _schedule(self.env, self._report, 0)
         self._end()
+
+    def _report(self, _event) -> None:
+        """Count down on the request's join: the first failure or the
+        last success resolves it, and what reports after that is
+        absorbed."""
+        request = self.request
+        if not request.pending:
+            return
+        if self.error is not None:
+            request.error = self.error
+            request.pending = 0
+        else:
+            request.pending -= 1
+            if request.pending:
+                return
+        _schedule(self.env, request._complete, 0)
 
 
 class _Attempt(Chain):

@@ -27,7 +27,7 @@ from ..devices import HardDisk, Op, SolidStateDrive
 from ..devices.profiling import SeekProfile
 from ..localfs import LocalStore
 from ..sim import Chain, Environment, Event, Resource
-from ..sim.core import _notify
+from ..sim.core import _notify, _schedule
 from .messages import SubRequest
 
 
@@ -245,7 +245,7 @@ class _Job(Chain):
     order in step with it.
     """
 
-    __slots__ = ("server", "sub", "done", "epoch", "span", "wait")
+    __slots__ = ("server", "sub", "done", "epoch", "span", "wait", "pending")
 
     def __init__(self, server: DataServer, sub: SubRequest, done,
                  span) -> None:
@@ -299,10 +299,22 @@ class _Job(Chain):
         else:
             ranges = store.ranges_for_read(sub.handle, sub.local_offset,
                                            sub.nbytes)
-        reqs = [queue.submit(sub.op, lbn, size, stream=sub.rank,
-                             obs_parent=self.span)
-                for lbn, size in ranges]
-        self.env.all_of([r.done for r in reqs]).callbacks.append(self._served)
+        # The join on the block requests is a countdown: the last one
+        # to land schedules ``_served`` where an ``all_of`` would have
+        # succeeded (at once, for no ranges).
+        self.pending = len(ranges)
+        if not ranges:
+            _schedule(self.env, self._served, 0)
+            return
+        landed = self._landed
+        for lbn, size in ranges:
+            queue.submit(sub.op, lbn, size, stream=sub.rank,
+                         obs_parent=self.span).done.callbacks.append(landed)
+
+    def _landed(self, _event: Event) -> None:
+        self.pending -= 1
+        if not self.pending:
+            _schedule(self.env, self._served, 0)
 
     def _served(self, _event) -> None:
         server = self.server

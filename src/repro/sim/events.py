@@ -18,8 +18,12 @@ part of the engine's determinism contract; every inlined push must
 reproduce it exactly.  Most waits on the request path build no event at
 all: a wait only one step can see (a process or chain start, a chain's
 timer, a NIC or I/O-slot grant, a delivery to a chain) is a bare entry
-holding that step (:func:`repro.sim.core._schedule`), so an event here
-is one somebody else may wait on, race, cancel or read.
+holding that step (:func:`repro.sim.core._schedule`), and so are the
+request path's joins and races: the step that resolves a countdown or
+a first-wins race pushes a bare entry where a :class:`Condition` would
+have succeeded.  So an event here is one somebody else may wait on,
+race, cancel or read, and :class:`AllOf`/:class:`AnyOf` serve
+generators.
 """
 
 from __future__ import annotations

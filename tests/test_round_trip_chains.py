@@ -29,6 +29,8 @@ The cells cover stock and iBridge paths, fault plans (message loss,
 message delay with late replies, a server crash and restart, retry
 exhaustion, the ``retry.total_timeout`` cap, and on iBridge a slow
 disk, an SSD fail-stop and a paused disk queue) and retry disabled.
+A scripted CFQ queue checks the same for an anticipation deadline that
+fires after its arrival won, while a later window is open.
 """
 
 from __future__ import annotations
@@ -45,19 +47,22 @@ from typing import Deque, List, Optional
 
 import pytest
 
+from repro.block import queue as queue_module
 from repro.block import request as block_request
 from repro.block.blktrace import BlockTracer
-from repro.block.queue import BlockQueue
+from repro.block.queue import BlockQueue, make_scheduler
 from repro.block.request import Dispatch
 from repro.block.scheduler import Scheduler
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, HDDConfig, SchedulerConfig
 from repro.core import mapping
+from repro.devices import HardDisk
 from repro.devices.base import Device, Op
 from repro.errors import FaultError, RequestTimeoutError, SimulationError
 from repro.faults import (FaultEvent, FaultKind, FaultPlan, fail_slow,
                           server_outage, ssd_outage)
 from repro.net import network
 from repro.net.network import Network
+from repro.pfs import client as client_module
 from repro.pfs import messages
 from repro.pfs import server as server_module
 from repro.pfs.client import PFSClient
@@ -66,7 +71,8 @@ from repro.pfs.messages import ParentRequest, SubRequest
 from repro.pfs.server import DataServer
 from repro.results import run_digest
 from repro.sim import Environment, Event, core
-from repro.units import KiB, MiB
+from repro.sim.events import Condition
+from repro.units import MS, US, KiB, MiB
 from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
 
@@ -602,10 +608,8 @@ CLIENT_COUNTERS = ("timeouts", "retries", "exhausted",
                    "wallclock_exhausted", "failures", "outstanding")
 
 
-def _observe(monkeypatch, make, generators: bool) -> dict:
-    """Run one cell; everything the two paths must agree on."""
-    cfg, wl, plan, warm_runs = make()
-    popped = []
+def _record_pops(m, popped: list) -> None:
+    """Append each entry the engine pops, as ``(time, priority, seq)``."""
 
     def pop(heap):
         entry = heapq.heappop(heap)
@@ -618,13 +622,20 @@ def _observe(monkeypatch, make, generators: bool) -> dict:
             popped.append(entry[:3])
             return entry
 
+    m.setattr(core, "heappop", pop)
+    m.setattr(core, "deque", Lane)
+
+
+def _observe(monkeypatch, make, generators: bool) -> dict:
+    """Run one cell; everything the two paths must agree on."""
+    cfg, wl, plan, warm_runs = make()
+    popped = []
     with monkeypatch.context() as m:
         if generators:
             _install_generators(m)
         for module, name in ID_COUNTERS:
             m.setattr(module, name, itertools.count(1))
-        m.setattr(core, "heappop", pop)
-        m.setattr(core, "deque", Lane)
+        _record_pops(m, popped)
         cluster = Cluster(cfg, fault_plan=plan)
         result = error = None
         try:
@@ -764,6 +775,26 @@ def test_cells_reach_the_paths_they_are_here_for(monkeypatch):
         retry_step(self, event)
 
     monkeypatch.setattr(_RoundTrip, "_try", counted)
+    # Failures reported to a join an earlier failure already resolved.
+    absorbed = []
+    report = _RoundTrip._report
+
+    def reported(self, event):
+        absorbed.append(self.error is not None and not self.request.pending)
+        report(self, event)
+
+    monkeypatch.setattr(_RoundTrip, "_report", reported)
+    # CFQ anticipation deadlines that fire after their arrival won,
+    # while a later window is open.
+    stale = []
+    expired = BlockQueue._expired
+
+    def expiring(self, deadline):
+        stale.append(self._window is not None
+                     and self._window is not deadline)
+        expired(self, deadline)
+
+    monkeypatch.setattr(BlockQueue, "_expired", expiring)
 
     def run(cell):
         obs = _observe(monkeypatch, CELLS[cell], generators=False)
@@ -780,9 +811,15 @@ def test_cells_reach_the_paths_they_are_here_for(monkeypatch):
     assert totals["timeouts"] > 0 and totals["exhausted"] == 0
     assert 0 < sum(stragglers) < totals["retries"]
     assert run("server_crash")[1]["retries"] > 0
+    absorbed.clear()
     exhausted, totals = run("retry_exhaustion")
     assert exhausted["error"][0] == "RequestTimeoutError"
     assert "attempts" in exhausted["error"][1] and totals["failures"] == 1
+    # Both sub-requests of the failed parent gave up.
+    assert sum(absorbed) == 1 and totals["exhausted"] == 2
+    stale.clear()
+    run("stock_read")
+    assert any(stale)
     capped, totals = run("retry_total_timeout")
     assert "wall-clock" in capped["error"][1]
     assert totals["wallclock_exhausted"] >= 1
@@ -792,6 +829,57 @@ def test_cells_reach_the_paths_they_are_here_for(monkeypatch):
             if phase == "end"] == ["device_fail", "ssd_fail", "device_slow"]
     assert faulted["ibridge"]["ssd_outages"] == 1
     assert faulted["ibridge"]["ssd_redirected_writes"] > 0
+
+
+def _anticipation(monkeypatch, generators: bool) -> dict:
+    """One CFQ queue: stream 1's next read wins the anticipation window
+    its first read's completion opened, and is served before that
+    window's deadline, which then fires while the next window is open."""
+    popped = []
+    with monkeypatch.context() as m:
+        if generators:
+            _install_generators(m)
+        _record_pops(m, popped)
+        env = Environment()
+        queue = BlockQueue(env, HardDisk(HDDConfig()), make_scheduler(
+            SchedulerConfig(kind="cfq", idle_window=0.2 * MS)))
+        reqs = []
+
+        def script():
+            reqs.append(queue.submit(Op.READ, 0, 4 * KiB, stream=1))
+            reqs.append(queue.submit(Op.READ, 64 * MiB, 4 * KiB, stream=2))
+            yield reqs[0].done
+            # A sequential 4 KiB read is served in ~46 us.
+            yield env.timeout(50 * US)
+            reqs.append(queue.submit(Op.READ, 4 * KiB, 4 * KiB, stream=1))
+
+        env.process(script())
+        env.run()
+    return {"popped": popped, "seq": env._seq,
+            "served": [(r.dispatch_time, r.complete_time) for r in reqs],
+            "dispatches": queue.dispatches}
+
+
+def test_stale_anticipation_deadline_changes_nothing(monkeypatch):
+    """A deadline whose arrival won neither closes the window open when
+    it fires, before that window's own deadline, nor costs an entry."""
+    early = []
+    expired = BlockQueue._expired
+
+    def expiring(self, deadline):
+        window = self._window
+        if window is not None and window is not deadline:
+            early.extend(entry[0] > self.env.now for entry in self.env._queue
+                         if entry[3] is window)
+        expired(self, deadline)
+
+    monkeypatch.setattr(BlockQueue, "_expired", expiring)
+    chains = _anticipation(monkeypatch, generators=False)
+    assert early == [True]
+    assert chains == _anticipation(monkeypatch, generators=True)
+    # Stream 2 waited out both windows, behind stream 1's second read.
+    first, other, second = chains["served"]
+    assert first[1] < second[0] < second[1] < other[0]
 
 
 @pytest.mark.parametrize("cell", ["stock_read", "ibridge_read_warm"])
@@ -820,6 +908,44 @@ def test_no_process_per_sub_request(monkeypatch, cell):
     large, large_jobs = processes(8 * MiB)
     assert large_jobs >= 2 * small_jobs
     assert large == small
+
+
+@pytest.mark.parametrize("cell", ["stock_read", "ibridge_write_warm"])
+def test_no_condition_per_sub_request(monkeypatch, cell):
+    """Joins and races on the request path build no ``Condition``: the
+    stock path builds as many for 8 MiB as for 4 MiB, and on the
+    iBridge path the client, the server job and the block-queue runner
+    build none (the manager's generator joins still do)."""
+    built = collections.Counter()
+    init = Condition.__init__
+
+    def counted(self, env, events):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name in ("all_of", "any_of"):
+            frame = frame.f_back
+        built[frame.f_code.co_filename] += 1
+        init(self, env, events)
+
+    monkeypatch.setattr(Condition, "__init__", counted)
+    if cell == "ibridge_write_warm":
+        observed = _observe(monkeypatch, CELLS[cell], generators=False)
+        assert observed["error"] is None
+        request_path = {client_module.__file__, server_module.__file__,
+                        queue_module.__file__}
+        assert built and not request_path & set(built), built
+        return
+
+    def conditions(file_size):
+        built.clear()
+        cluster = Cluster(ClusterConfig(num_servers=4, seed=3))
+        run_workload(cluster, _reads(file_size=file_size))
+        return (sum(built.values()),
+                sum(s.stats.jobs for s in cluster.servers))
+
+    small, small_jobs = conditions(4 * MiB)
+    large, large_jobs = conditions(8 * MiB)
+    assert large_jobs >= 2 * small_jobs
+    assert large == small > 0
 
 
 #: The only non-generator code that may build a timeout: waits someone

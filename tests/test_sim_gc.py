@@ -1,7 +1,7 @@
 """The per-sub-request path must leave nothing for the cycle collector.
 
 A client -> network -> server -> block-queue round trip allocates
-processes, events, conditions and block requests.  Every one of them
+chains, events and block requests.  Every one of them
 must be freed by reference counting as soon as it is done: a reference
 cycle on that path hands every sub-request to CPython's cycle
 collector, whose gen0/gen1 passes then cost host time on every cell.
