@@ -36,8 +36,7 @@ class AuditRuntime:
         self.config = config
         self.trace = EventTrace(config.trace_path)
         self.violations: List[Dict] = []
-        self.watchdog = (LivelockWatchdog(env, self, config.watchdog_window)
-                         if config.watchdog else None)
+        self.watchdog = LivelockWatchdog(env, self, config.watchdog_window)
         self._managers: List["ManagerAuditor"] = []
         #: Number of injected faults currently active (repro.faults).
         self.active_faults = 0
@@ -50,14 +49,12 @@ class AuditRuntime:
         from .invariants import ManagerAuditor
         auditor = ManagerAuditor(manager, self)
         self._managers.append(auditor)
-        if self.watchdog is not None:
-            self.watchdog.watch_manager(manager)
+        self.watchdog.watch_manager(manager)
         return auditor
 
     def watch_queue(self, queue: "BlockQueue") -> None:
         """Register a block queue for stall detection."""
-        if self.watchdog is not None:
-            self.watchdog.watch_queue(queue)
+        self.watchdog.watch_queue(queue)
 
     # ------------------------------------------------------------- faults
     def fault_begin(self, kind: str, stalling: bool = True,
@@ -128,8 +125,7 @@ class AuditRuntime:
             "violations": len(self.violations),
             "checks": sorted({str(v.get("check", "?"))
                               for v in self.violations}),
-            "watchdog_fired": (self.watchdog.fired
-                               if self.watchdog is not None else 0),
+            "watchdog_fired": self.watchdog.fired,
             "first": (None if first is None else
                       {"check": first.get("check"),
                        "message": first.get("message"),
@@ -144,8 +140,7 @@ class AuditRuntime:
 
     def stop(self) -> None:
         """Stop the watchdog (end of simulation) and flush the trace."""
-        if self.watchdog is not None:
-            self.watchdog.stop()
+        self.watchdog.stop()
         self.trace.flush()
 
     def summary(self) -> Dict[str, int]:

@@ -1,6 +1,5 @@
-"""Block layer: requests, elevators/schedulers, tracing, device queues."""
+"""Block layer: requests, elevators/schedulers, device queues."""
 
-from .blktrace import BlockTracer, TraceRecord
 from .cfq import CFQScheduler
 from .queue import BlockQueue, make_scheduler
 from .request import BlockRequest, Dispatch
@@ -15,6 +14,4 @@ __all__ = [
     "CFQScheduler",
     "BlockQueue",
     "make_scheduler",
-    "BlockTracer",
-    "TraceRecord",
 ]

@@ -3,7 +3,7 @@
 One :class:`BlockQueue` per physical device.  Submitted requests enter
 the scheduler; a single runner (a callback chain) repeatedly asks the
 scheduler for the next dispatch, charges the device model for it,
-records it in the tracer, and completes the member requests.  The
+and completes the member requests.  The
 runner honours CFQ idle hints (wait briefly for an anticipated request)
 and exposes idle state so iBridge's writeback daemon can run "during
 quiet I/O-device periods" as the paper specifies.
@@ -18,7 +18,6 @@ from ..devices.base import Device, Op
 from ..errors import StorageError
 from ..sim import Environment, Event
 from ..sim.core import _schedule
-from .blktrace import BlockTracer
 from .cfq import CFQScheduler
 from .request import BlockRequest, Dispatch
 from .scheduler import DeadlineScheduler, NoopScheduler, Scheduler
@@ -39,14 +38,10 @@ class BlockQueue:
     """Queue + runner for one device."""
 
     def __init__(self, env: Environment, device: Device,
-                 scheduler: Scheduler, tracer: Optional[BlockTracer] = None,
-                 name: str = "blkq") -> None:
+                 scheduler: Scheduler, name: str = "blkq") -> None:
         self.env = env
         self.device = device
         self.scheduler = scheduler
-        # Note: an empty BlockTracer is falsy (it defines __len__), so an
-        # explicit None test is required here.
-        self.tracer = tracer if tracer is not None else BlockTracer(enabled=False)
         #: Observability tracer (:class:`repro.obs.span.Tracer`); wired
         #: by the cluster's ObsRuntime, None on untraced runs.
         self.obs = None
@@ -217,17 +212,11 @@ class BlockQueue:
         now = env.now
         self._busy = True
         # How long the device sat idle before this dispatch: rotational
-        # state decays across idle gaps (see HDDConfig.sweep_idle_reset).
+        # state decays across idle gaps (see hdd.SWEEP_IDLE_RESET).
         idle_gap = max(0.0, now - self._last_service_end)
         service = self.device.serve(dispatch.op, dispatch.lbn, dispatch.nbytes,
                                     idle_gap=idle_gap)
         self.dispatches += 1
-        # Zero-cost when tracing is off: skip the record() call frame
-        # (and its TraceRecord build) on every dispatch.
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.record(now, dispatch.op, dispatch.lbn,
-                          dispatch.nbytes, len(dispatch.members))
         obs = self.obs
         if obs is not None:
             # GC/storm share of this service time (SSD FTL model);

@@ -64,25 +64,14 @@ class HDDConfig:
     #: Extra positioning for small non-contiguous writes: sub-page
     #: boundaries force read-modify-write plus an extra rotation.  Large
     #: writes amortize this through the page cache and pay only
-    #: ``write_large_penalty``.
+    #: ``repro.devices.hdd.WRITE_LARGE_PENALTY``.
     write_settle: float = 7.0 * MS
-    write_settle_threshold: int = 20 * 1024
-    write_large_penalty: float = 0.3 * MS
     #: Forward window within which a *write* is priced as a sweep
     #: continuation.  Much smaller than ``skip_window``: an isolated
     #: write landing ahead of the head still pays its read-modify-write
     #: penalty unless it is part of a dense ascending burst (e.g. the
     #: iBridge writeback daemon's sorted batches).
     write_sweep_window: int = 256 * 1024
-    #: A sweep is only a sweep while the device stays busy: if the disk
-    #: idled longer than this between dispatches, the platter has
-    #: rotated away and the next write pays a full reposition even when
-    #: it is forward-adjacent.  This is what makes a synchronous stream
-    #: of tiny writes (BTIO) slow on the stock system.
-    sweep_idle_reset: float = 0.3 * MS
-    #: Contiguity slack: a request starting within this many bytes of the
-    #: current head position is treated as (near-)sequential.
-    contiguity_slack: int = 0
     #: Maximum forward distance servable by letting the media pass under
     #: the head (cost = distance / transfer rate) instead of a re-seek.
     #: The model charges min(pass-over, seek + rotation) for forward
@@ -97,17 +86,32 @@ class HDDConfig:
             raise ConfigError("HDD bandwidths must be positive")
         if self.seek_full < self.seek_base:
             raise ConfigError("seek_full must be >= seek_base")
-        if min(self.seek_base, self.rotational_miss, self.write_settle,
-               self.write_large_penalty) < 0:
+        if min(self.seek_base, self.rotational_miss, self.write_settle) < 0:
             raise ConfigError("HDD latencies must be non-negative")
         if self.skip_window < 0:
             raise ConfigError("skip_window must be non-negative")
-        if self.write_settle_threshold < 0:
-            raise ConfigError("write_settle_threshold must be non-negative")
         if self.write_sweep_window < 0:
             raise ConfigError("write_sweep_window must be non-negative")
-        if self.sweep_idle_reset < 0:
-            raise ConfigError("sweep_idle_reset must be non-negative")
+
+
+# ---- FTL / garbage-collection constants (repro.devices.ftl) -----------
+# Here rather than in repro.devices because SSDConfig.validate's
+# over-provisioning check reads the FTL geometry.
+
+#: Flash page size (the FTL's mapping granularity).
+FTL_PAGE_SIZE = 4 * KiB
+#: Pages per erase block (64 x 4 KiB = 256 KiB erase blocks).
+FTL_PAGES_PER_BLOCK = 64
+#: Time to erase one block.
+GC_ERASE_TIME = 2.0 * MS
+#: Foreground GC charge cap per command in "throttle" mode; "pause"
+#: mode charges a whole collection burst to the unlucky command.
+GC_SLICE = 1.5 * MS
+#: Stagger policy: length of one drive's collection turn.
+GC_STAGGER_SLOT = 20 * MS
+#: Upper bound of the uniform extra read latency while a drive is
+#: under GC pressure (read/program/erase contention on the chip).
+GC_READ_JITTER = 1.0 * MS
 
 
 @dataclass(frozen=True)
@@ -132,10 +136,6 @@ class SSDConfig:
     #: write-amplification ledger, and GC-window read variability.
     #: Off by default — the plain Table-II timing model is unchanged.
     ftl_enabled: bool = False
-    #: Flash page size (the FTL's mapping granularity).
-    ftl_page_size: int = 4 * KiB
-    #: Pages per erase block (64 x 4 KiB = 256 KiB erase blocks).
-    ftl_pages_per_block: int = 64
     #: Physical capacity = logical capacity * (1 + over-provision).
     ftl_over_provision: float = 0.25
     #: Foreground GC engages when the free-block fraction drops below
@@ -143,11 +143,6 @@ class SSDConfig:
     gc_low_watermark: float = 0.10
     #: ...and collects until it climbs back above this.
     gc_high_watermark: float = 0.25
-    #: Time to erase one block.
-    gc_erase_time: float = 2.0 * MS
-    #: Foreground GC charge cap per command in "throttle" mode; "pause"
-    #: mode charges a whole collection burst to the unlucky command.
-    gc_slice: float = 1.5 * MS
     #: "throttle" (spread GC stalls over commands) or "pause"
     #: (stop-and-collect bursts).
     gc_mode: str = "throttle"
@@ -158,11 +153,6 @@ class SSDConfig:
     #: across stripes), or "stagger" (round-robin time slots; at most
     #: one drive collects at a time).
     gc_policy: str = "unsync"
-    #: Stagger policy: length of one drive's collection turn.
-    gc_stagger_slot: float = 20 * MS
-    #: Upper bound of the uniform extra read latency while a drive is
-    #: under GC pressure (read/program/erase contention on the chip).
-    gc_read_jitter: float = 1.0 * MS
 
     def validate(self) -> None:
         if self.capacity <= 0:
@@ -171,34 +161,23 @@ class SSDConfig:
             raise ConfigError("SSD bandwidths must be positive")
         if min(self.read_setup, self.write_setup) < 0:
             raise ConfigError("SSD setup times must be non-negative")
-        if self.ftl_page_size <= 0:
-            raise ConfigError("ftl_page_size must be positive")
-        if self.ftl_pages_per_block < 2:
-            raise ConfigError("ftl_pages_per_block must be >= 2")
         if self.ftl_over_provision <= 0:
             raise ConfigError("ftl_over_provision must be positive")
         if not 0.0 < self.gc_low_watermark < self.gc_high_watermark < 1.0:
             raise ConfigError(
                 "GC watermarks need 0 < low < high < 1, got "
                 f"{self.gc_low_watermark}/{self.gc_high_watermark}")
-        if self.gc_erase_time < 0 or self.gc_slice < 0:
-            raise ConfigError("GC times must be non-negative")
         if self.gc_mode not in ("throttle", "pause"):
             raise ConfigError(f"unknown gc_mode {self.gc_mode!r}")
         if self.gc_policy not in ("unsync", "sync", "stagger"):
             raise ConfigError(f"unknown gc_policy {self.gc_policy!r}")
-        if self.gc_stagger_slot <= 0:
-            raise ConfigError("gc_stagger_slot must be positive")
-        if self.gc_read_jitter < 0:
-            raise ConfigError("gc_read_jitter must be non-negative")
         if self.ftl_enabled:
-            pages = -(-self.capacity // self.ftl_page_size)
+            pages = -(-self.capacity // FTL_PAGE_SIZE)
             spare = int(pages * self.ftl_over_provision)
-            if spare < 4 * self.ftl_pages_per_block:
+            if spare < 4 * FTL_PAGES_PER_BLOCK:
                 raise ConfigError(
                     "FTL over-provisioning must cover at least 4 erase "
-                    "blocks; shrink ftl_pages_per_block or raise "
-                    "ftl_over_provision/capacity")
+                    "blocks; raise ftl_over_provision/capacity")
 
 
 @dataclass(frozen=True)
@@ -243,6 +222,10 @@ class SchedulerConfig:
             raise ConfigError("merge_window must be non-negative")
 
 
+#: The SSD's block scheduler: Noop, as on the paper's testbed.
+SSD_SCHEDULER = SchedulerConfig(kind="noop")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Interconnect model (dual-rail 4X QDR InfiniBand in the paper)."""
@@ -285,8 +268,6 @@ class IBridgeConfig:
     writeback_idle: float = 2.0 * MS
     #: Max bytes coalesced into one writeback pass batch.
     writeback_batch: int = 4 * MiB
-    #: Admit read-miss data into the SSD cache (pre-loading for reruns).
-    admit_reads: bool = True
     #: Use the striping-magnification sibling term of Eq. 3.
     use_sibling_term: bool = True
 
@@ -319,8 +300,6 @@ class AuditConfig:
     #: When False, violations are recorded on the runtime (and traced)
     #: but the run continues — useful for surveying a misbehaving run.
     strict: bool = True
-    #: Run the livelock/stall watchdog process.
-    watchdog: bool = True
     #: Simulated seconds without a single block-request completion
     #: (while work is pending) before the watchdog fires.  Device
     #: service times are ms-scale, so seconds of silence mean a stall.
@@ -338,10 +317,10 @@ class AuditConfig:
 class ObsConfig:
     """The observability layer (:mod:`repro.obs`): tracing + metrics.
 
-    Disabled by default, following the ``BlockTracer`` pattern: with
-    ``enabled`` False no tracer or registry is built, instrumented
-    sites see a ``None`` attribute, and a run pays one attribute load
-    per site (``python -m benchmarks.perf.obs_bench`` times every tier).
+    Disabled by default: with ``enabled`` False no tracer or registry
+    is built, instrumented sites see a ``None`` attribute, and a run
+    pays one attribute load per site (``python -m
+    benchmarks.perf.obs_bench`` times every tier).
     """
 
     enabled: bool = False
@@ -354,18 +333,10 @@ class ObsConfig:
     #: re-installs this config in its pool workers because it changes
     #: the ``obs_*`` and ``timeline_*`` result extras.
     metrics: bool = True
-    #: Spans retained in memory before counting drops.
-    max_spans: int = 200_000
-    #: Append span JSONL here at end of run (None = in-memory only).
+    #: Stream span JSONL here as spans close, appended in batches of
+    #: ``repro.obs.runtime.FLUSH_SPANS`` and drained at end of run
+    #: (None = in-memory only).
     trace_path: Optional[str] = None
-    #: Stream spans to ``trace_path`` incrementally: after this many
-    #: span closures the pending batch is appended and fsync-flushed, so
-    #: traces from aborted / OOM-killed / budget-killed runs survive up
-    #: to the last batch instead of vanishing with ``finish_run``.
-    #: ``0`` restores export-at-end-of-run-only.  Purely I/O-side: the
-    #: flush is driven by span closures, not by a sim process, so it
-    #: never perturbs event schedules.
-    flush_spans: int = 256
     #: Sim-seconds between timeline ticks (:mod:`repro.obs.timeline`).
     #: Each tick snapshots every registry gauge and counter (cumulative
     #: series as per-second rates) into a bounded ring buffer.  Unused
@@ -388,10 +359,6 @@ class ObsConfig:
     def validate(self) -> None:
         if self.timeline_dt <= 0:
             raise ConfigError("timeline_dt must be positive")
-        if self.max_spans < 0:
-            raise ConfigError("max_spans must be non-negative")
-        if self.flush_spans < 0:
-            raise ConfigError("flush_spans must be non-negative")
         if self.trace_sample_n < 1:
             raise ConfigError("trace_sample_n must be >= 1")
         if self.enabled and not (self.trace or self.metrics):
@@ -479,7 +446,6 @@ class ClusterConfig:
     hdd: HDDConfig = field(default_factory=HDDConfig)
     ssd: SSDConfig = field(default_factory=SSDConfig)
     hdd_scheduler: SchedulerConfig = field(default_factory=lambda: SchedulerConfig(kind="cfq"))
-    ssd_scheduler: SchedulerConfig = field(default_factory=lambda: SchedulerConfig(kind="noop"))
     network: NetworkConfig = field(default_factory=NetworkConfig)
     server: ServerConfig = field(default_factory=ServerConfig)
     ibridge: IBridgeConfig = field(default_factory=IBridgeConfig)
@@ -517,7 +483,6 @@ class ClusterConfig:
         self.hdd.validate()
         self.ssd.validate()
         self.hdd_scheduler.validate()
-        self.ssd_scheduler.validate()
         self.network.validate()
         self.server.validate()
         self.ibridge.validate()

@@ -425,8 +425,7 @@ class IBridgeManager:
 
         # Pre-loading: a miss by a redirection candidate with a positive
         # return is copied into the SSD later, when the device is idle.
-        if (disk_bytes and self.ib.admit_reads and self._log is not None
-                and self.ssd_available):
+        if disk_bytes and self._log is not None and self.ssd_available:
             kind = self._classify(sub)
             if kind is not None and self.partition.admissible(kind, sub.nbytes):
                 lbn = self.disk_store.ranges_for_read(

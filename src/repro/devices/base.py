@@ -10,7 +10,8 @@ exactly one request at a time.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import DeviceFailedError, StorageError
@@ -37,6 +38,9 @@ class DeviceStats:
     bytes_written: int = 0
     busy_time: float = 0.0
     positioning_time: float = 0.0
+    #: Served reads by size in bytes: the dispatch-size histograms of
+    #: the paper's Figs. 2(c)-(e) and 5, which it took with blktrace.
+    read_sizes: Counter = field(default_factory=Counter)
 
     @property
     def total_requests(self) -> int:
@@ -154,6 +158,7 @@ class Device(abc.ABC):
         else:
             self.stats.reads += 1
             self.stats.bytes_read += nbytes
+            self.stats.read_sizes[nbytes] += 1
         return pos + xfer + extra
 
     def reset_stats(self) -> None:

@@ -8,10 +8,10 @@ writes pay an additional settle penalty, which reproduces the paper's
 observation (Table II, Fig. 4) that unaligned *writes* suffer roughly
 three times more than unaligned reads on the stock system.
 
-Contiguous requests (starting exactly at the head position, within the
-configured slack) stream at the sequential bandwidth with no
-positioning cost — this is what makes large merged dispatches efficient
-and small interleaved fragments expensive, the paper's core physics.
+Contiguous requests (starting exactly at the head position) stream at
+the sequential bandwidth with no positioning cost — this is what makes
+large merged dispatches efficient and small interleaved fragments
+expensive, the paper's core physics.
 """
 
 from __future__ import annotations
@@ -19,7 +19,20 @@ from __future__ import annotations
 import math
 
 from ..config import HDDConfig
+from ..units import MS
 from .base import Device, Op
+
+#: Writes smaller than this pay ``HDDConfig.write_settle`` when they
+#: reposition; larger ones amortize the read-modify-write through the
+#: page cache and pay only ``WRITE_LARGE_PENALTY``.
+WRITE_SETTLE_THRESHOLD = 20 * 1024
+WRITE_LARGE_PENALTY = 0.3 * MS
+#: A sweep is only a sweep while the device stays busy: if the disk
+#: idled longer than this between dispatches, the platter has
+#: rotated away and the next write pays a full reposition even when
+#: it is forward-adjacent.  This is what makes a synchronous stream
+#: of tiny writes (BTIO) slow on the stock system.
+SWEEP_IDLE_RESET = 0.3 * MS
 
 
 class SeekCurve:
@@ -65,7 +78,7 @@ class HardDisk(Device):
         self._rotated_away = False
 
     def notice_idle(self, idle_gap: float) -> None:
-        if idle_gap > self.config.sweep_idle_reset:
+        if idle_gap > SWEEP_IDLE_RESET:
             self._rotated_away = True
 
     def _after_serve(self) -> None:
@@ -73,7 +86,7 @@ class HardDisk(Device):
 
     def is_contiguous(self, lbn: int) -> bool:
         """True when a request at ``lbn`` continues the current stream."""
-        return abs(lbn - self._head) <= self.config.contiguity_slack
+        return lbn == self._head
 
     def positioning_time(self, op: Op, lbn: int, nbytes: int) -> float:
         if self.is_contiguous(lbn):
@@ -96,19 +109,18 @@ class HardDisk(Device):
         # sequential sweep (batched read-modify-write, minor penalty); a
         # genuine reposition pays the full settle for small writes.  A
         # sweep is only available while the device stayed busy — once it
-        # idled, the platter rotated away (see sweep_idle_reset).
+        # idled, the platter rotated away (see SWEEP_IDLE_RESET).
         jump = reposition + self._write_penalty(nbytes)
         if 0 < delta <= self.config.write_sweep_window and not self._rotated_away:
-            sweep = (delta / self.config.seq_read_bw
-                     + self.config.write_large_penalty)
+            sweep = delta / self.config.seq_read_bw + WRITE_LARGE_PENALTY
             return min(sweep, jump)
         return jump
 
     def _write_penalty(self, nbytes: int) -> float:
-        """Extra cost of a repositioned (non-sweep) write (see HDDConfig)."""
-        if nbytes < self.config.write_settle_threshold:
+        """Extra cost of a repositioned (non-sweep) write."""
+        if nbytes < WRITE_SETTLE_THRESHOLD:
             return self.config.write_settle
-        return self.config.write_large_penalty
+        return WRITE_LARGE_PENALTY
 
     def transfer_time(self, op: Op, nbytes: int) -> float:
         bw = self.config.seq_write_bw if op.is_write else self.config.seq_read_bw

@@ -23,7 +23,7 @@ page-mapped FTL/GC model from :mod:`repro.devices.ftl`: writes program
 pages, garbage collection copies live pages and erases blocks, and the
 time that work costs is charged to foreground commands through
 :meth:`service_extra` — as one stop-and-collect stall (``gc_mode =
-"pause"``) or spread in ``gc_slice`` instalments (``"throttle"``).
+"pause"``) or spread in ``GC_SLICE`` instalments (``"throttle"``).
 Reads served during a GC window pay a seeded uniform jitter term
 (read/program/erase contention on the chip), the dominant tail
 contributor in SSD read-variability studies.  ``last_gc_stall`` exposes
@@ -33,7 +33,8 @@ pause spans for ``critical_path`` attribution.
 
 from __future__ import annotations
 
-from ..config import SSDConfig
+from ..config import (FTL_PAGE_SIZE, FTL_PAGES_PER_BLOCK, GC_ERASE_TIME,
+                      GC_READ_JITTER, GC_SLICE, SSDConfig)
 from ..util.rng import rng_stream
 from .base import Device, Op
 from .ftl import FlashTranslationLayer
@@ -56,8 +57,7 @@ class SolidStateDrive(Device):
         self.ftl: FlashTranslationLayer | None = None
         if self.config.ftl_enabled:
             self.ftl = FlashTranslationLayer(
-                self.config.capacity, self.config.ftl_page_size,
-                self.config.ftl_pages_per_block,
+                self.config.capacity, FTL_PAGE_SIZE, FTL_PAGES_PER_BLOCK,
                 self.config.ftl_over_provision)
         self._collecting = False
         self._gc_debt = 0.0
@@ -103,7 +103,7 @@ class SolidStateDrive(Device):
 
     def gc_storm_begin(self) -> None:
         """Enter a GC-storm window (chaos fault): every command stalls
-        one ``gc_slice`` and reads jitter, FTL or not."""
+        one ``GC_SLICE`` and reads jitter, FTL or not."""
         self._storm_depth += 1
         if self.obs_mark is not None:
             self.obs_mark("gc_storm_begin")
@@ -131,10 +131,10 @@ class SolidStateDrive(Device):
     def _gc_step_cost(self, copied_pages: int) -> float:
         """Time one collection burst step costs the drive: read + program
         the copied pages, then erase the reclaimed block."""
-        nbytes = copied_pages * self.config.ftl_page_size
+        nbytes = copied_pages * FTL_PAGE_SIZE
         return (nbytes / self.config.seq_read_bw
                 + nbytes / self.config.seq_write_bw
-                + self.config.gc_erase_time)
+                + GC_ERASE_TIME)
 
     def _gc_charge(self, min_free: int) -> float:
         """Run the collector as policy allows; return this command's
@@ -167,7 +167,7 @@ class SolidStateDrive(Device):
         if cfg.gc_mode == "pause":
             charge = self._gc_debt
         else:
-            charge = min(self._gc_debt, cfg.gc_slice)
+            charge = min(self._gc_debt, GC_SLICE)
         self._gc_debt -= charge
         return charge
 
@@ -215,17 +215,15 @@ class SolidStateDrive(Device):
             # erased blocks to land in.
             min_free = 2
             if op.is_write:
-                block_bytes = (self.config.ftl_page_size
-                               * self.config.ftl_pages_per_block)
-                min_free = 2 + -(-nbytes // block_bytes)
+                min_free = 2 + -(-nbytes // (FTL_PAGE_SIZE
+                                             * FTL_PAGES_PER_BLOCK))
             stall += self._gc_charge(min_free)
             if op.is_write:
                 self.ftl.host_write(lbn, nbytes)
         if self._storm_depth > 0:
-            stall += self.config.gc_slice
-        if (not op.is_write and self.config.gc_read_jitter > 0
-                and (stall > 0.0 or self.gc_active)):
-            stall += float(self._rng.random()) * self.config.gc_read_jitter
+            stall += GC_SLICE
+        if not op.is_write and (stall > 0.0 or self.gc_active):
+            stall += float(self._rng.random()) * GC_READ_JITTER
         self._heads[op] = lbn + nbytes
         self.last_gc_stall = stall
         self.gc_stall_time += stall

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from ..config import AuditConfig, ClusterConfig, ObsConfig
 from ..pfs.cluster import Cluster
 from ..results import format_table
-from ..units import GiB, KiB, MiB
+from ..units import GiB, KiB, MiB, to_sectors
 from ..workloads.base import Workload, run_workload
 
 #: Default fraction of the paper's 10 GB dataset (128 MiB) — big enough
@@ -150,7 +150,7 @@ def scaled_ibridge(cfg: ClusterConfig, scale: float,
 
 
 def measure(cfg: ClusterConfig, workload: Workload, warm_runs: int = 0,
-            trace_disk: bool = False, fault_plan=None):
+            fault_plan=None):
     """Build a fresh cluster, run the workload, return (result, cluster).
 
     ``fault_plan`` (or, when omitted, the process-wide default installed
@@ -158,6 +158,20 @@ def measure(cfg: ClusterConfig, workload: Workload, warm_runs: int = 0,
     faults; the result then carries the fault/recovery telemetry.
     """
     plan = fault_plan if fault_plan is not None else _DEFAULT_FAULT_PLAN
-    cluster = Cluster(cfg, trace_disk=trace_disk, fault_plan=plan)
+    cluster = Cluster(cfg, fault_plan=plan)
     result = run_workload(cluster, workload, warm_runs=warm_runs)
     return result, cluster
+
+
+def read_dispatch_fractions(cluster: Cluster) -> Dict[int, float]:
+    """{size in 512-byte sectors: fraction of the disks' read dispatches},
+    over every disk of every server, sorted by size — the data of the
+    paper's blktrace histograms (Figs. 2(c)-(e) and 5)."""
+    counts: Dict[int, int] = {}
+    for server in cluster.servers:
+        for unit in server.disks:
+            for nbytes, n in unit.hdd.stats.read_sizes.items():
+                sectors = to_sectors(nbytes)
+                counts[sectors] = counts.get(sectors, 0) + n
+    total = sum(counts.values()) or 1
+    return {sectors: n / total for sectors, n in sorted(counts.items())}

@@ -22,7 +22,7 @@ from ..devices.base import Op
 from ..units import KiB
 from ..workloads.mpi_io_test import MpiIoTest
 from .common import (DEFAULT_SCALE, ExperimentResult, base_config, file_bytes,
-                     measure)
+                     measure, read_dispatch_fractions)
 from .runner import cell, sweep
 
 #: Paper reference points (MB/s) quoted in Section I-A.
@@ -107,13 +107,8 @@ def _cell_dispatch_histogram(scale: float, request_size: int, offset: int,
     wl = MpiIoTest(nprocs=nprocs, request_size=request_size,
                    file_size=file_bytes(scale, nprocs, request_size),
                    op=Op.READ, offset_shift=offset)
-    _res, cluster = measure(cfg, wl, trace_disk=True)
-    merged: Dict[int, int] = {}
-    for server in cluster.servers:
-        for size, count in server.disk_tracer.size_histogram(Op.READ).items():
-            merged[size] = merged.get(size, 0) + count
-    total = sum(merged.values()) or 1
-    return {size: count / total for size, count in sorted(merged.items())}
+    _res, cluster = measure(cfg, wl)
+    return read_dispatch_fractions(cluster)
 
 
 def run_fig2cde(scale: float = DEFAULT_SCALE, nprocs: int = 64) -> ExperimentResult:

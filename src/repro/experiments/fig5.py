@@ -7,15 +7,11 @@ to large (≥128-sector) requests.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..devices.base import Op
 from ..units import KiB
-from ..workloads.base import run_workload
 from ..workloads.mpi_io_test import MpiIoTest
-from ..pfs.cluster import Cluster
 from .common import (DEFAULT_SCALE, ExperimentResult, base_config, file_bytes,
-                     scaled_ibridge)
+                     measure, read_dispatch_fractions, scaled_ibridge)
 
 
 def run(scale: float = DEFAULT_SCALE, nprocs: int = 64) -> ExperimentResult:
@@ -24,14 +20,8 @@ def run(scale: float = DEFAULT_SCALE, nprocs: int = 64) -> ExperimentResult:
     wl = MpiIoTest(nprocs=nprocs, request_size=size,
                    file_size=file_bytes(scale, nprocs, size),
                    op=Op.READ, offset_shift=10 * KiB)
-    cluster = Cluster(cfg, trace_disk=True)
-    run_workload(cluster, wl, warm_runs=1)
-    merged: Dict[int, int] = {}
-    for server in cluster.servers:
-        for sz, count in server.disk_tracer.size_histogram(Op.READ).items():
-            merged[sz] = merged.get(sz, 0) + count
-    total = sum(merged.values()) or 1
-    dist = {sz: c / total for sz, c in sorted(merged.items())}
+    _res, cluster = measure(cfg, wl, warm_runs=1)
+    dist = read_dispatch_fractions(cluster)
 
     result = ExperimentResult(
         name="fig5",

@@ -37,7 +37,7 @@ Event taxonomy (see docs/FAULTS.md for recovery semantics):
                           — or, with ``server=None``, a *correlated* storm on
                           every drive in the fleet at once (firmware-epoch /
                           synchronized-wearout behaviour).  Every command on
-                          an affected drive stalls one ``gc_slice`` and reads
+                          an affected drive stalls one ``GC_SLICE`` and reads
                           pay the GC jitter term; works with or without the
                           FTL model enabled.  Storm windows nest and compose
                           with other fault kinds.

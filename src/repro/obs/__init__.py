@@ -20,8 +20,8 @@ package makes that visible per request instead of only in aggregate:
   timeline's marks as its instant events).
 * :mod:`repro.obs.runtime` — per-cluster wiring.  It copies no other
   telemetry source: audit records stay in
-  :class:`~repro.audit.trace.EventTrace`, dispatches in
-  :class:`~repro.block.blktrace.BlockTracer`.
+  :class:`~repro.audit.trace.EventTrace`, served read sizes in
+  :class:`~repro.devices.base.DeviceStats`.
 * :mod:`repro.obs.timeline` — sim-time series recorder: samples every
   registry gauge and counter on a fixed cadence
   (``ObsConfig.timeline_dt``) into a bounded ring buffer, differencing
@@ -31,10 +31,10 @@ package makes that visible per request instead of only in aggregate:
 * :mod:`repro.obs.report` — the ``python -m repro.obs.report`` CLI that
   joins trace + timeline into one console/markdown run report.
 
-Everything is flag-gated (``ObsConfig.enabled``) following the
-``BlockTracer`` pattern: with observability off, instrumented sites
-cost one attribute load and a ``None`` test — no records, no spans, no
-sampler process (``python -m benchmarks.perf.obs_bench`` times every tier).
+Everything is flag-gated (``ObsConfig.enabled``): with observability
+off, instrumented sites cost one attribute load and a ``None`` test —
+no records, no spans, no sampler process (``python -m
+benchmarks.perf.obs_bench`` times every tier).
 """
 
 from .critical_path import RunReport, TraceReport, analyze, build_trees

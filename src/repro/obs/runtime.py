@@ -7,8 +7,8 @@ every instrumented component (clients, network, servers, iBridge
 managers, block queues) the way :class:`~repro.audit.runtime.AuditRuntime`
 attaches its auditors.  It copies no other telemetry source: audit
 records stay in the audit :class:`~repro.audit.trace.EventTrace` (and
-its ``--audit-trace`` JSONL), dispatches in the per-disk
-:class:`~repro.block.blktrace.BlockTracer`.
+its ``--audit-trace`` JSONL), served read sizes in each device's
+:class:`~repro.devices.base.DeviceStats`.
 
 Lifecycle (mirrors the audit runtime):
 
@@ -16,10 +16,12 @@ Lifecycle (mirrors the audit runtime):
   ``config.obs.enabled``;
 * the timeline ticker runs as a sim process until :meth:`stop`
   (``Cluster.shutdown`` calls it, like the watchdog);
+* spans stream to ``trace_path`` as they close, every
+  :data:`FLUSH_SPANS` closures;
 * :meth:`finish_run` (called by the workload harness after the drain)
-  takes a final timeline sample (fault windows become its marks) and
-  exports spans and the timeline (with the registry's histograms) to
-  the configured paths —
+  takes a final timeline sample (fault windows become its marks),
+  appends the span tail and exports the timeline (with the registry's
+  histograms) to the configured paths —
   appending, so multi-cluster experiments accumulate into one file
   that the CLI truncated once up front (the ``--audit-trace``
   contract);
@@ -43,6 +45,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import ObsConfig
     from ..pfs.cluster import Cluster
 
+#: Span closures between appends to ``ObsConfig.trace_path``.  Each
+#: batch is appended and fsync-flushed, so traces from aborted,
+#: OOM-killed or budget-killed runs survive up to the last batch.
+#: Purely I/O-side: the flush is driven by span closures, not by a sim
+#: process, so it never perturbs event schedules.
+FLUSH_SPANS = 256
+
 
 class ObsRuntime:
     """Tracer + metrics registry + timeline + wiring for one cluster."""
@@ -51,8 +60,7 @@ class ObsRuntime:
         self.env = env
         self.config = config
         self.tracer: Optional[Tracer] = (
-            Tracer(max_spans=config.max_spans,
-                   sample_n=config.trace_sample_n) if config.trace else None)
+            Tracer(sample_n=config.trace_sample_n) if config.trace else None)
         self.registry: Optional[MetricsRegistry] = (
             MetricsRegistry() if config.metrics else None)
         #: The registry's sampler (None exactly when the registry is).
@@ -64,15 +72,11 @@ class ObsRuntime:
         self._fault_records = None
         self._fault_marked = 0
         self._finished = False
-        # Incremental span streaming (config.flush_spans > 0): closed
-        # spans buffer here and hit the JSONL file every flush_spans
-        # closures, so an aborted or killed run still leaves its trace
-        # prefix on disk instead of losing everything export-at-finish
-        # would have written.
+        # Span streaming: closed spans buffer here and hit the JSONL file
+        # every FLUSH_SPANS closures, so an aborted or killed run still
+        # leaves its trace prefix on disk.
         self._stream_buf: list = []
-        self._streaming = bool(self.tracer is not None
-                               and config.trace_path
-                               and config.flush_spans > 0)
+        self._streaming = bool(self.tracer is not None and config.trace_path)
         if self._streaming:
             self.tracer.sink = self._span_closed
 
@@ -167,14 +171,14 @@ class ObsRuntime:
     # ---------------------------------------------------------- streaming
     def _span_closed(self, span) -> None:
         self._stream_buf.append(span)
-        if len(self._stream_buf) >= self.config.flush_spans:
+        if len(self._stream_buf) >= FLUSH_SPANS:
             self.flush_spans()
 
     def flush_spans(self) -> int:
         """Write buffered closed spans to the trace path now; returns the
         number of rows appended.
 
-        No-op unless streaming is on.  Called every ``flush_spans``
+        No-op unless streaming is on.  Called every :data:`FLUSH_SPANS`
         closures and by :meth:`finish_run`, so a traced run that aborts
         or is killed keeps the spans flushed before it stopped.
         """
@@ -220,13 +224,8 @@ class ObsRuntime:
             self._mark_fault_windows()
             if self.config.timeline_path:
                 self.timeline.export_jsonl(self.config.timeline_path)
-        if self.tracer is not None and self.config.trace_path:
-            if self._streaming:
-                # Everything closed already streamed; drain the tail.
-                self.flush_spans()
-            else:
-                closed = [s for s in self.tracer.spans if s.end is not None]
-                append_spans(self.config.trace_path, closed)
+        # Everything closed already streamed; drain the tail.
+        self.flush_spans()
 
     def _mark_fault_windows(self) -> None:
         """Convert injector begin/end records into timeline marks."""

@@ -8,12 +8,11 @@ the critical-path analyzer attributes time to (``client``, ``rpc``,
 
 The tracer records spans and nothing else.  Instant facts each have one
 home elsewhere: audit records in :class:`~repro.audit.trace.EventTrace`,
-dispatches in :class:`~repro.block.blktrace.BlockTracer` (a traced
-I/O's also in its ``blk.service`` span), fault windows and GC storms
-in the timeline's marks.
+served read sizes in :class:`~repro.devices.base.DeviceStats` (a traced
+I/O's dispatch also in its ``blk.service`` span), fault windows and GC
+storms in the timeline's marks.
 
-The tracer follows the ``BlockTracer`` pattern: construction is cheap,
-and every instrumented site guards with ``if tracer is not None`` so a
+Construction is cheap, and every instrumented site guards with ``if tracer is not None`` so a
 run without observability pays one attribute load per site and nothing
 else.  Spans are plain ``__slots__`` objects — a traced run allocates
 one per operation, the dominant tracing cost.  Two mitigations keep

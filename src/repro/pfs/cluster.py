@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..audit import AuditRuntime
-from ..config import ClusterConfig
+from ..config import GC_STAGGER_SLOT, ClusterConfig
 from ..core.service_model import GlobalTTable
 from ..devices import HardDisk
 from ..devices.profiling import SeekProfile, profile_device
@@ -45,7 +45,6 @@ class Cluster:
     """The simulated parallel I/O system."""
 
     def __init__(self, config: Optional[ClusterConfig] = None,
-                 trace_disk: bool = False,
                  hdd_overrides: Optional[Dict[int, object]] = None,
                  fault_plan=None) -> None:
         """Build the cluster.
@@ -86,8 +85,7 @@ class Cluster:
             self.servers.append(
                 DataServer(self.env, i, server_cfg,
                            _profile_for(server_cfg),
-                           t_table=GlobalTTable(), trace_disk=trace_disk,
-                           audit=self.audit))
+                           t_table=GlobalTTable(), audit=self.audit))
         self.mds.bind_servers(self.servers)
         # Fleet GC coordination across the per-server SSD array: the
         # "sync"/"stagger" policies need a view of every drive, so the
@@ -97,8 +95,7 @@ class Cluster:
                 and self.config.ssd.gc_policy != "unsync"):
             from ..devices.ftl import GCCoordinator
             self.gc_coordinator = GCCoordinator(
-                self.env, self.config.ssd.gc_policy,
-                self.config.ssd.gc_stagger_slot)
+                self.env, self.config.ssd.gc_policy, GC_STAGGER_SLOT)
             for server in self.servers:
                 self.gc_coordinator.register(server.ssd)
         self._clients: Dict[int, PFSClient] = {}

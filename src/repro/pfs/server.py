@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..audit import AuditRuntime
-from ..block import BlockQueue, BlockTracer, make_scheduler
-from ..config import ClusterConfig
+from ..block import BlockQueue, make_scheduler
+from ..config import SSD_SCHEDULER, ClusterConfig
 from ..core.manager import IBridgeManager
 from ..core.service_model import GlobalTTable
 from ..devices import HardDisk, Op, SolidStateDrive
@@ -42,12 +42,11 @@ class ServerStats:
 
 @dataclass
 class DiskUnit:
-    """One disk with its queue, store, tracer and (optional) manager."""
+    """One disk with its queue, store and (optional) manager."""
 
     hdd: HardDisk
     queue: BlockQueue
     store: LocalStore
-    tracer: BlockTracer
     ibridge: Optional[IBridgeManager]
 
 
@@ -56,7 +55,6 @@ class DataServer:
 
     def __init__(self, env: Environment, server_id: int, config: ClusterConfig,
                  profile: SeekProfile, t_table: Optional[GlobalTTable] = None,
-                 trace_disk: bool = False,
                  audit: Optional[AuditRuntime] = None) -> None:
         self.env = env
         self.id = server_id
@@ -77,7 +75,7 @@ class DataServer:
         self.ssd = SolidStateDrive(config.ssd, seed=config.seed,
                                    name=f"{self.name}-ssd")
         self.ssd_queue = BlockQueue(env, self.ssd,
-                                    make_scheduler(config.ssd_scheduler),
+                                    make_scheduler(SSD_SCHEDULER),
                                     name=f"{self.name}-ssd")
         if self.audit is not None:
             self.audit.watch_queue(self.ssd_queue)
@@ -93,9 +91,8 @@ class DataServer:
         self.disks: List[DiskUnit] = []
         for d in range(ndisks):
             hdd = HardDisk(config.hdd)
-            tracer = BlockTracer(enabled=trace_disk)
             queue = BlockQueue(env, hdd, make_scheduler(config.hdd_scheduler),
-                               tracer=tracer, name=f"{self.name}-hdd{d}")
+                               name=f"{self.name}-hdd{d}")
             if self.audit is not None:
                 self.audit.watch_queue(queue)
             store = LocalStore(hdd.capacity)
@@ -110,7 +107,7 @@ class DataServer:
                     log_base=d * region_stride,
                     audit=self.audit)
             self.disks.append(DiskUnit(hdd=hdd, queue=queue, store=store,
-                                       tracer=tracer, ibridge=manager))
+                                       ibridge=manager))
 
         self._slots = Resource(env, capacity=config.server.io_depth)
         self.stats = ServerStats()
@@ -133,10 +130,6 @@ class DataServer:
     @property
     def disk_store(self) -> LocalStore:
         return self.disks[0].store
-
-    @property
-    def disk_tracer(self) -> BlockTracer:
-        return self.disks[0].tracer
 
     @property
     def ibridge(self) -> Optional[IBridgeManager]:

@@ -15,7 +15,8 @@ MiB: int = 1024 * KiB
 #: Bytes per gibibyte.
 GiB: int = 1024 * MiB
 
-#: Disk sector size used by the paper's blktrace histograms (0.5 KB).
+#: Disk sector size: the unit of the dispatch-size histograms in the
+#: paper's Figs. 2(c)-(e) and 5 (0.5 KB).
 SECTOR: int = 512
 
 #: One millisecond / microsecond, in seconds.

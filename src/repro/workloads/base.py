@@ -14,6 +14,7 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
+from ..config import SSD_SCHEDULER
 from ..mpi.runtime import MPIRun, RankContext
 from ..pfs.cluster import Cluster
 from ..results import RunResult
@@ -159,9 +160,8 @@ def _reset_measurement_state(cluster: Cluster) -> None:
             unit.hdd.reset_stats()
             unit.hdd._head = 0
             unit.queue.scheduler = make_scheduler(cluster.config.hdd_scheduler)
-            unit.tracer.clear()
             if unit.ibridge is not None:
                 unit.ibridge.stats = IBridgeStats()
         server.ssd.reset_stats()
         server.ssd.reset_streams()
-        server.ssd_queue.scheduler = make_scheduler(cluster.config.ssd_scheduler)
+        server.ssd_queue.scheduler = make_scheduler(SSD_SCHEDULER)

@@ -42,11 +42,12 @@ _server_mod.DataServer.__init__ = _audited_server_init
 
 @pytest.fixture(autouse=True)
 def _no_experiment_audit_override():
-    """Keep the experiments' process-wide audit/obs hooks and sweep
-    defaults test-local: a CLI call installs its ``--jobs`` and
-    telemetry defaults, and a later experiment test must not inherit
-    them."""
+    """Keep the experiments' process-wide audit/obs/fault-plan hooks
+    and sweep defaults test-local: a CLI call installs its ``--jobs``,
+    telemetry and ``--fault-plan`` defaults, and a later experiment test
+    must not inherit them."""
     yield
     _exp_common.set_default_audit(None)
     _exp_common.set_default_obs(None)
+    _exp_common.set_default_fault_plan(None)
     _exp_runner.set_sweep_defaults()

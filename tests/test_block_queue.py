@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.block import BlockQueue, BlockTracer, make_scheduler
+from repro.block import BlockQueue, make_scheduler
 from repro.config import SchedulerConfig
 from repro.devices import HardDisk, Op, SolidStateDrive
 from repro.sim import Environment
 from repro.units import KiB, MiB
 
 
-def make_queue(env, device=None, kind="noop", tracer=None, **sched_kw):
+def make_queue(env, device=None, kind="noop", **sched_kw):
     device = device or SolidStateDrive()
     sched = make_scheduler(SchedulerConfig(kind=kind, **sched_kw))
-    return BlockQueue(env, device, sched, tracer=tracer)
+    return BlockQueue(env, device, sched)
 
 
 def test_single_request_completes_with_service_time():
@@ -49,16 +49,14 @@ def test_merged_requests_complete_together():
 
 def test_tracer_records_dispatches():
     env = Environment()
-    tracer = BlockTracer()
-    q = make_queue(env, tracer=tracer)
+    q = make_queue(env)
     q.submit(Op.READ, 0, 4 * KiB)
     q.submit(Op.READ, 4 * KiB, 4 * KiB)
     q.submit(Op.WRITE, 10 * MiB, 64 * KiB)
     env.run()
-    assert len(tracer) == 2
-    hist = tracer.size_histogram(Op.READ)
-    assert hist == {16: 1}  # 8 KiB = 16 sectors, merged
-    assert sorted(r.merged for r in tracer.records) == [1, 2]
+    assert q.dispatches == 2
+    # The two reads merged into one 8 KiB dispatch; writes are not kept.
+    assert q.device.stats.read_sizes == {8 * KiB: 1}
 
 
 def test_pending_and_idle_tracking():

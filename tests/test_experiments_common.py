@@ -1,11 +1,21 @@
 """Tests for the experiment infrastructure (common helpers + CLI)."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.config import ClusterConfig
+from repro.devices import HardDisk, Op
+from repro.experiments import fig5
 from repro.experiments.cli import main as cli_main
 from repro.experiments.common import (ExperimentResult, base_config,
-                                      file_bytes, scaled_ibridge)
+                                      file_bytes, read_dispatch_fractions,
+                                      scaled_ibridge, set_default_fault_plan)
+from repro.faults import FaultPlan
+from repro.pfs.cluster import Cluster
 from repro.units import GiB, KiB, MiB
+from repro.workloads.base import _reset_measurement_state, run_workload
+from repro.workloads.mpi_io_test import MpiIoTest
 
 
 def test_file_bytes_scales_and_floors():
@@ -29,6 +39,54 @@ def test_scaled_ibridge_partitions_proportionally():
     assert cfg.ibridge.ssd_partition == int(10 * GiB * 0.01)
     override = scaled_ibridge(base_config(), 0.01, ssd_partition=5 * MiB)
     assert override.ibridge.ssd_partition == 5 * MiB
+
+
+def test_read_dispatch_fractions_in_sectors():
+    """Served read sizes become fractions keyed by 512-byte sectors
+    (rounded up), merged over servers; writes are not counted."""
+    a, b = HardDisk(), HardDisk()
+    a.serve(Op.READ, 0, 64 * KiB)
+    a.serve(Op.READ, 64 * KiB, 64 * KiB)
+    a.serve(Op.READ, 0, 4 * KiB)
+    a.serve(Op.WRITE, 0, 8 * KiB)
+    b.serve(Op.READ, 0, 1000)
+    cluster = SimpleNamespace(servers=[
+        SimpleNamespace(disks=[SimpleNamespace(hdd=disk)]) for disk in (a, b)])
+    fractions = read_dispatch_fractions(cluster)
+    assert fractions == {2: 0.25, 8: 0.25, 128: 0.5}
+    assert list(fractions) == [2, 8, 128]
+
+
+def test_read_sizes_count_the_timed_pass_and_reset_when_warm():
+    cluster = Cluster(ClusterConfig(num_servers=2))
+    wl = MpiIoTest(nprocs=4, request_size=65 * KiB,
+                   file_size=4 * 65 * KiB * 4, op=Op.READ)
+    run_workload(cluster, wl, warm_runs=1)
+    for server in cluster.servers:
+        stats = server.hdd.stats
+        assert stats.reads > 0
+        assert sum(stats.read_sizes.values()) == stats.reads
+        assert sum(n * c for n, c in stats.read_sizes.items()) == \
+            stats.bytes_read
+    _reset_measurement_state(cluster)
+    assert all(not server.hdd.stats.read_sizes for server in cluster.servers)
+
+
+def test_fig5_runs_under_the_default_fault_plan(monkeypatch):
+    plan = FaultPlan.from_dict({"name": "slow-disk", "events": [
+        {"kind": "device_slow", "server": 0, "device": "hdd", "disk": 0,
+         "start": 0.001, "duration": 0.01, "latency_mult": 6.0}]})
+    plans = []
+    init = Cluster.__init__
+
+    def spy(self, config=None, **kwargs):
+        plans.append(kwargs.get("fault_plan"))
+        init(self, config, **kwargs)
+
+    monkeypatch.setattr(Cluster, "__init__", spy)
+    set_default_fault_plan(plan)
+    fig5.run(scale=0.0005, nprocs=8)
+    assert plans and all(p is plan for p in plans)
 
 
 def test_experiment_result_keyed_values():

@@ -321,7 +321,7 @@ def test_gc_storm_fleet_window_slows_ssds_and_reverts():
     cluster = Cluster(cfg, fault_plan=plan)
     stormy = run_workload(cluster, write_workload())
     # Every drive stalled (the window is fleet-wide) and the makespan
-    # carries the per-command gc_slice charges.
+    # carries the per-command GC_SLICE charges.
     assert all(s.ssd.gc_stall_time > 0.0 for s in cluster.servers)
     assert stormy.makespan > healthy.makespan
     begin = [r for r in cluster.faults.records if r.phase == "begin"]

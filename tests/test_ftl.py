@@ -4,7 +4,7 @@ GC-storm device hook."""
 
 import pytest
 
-from repro.config import SSDConfig
+from repro.config import GC_ERASE_TIME, GC_SLICE, SSDConfig
 from repro.devices import Op, SolidStateDrive
 from repro.devices.ftl import FlashTranslationLayer, GCCoordinator
 from repro.errors import ConfigError, StorageError
@@ -215,7 +215,7 @@ def test_sustained_writes_pay_foreground_gc_pauses():
     assert ssd.ftl.write_amplification > 1.0
     assert ssd.gc_stall_time > 0.0
     # A pause-mode stall covers at least one whole collection step.
-    assert max(stalls) >= ssd.config.gc_erase_time
+    assert max(stalls) >= GC_ERASE_TIME
     ssd.ftl.verify()
 
 
@@ -223,8 +223,8 @@ def test_throttle_mode_bounds_per_command_stall():
     ssd = gc_ssd(gc_mode="throttle")
     stalls = wrap_writes(ssd)
     assert ssd.gc_stall_time > 0.0
-    # Writes never jitter, so every instalment is capped by gc_slice.
-    assert max(stalls) <= ssd.config.gc_slice + 1e-12
+    # Writes never jitter, so every instalment is capped by GC_SLICE.
+    assert max(stalls) <= GC_SLICE + 1e-12
     ssd.ftl.verify()
 
 
@@ -294,7 +294,7 @@ def test_gc_storm_charges_every_command_until_released():
     ssd.gc_storm_begin()
     ssd.gc_storm_begin()                 # nested windows stack
     stormy = ssd.serve(Op.WRITE, 64 * KiB, 64 * KiB)
-    assert stormy == pytest.approx(quiet + ssd.config.gc_slice)
+    assert stormy == pytest.approx(quiet + GC_SLICE)
     ssd.gc_storm_end()
     assert ssd.gc_active                 # still one window deep
     ssd.gc_storm_end()

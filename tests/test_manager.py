@@ -107,14 +107,6 @@ def test_read_miss_served_from_disk_then_admitted_when_idle():
     assert server.hdd.stats.reads == before
 
 
-def test_admit_reads_disabled():
-    env, server = make_server(admit_reads=False)
-    server.disk_store.preallocate(1, 1 * MiB)
-    serve(env, server, sub(op=Op.READ, random=True))
-    env.run(until=env.now + 1.0)
-    assert server.ibridge.stats.fill_bytes == 0
-
-
 def test_dirty_data_flushed_on_drain():
     env, server = make_server()
     serve(env, server, sub(op=Op.WRITE, random=True))

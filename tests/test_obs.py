@@ -346,8 +346,6 @@ def test_obs_config_validation():
     with pytest.raises(ConfigError):
         ObsConfig(timeline_dt=0.0).validate()
     with pytest.raises(ConfigError):
-        ObsConfig(max_spans=-1).validate()
-    with pytest.raises(ConfigError):
         ObsConfig(enabled=True, trace=False, metrics=False).validate()
     cfg = ClusterConfig(num_servers=2).with_obs(timeline_dt=0.1)
     assert cfg.obs.enabled and cfg.obs.timeline_dt == 0.1
@@ -355,12 +353,13 @@ def test_obs_config_validation():
 
 
 # ----------------------------------------------------- span streaming
-def test_span_streaming_flushes_batches_mid_run(tmp_path):
+def test_span_streaming_flushes_batches_mid_run(tmp_path, monkeypatch):
+    from repro.obs import runtime
     from repro.obs.runtime import ObsRuntime
 
+    monkeypatch.setattr(runtime, "FLUSH_SPANS", 2)
     path = str(tmp_path / "stream.jsonl")
-    cfg = ObsConfig(enabled=True, metrics=False, trace_path=path,
-                    flush_spans=2)
+    cfg = ObsConfig(enabled=True, metrics=False, trace_path=path)
     rt = ObsRuntime(Environment(), cfg)
     t = rt.tracer
     t.finish(t.start("a", "client", 1, 0.0), 1.0)
@@ -378,12 +377,13 @@ def test_span_streaming_flushes_batches_mid_run(tmp_path):
     assert len(open(path, encoding="utf-8").readlines()) == 3
 
 
-def test_span_streaming_reset_drops_warm_run_buffer(tmp_path):
+def test_span_streaming_reset_drops_warm_run_buffer(tmp_path, monkeypatch):
+    from repro.obs import runtime
     from repro.obs.runtime import ObsRuntime
 
+    monkeypatch.setattr(runtime, "FLUSH_SPANS", 10)
     path = str(tmp_path / "stream.jsonl")
-    cfg = ObsConfig(enabled=True, metrics=False, trace_path=path,
-                    flush_spans=10)
+    cfg = ObsConfig(enabled=True, metrics=False, trace_path=path)
     rt = ObsRuntime(Environment(), cfg)
     t = rt.tracer
     t.finish(t.start("warm", "client", 1, 0.0), 1.0)
@@ -392,25 +392,6 @@ def test_span_streaming_reset_drops_warm_run_buffer(tmp_path):
     rt.finish_run()
     spans = load_spans_jsonl(path)
     assert [s.name for s in spans] == ["measured"]
-
-
-def test_flush_spans_zero_restores_export_at_finish(tmp_path):
-    from repro.obs.runtime import ObsRuntime
-
-    path = str(tmp_path / "trace.jsonl")
-    cfg = ObsConfig(enabled=True, metrics=False, trace_path=path,
-                    flush_spans=0)
-    rt = ObsRuntime(Environment(), cfg)
-    t = rt.tracer
-    assert t.sink is None  # no streaming hook installed
-    for i in range(5):
-        t.finish(t.start(f"s{i}", "client", i, 0.0), 1.0)
-    assert rt.flush_spans() == 0  # explicit flush is a no-op
-    import os
-    assert not os.path.exists(path)
-    rt.finish_run()
-    spans = load_spans_jsonl(path)
-    assert len(spans) == 5
 
 
 # ------------------------------------ empty-attrs sentinel + 1-in-N sampling

@@ -11,8 +11,7 @@ pin:
 * the exported span JSONL, the audit trace and the full
   :class:`RunReport` to constants recorded when the span export still
   carried a copy of every audit record and HDD dispatch;
-* a streamed export (``flush_spans=256``) to the export written at the
-  end of the run (``flush_spans=0``), row for row;
+* that the streamed export does not depend on its batch size;
 * that a fault window reaches the Chrome export as instant events taken
   from the timeline's marks;
 * with the metrics registry on, the timeline JSONL (samples, marks and
@@ -38,7 +37,7 @@ from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
 
 
-def traced_cell(trace_path, flush_spans, audit_path=None):
+def traced_cell(trace_path, audit_path=None):
     """Stagger cell with FTL, strict audit and full tracing, small
     enough to run in about a second: 8 ranks of unaligned 176 KiB
     writes (three or four pieces each, so the median sibling time is
@@ -55,8 +54,7 @@ def traced_cell(trace_path, flush_spans, audit_path=None):
         gc_high_watermark=0.55, gc_mode="pause", gc_policy="stagger")
     cfg = cfg.replace(ssd=ssd, seed=3).with_audit(
         strict=True, trace_path=audit_path).with_obs(
-        trace=True, metrics=False, trace_path=trace_path,
-        flush_spans=flush_spans)
+        trace=True, metrics=False, trace_path=trace_path)
     return cfg, wl
 
 
@@ -67,12 +65,11 @@ ID_COUNTERS = ((messages, "_request_ids"), (block_request, "_ids"),
                (mapping, "_entry_ids"), (network, "_fault_ids"))
 
 
-def run_traced(monkeypatch, trace_path, flush_spans, audit_path=None):
+def run_traced(monkeypatch, trace_path, audit_path=None):
     """Run the cell once -> (exported JSONL rows, RunReport, cluster)."""
     for module, name in ID_COUNTERS:
         monkeypatch.setattr(module, name, itertools.count(1))
-    cfg, wl = traced_cell(str(trace_path), flush_spans,
-                          audit_path and str(audit_path))
+    cfg, wl = traced_cell(str(trace_path), audit_path and str(audit_path))
     cluster = Cluster(cfg)
     run_workload(cluster, wl, warm_runs=1)
     with open(trace_path, encoding="utf-8") as fh:
@@ -96,12 +93,16 @@ def digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-# Recorded with flush_spans=0 while the export still carried 528 audit
-# and 189 blk.dispatch instant events after its spans: the digest is
-# over the span rows alone, in export order.
+# Recorded while spans were still exported at the end of the run, in
+# opening (span id) order, followed by 528 audit and 189 blk.dispatch
+# instant events: the digest is over the span rows alone, in id order.
 PINNED_SPANS = 1856
 PINNED_SPAN_ROWS_SHA256 = (
     "f9c79b8bd57d5db9be6b14acd9b04081dac1917a6f03fb61e2f4b19ced46ead7")
+# The same rows in the order they stream (closing order), recorded with
+# the parent's 256-span batches.
+STREAMED_SPAN_ROWS_SHA256 = (
+    "d90e07ae218bcc72c9631312ebccc18dfbbb6efc47c12dc2018d0d9890104ebd")
 # The --audit-trace lines of the same run: equal, line for line, to its
 # audit instant events rebuilt as {"t", "kind", **attrs} records.
 PINNED_AUDIT = (
@@ -140,9 +141,12 @@ def check_report(report):
 
 
 def test_export_and_report_match_pinned(tmp_path, monkeypatch):
-    rows, report, cluster = run_traced(monkeypatch, tmp_path / "t.jsonl", 0)
-    assert len(spans_by_id(rows)) == len(rows) == PINNED_SPANS
-    assert digest(rows) == PINNED_SPAN_ROWS_SHA256
+    rows, report, cluster = run_traced(monkeypatch, tmp_path / "t.jsonl")
+    spans = spans_by_id(rows)
+    assert len(spans) == len(rows) == PINNED_SPANS
+    # Spans stream in closing order; the pin is in opening order.
+    assert digest([spans[i] for i in sorted(spans)]) == \
+        PINNED_SPAN_ROWS_SHA256
     # report_fields reads count/magnifications (the one-pass summary)
     # before the walked per-trace fields ...
     check_report(report)
@@ -152,27 +156,21 @@ def test_export_and_report_match_pinned(tmp_path, monkeypatch):
     check_report(walked)
 
 
-def test_streamed_export_equals_end_export(tmp_path, monkeypatch):
-    end_rows, _, _ = run_traced(monkeypatch, tmp_path / "end.jsonl", 0)
-    streamed_rows, _, cluster = run_traced(
-        monkeypatch, tmp_path / "streamed.jsonl", 256)
-    assert cluster.obs._streaming
-    assert len(streamed_rows) == len(end_rows)
-    # Spans stream in closing order and export at the end in opening
-    # order.
-    assert spans_by_id(streamed_rows) == spans_by_id(end_rows)
-
-
-@pytest.mark.parametrize("flush_spans", [0, 256])
+@pytest.mark.parametrize("flush_spans", [1, 256])
 def test_span_export_holds_spans_and_audit_trace_holds_records(
         tmp_path, monkeypatch, flush_spans):
     """Each fact has one home: the span JSONL holds span rows only, the
     audit records reach the --audit-trace file, and neither carries a
-    copy of the other."""
+    copy of the other.  The streamed rows, in closing order, do not
+    depend on how many spans each append batches."""
+    import repro.obs.runtime as obs_runtime
+
+    monkeypatch.setattr(obs_runtime, "FLUSH_SPANS", flush_spans)
     audit_path = tmp_path / "audit.jsonl"
     rows, _, cluster = run_traced(monkeypatch, tmp_path / "t.jsonl",
-                                  flush_spans, audit_path)
+                                  audit_path)
     assert [json.loads(r)["type"] for r in rows] == ["span"] * PINNED_SPANS
+    assert digest(rows) == STREAMED_SPAN_ROWS_SHA256
     cluster.audit.trace.close()
     lines = audit_path.read_text(encoding="utf-8").splitlines()
     assert (len(lines), digest(lines)) == PINNED_AUDIT
@@ -184,7 +182,7 @@ def test_validator_accepts_exported_spans(tmp_path, monkeypatch, capsys):
     from repro.obs.validate import main as validate_main
 
     path = tmp_path / "t.jsonl"
-    run_traced(monkeypatch, path, 256)
+    run_traced(monkeypatch, path)
     assert validate_main([str(path)]) == 0
     assert capsys.readouterr().out.startswith(f"OK: {PINNED_SPANS} spans, ")
 
@@ -197,7 +195,7 @@ def test_fault_window_reaches_chrome_export_as_timeline_marks(
     from repro.faults import FaultPlan
 
     trace, timeline = tmp_path / "t.jsonl", tmp_path / "timeline.jsonl"
-    cfg, wl = traced_cell(str(trace), 256)
+    cfg, wl = traced_cell(str(trace))
     cfg = cfg.with_obs(metrics=True, timeline_path=str(timeline))
     plan = FaultPlan.from_dict({"name": "slow-disk", "events": [
         {"kind": "device_slow", "server": 0, "device": "hdd", "disk": 0,
@@ -246,7 +244,7 @@ def run_metrics_cell(tmp_path, monkeypatch):
     for module, name in ID_COUNTERS:
         monkeypatch.setattr(module, name, itertools.count(1))
     timeline = tmp_path / "timeline.jsonl"
-    cfg, wl = traced_cell(str(tmp_path / "t.jsonl"), 0)
+    cfg, wl = traced_cell(str(tmp_path / "t.jsonl"))
     cfg = cfg.with_obs(metrics=True, timeline_path=str(timeline))
     plan = FaultPlan.from_dict({"name": "slow-disk", "events": [
         {"kind": "device_slow", "server": 0, "device": "hdd", "disk": 0,
@@ -283,7 +281,7 @@ def test_cli_report_reuses_the_loaded_trace(tmp_path, monkeypatch, capsys):
     from repro.experiments.cli import _emit_obs_outputs
 
     trace, timeline = tmp_path / "t.jsonl", tmp_path / "timeline.jsonl"
-    cfg, wl = traced_cell(str(trace), 256)
+    cfg, wl = traced_cell(str(trace))
     run_workload(Cluster(cfg.with_obs(metrics=True,
                                       timeline_path=str(timeline))),
                  wl, warm_runs=1)

@@ -49,7 +49,6 @@ import pytest
 
 from repro.block import queue as queue_module
 from repro.block import request as block_request
-from repro.block.blktrace import BlockTracer
 from repro.block.queue import BlockQueue, make_scheduler
 from repro.block.request import Dispatch
 from repro.block.scheduler import Scheduler
@@ -75,6 +74,16 @@ from repro.sim.events import Condition
 from repro.units import MS, US, KiB, MiB
 from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
+
+
+class BlockTracer:
+    """Stand-in for the dispatch tracer the block layer no longer has.
+    ``_QueueGenerators`` below builds one disabled, so it records
+    nothing."""
+
+    def __init__(self, enabled: bool = True) -> None:
+        self.enabled = enabled
+
 
 # ---------------------------------------------------------------- verbatim
 
